@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -86,10 +87,28 @@ def _jsonify(value):
     return value
 
 
-def _parse_n(text) -> int:
-    n = int(float(text))
+def _integer(value) -> int:
+    """Exact integer from a flag or manifest value.
+
+    Digit strings parse exactly and integral exponent forms such as 1e12
+    are accepted; nan, inf, non-integral values and garbage are contract
+    violations, and magnitudes past 64 bits are capacity overflows.
+    """
+    try:
+        number = Decimal(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ContractError(f"expected an integer, got {value!r}") from None
+    if not number.is_finite() or number != number.to_integral_value():
+        raise ContractError(f"expected an integer, got {value!r}")
+    if number.copy_abs() >= 2**64:
+        raise CapacityError(f"{value!r} exceeds 64-bit capacity")
+    return int(number)
+
+
+def _parse_n(value) -> int:
+    n = _integer(value)
     if n < 1:
-        raise ContractError(f"n must be positive, got {text!r}")
+        raise ContractError(f"n must be positive, got {value!r}")
     return n
 
 
@@ -153,7 +172,7 @@ def _workers(args, manifest) -> int:
     value = _resolve(args, manifest, "workers")
     if value is None:
         value = os.environ.get(WORKERS_ENV, 1)
-    return int(value)
+    return _integer(value)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +181,8 @@ def _workers(args, manifest) -> int:
 
 def _cmd_sieve(args, manifest):
     n = _resolve(args, manifest, "n", cast=_parse_n)
-    lo = _resolve(args, manifest, "lo", 1, int)
-    hi = _resolve(args, manifest, "hi", cast=int)
+    lo = _resolve(args, manifest, "lo", 1, _integer)
+    hi = _resolve(args, manifest, "hi", cast=_integer)
     if hi is None:
         if n is None:
             raise ContractError("sieve needs --n or --hi")
@@ -240,7 +259,7 @@ def _cmd_correlate(args, manifest):
         raise ContractError("correlate needs --n")
     a_name = _resolve(args, manifest, "a", "const", str)
     b_name = _resolve(args, manifest, "b", "const", str)
-    shift = _resolve(args, manifest, "shift", 1, int)
+    shift = _resolve(args, manifest, "shift", 1, _integer)
     weighting = _resolve(args, manifest, "weighting",
                          averaging.LOGARITHMIC, str)
     a = resolve_preset(a_name, n)
@@ -291,7 +310,7 @@ def _cmd_halasz(args, manifest):
     if n is None:
         raise ContractError("halasz needs --n")
     preset = _resolve(args, manifest, "preset", "parity", str)
-    points = _resolve(args, manifest, "points", 2001, int)
+    points = _resolve(args, manifest, "points", 2001, _integer)
     name, _, arg = preset.partition(":")
     if name == "parity" and not arg:
         spec = pretentious.liouville_spec()
@@ -329,7 +348,7 @@ def _cmd_reduce(args, manifest):
     family = pretentious.frequency_family(n)
     xi_text = _resolve(args, manifest, "xi", cast=str)
     xi_set = (family.members if xi_text is None
-              else [int(x) for x in xi_text.split(",") if x != ""])
+              else [_integer(x) for x in xi_text.split(",") if x != ""])
     out = _resolve(args, manifest, "out", cast=str)
     terms = reduction.reduced_sum_terms(n, window, xi_set)
     total = float(sum(terms.values()))
@@ -352,7 +371,7 @@ def _cmd_circle(args, manifest):
     window = _window_from(args, manifest, n)
     epsilon = _resolve(args, manifest, "epsilon", 0.5, float)
     resolution = _resolve(args, manifest, "resolution",
-                          10 * window.max_prime, int)
+                          10 * window.max_prime, _integer)
     out = _resolve(args, manifest, "out", cast=str)
     measure = reduction.major_arc_measure(window, epsilon, resolution)
     resolved = {"command": "circle", "n": n, "epsilon": epsilon,

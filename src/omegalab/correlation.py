@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sieve, stats
+from .averaging import CESARO, LOGARITHMIC
 from .errors import CapacityError, ContractError, EmptyDomainError
-from .profiles import NBINS, shared_counts, two_point_profile
-
-CESARO = "cesaro"
-LOGARITHMIC = "logarithmic"
+from .profiles import NBINS, chunks, shared_counts, two_point_profile
 
 _MODULUS_SLACK = 1e-12
 
@@ -126,11 +124,16 @@ def two_point_lhs(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     profile = two_point_profile(n_limit, shift, counts)
     ta, tb = a.table(), b.table()
     if weighting == LOGARITHMIC:
-        return complex(ta @ profile.joint_log.astype(np.complex128) @ tb
-                       ) / profile.harmonic_mass
+        return _log_pair_mean(ta, tb, profile)
     if weighting == CESARO:
         return complex(ta @ profile.joint.astype(np.complex128) @ tb) / n_limit
     raise ContractError(f"unknown weighting {weighting!r}")
+
+
+def _log_pair_mean(ta: np.ndarray, tb: np.ndarray, profile) -> complex:
+    """Log average of ta[count(n)] * tb[count(n+shift)] from the joint matrix."""
+    return complex(ta @ profile.joint_log.astype(np.complex128) @ tb
+                   ) / profile.harmonic_mass
 
 
 def _cesaro_mean(fn: BoundedFunction, profile) -> complex:
@@ -148,7 +151,7 @@ def theorem_a_report(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     if n_limit < 10**3:
         raise ContractError("correlation report wants N >= 1e3")
     profile = two_point_profile(n_limit, 1, counts)
-    lhs = two_point_lhs(a, b, n_limit, 1, LOGARITHMIC, counts)
+    lhs = _log_pair_mean(a.table(), b.table(), profile)
     prediction = _cesaro_mean(a, profile) * _cesaro_mean(b, profile)
     meta = {"shift": 1, "a_bound": a.bound, "b_bound": b.bound}
     if metadata:
@@ -236,22 +239,10 @@ def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     if n_limit < 10 * int(p_arr[-1]):
         raise ContractError("need N >= 10 * max window prime")
     lhs = two_point_lhs(a, b, n_limit, 1, LOGARITHMIC)
-
-    counts = shared_counts(n_limit + int(p_arr[-1]) + 1)
     ta = a.down_shifted().table()
     tb = b.down_shifted().table()
-    c0 = counts[:n_limit]
-    inner = np.empty(p_arr.size, dtype=np.complex128)
-    chunk = 1 << 22
-    for j, p in enumerate(p_arr):
-        total = 0.0 + 0.0j
-        mass = 0.0
-        for start in range(0, n_limit, chunk):
-            stop = min(start + chunk, n_limit)
-            inv_n = 1.0 / np.arange(start + 1, stop + 1, dtype=np.float64)
-            total += np.sum(ta[c0[start:stop]] * tb[counts[start + p : stop + p]] * inv_n)
-            mass += float(inv_n.sum())
-        inner[j] = total / mass
+    inner = np.array([_log_pair_mean(ta, tb, two_point_profile(n_limit, int(p)))
+                      for p in p_arr])
     weights = 1.0 / p_arr.astype(np.float64)
     rhs = complex(np.sum(inner * weights) / np.sum(weights))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
@@ -272,30 +263,22 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
     if n_limit < 10**3:
         raise ContractError("exploration wants N >= 1e3")
     counts = shared_counts(n_limit + k)
+    if weighting not in (CESARO, LOGARITHMIC):
+        raise ContractError(f"unknown weighting {weighting!r}")
     tables = [fn.table() for fn in functions]
-    chunk = 1 << 22
     total = 0.0 + 0.0j
-    mass = 0.0
-    for start in range(0, n_limit, chunk):
-        stop = min(start + chunk, n_limit)
+    for start, stop, inv_n in chunks(n_limit, weighting == LOGARITHMIC):
         prod = tables[0][counts[start:stop]]
         for i in range(1, k):
             prod = prod * tables[i][counts[start + i : stop + i]]
-        if weighting == CESARO:
-            total += np.sum(prod)
-            mass += stop - start
-        elif weighting == LOGARITHMIC:
-            inv_n = 1.0 / np.arange(start + 1, stop + 1, dtype=np.float64)
-            total += np.sum(prod * inv_n)
-            mass += float(inv_n.sum())
-        else:
-            raise ContractError(f"unknown weighting {weighting!r}")
-    joint = complex(total / mass)
+        total += np.sum(prod if inv_n is None else prod * inv_n)
 
-    profile = two_point_profile(n_limit, 1)
+    profile = two_point_profile(n_limit, 0)
     if weighting == CESARO:
+        joint = complex(total / n_limit)
         singles = [_cesaro_mean(fn, profile) for fn in functions]
     else:
+        joint = complex(total / profile.harmonic_mass)
         singles = [_log_mean(fn, profile) for fn in functions]
     product = complex(np.prod(singles))
     return {

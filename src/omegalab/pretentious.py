@@ -76,11 +76,6 @@ def unit_spec() -> MultFunSpec:
     return MultFunSpec()
 
 
-def archimedean_spec_value(t: float, p) -> complex:
-    """Prime value of n -> n^{it}: e^{i t log p}."""
-    return np.exp(1j * t * np.log(np.asarray(p, dtype=np.float64)))
-
-
 def factorize(n: int):
     """Trial-division factorization [(p, exponent), ...]; plumbing."""
     n = int(n)
@@ -444,16 +439,6 @@ def twisted_distance(f: MultFunSpec, chi: TwistSpec, n_limit: int) -> float:
         raise ContractError("distance needs N >= 2")
     value = distance_sq_to_twist(f, n_limit, chi.t, chi_table=chi.character)
     return math.sqrt(max(value, 0.0))
-
-
-def character_table_csv(specs, path) -> None:
-    """CSV export: one row per (character index, residue, re, im)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("character,residue,re,im,principal\n")
-        for i, ts in enumerate(specs):
-            for r, v in enumerate(ts.character):
-                fh.write("%d,%d,%.17g,%.17g,%d\n"
-                         % (i, r, v.real, v.imag, int(ts.principal)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,29 @@
-"""Streaming reductions of factor-count blocks into small sufficient statistics.
+"""The one path from a factor-count block to its sufficient statistics.
 
-Both correlation averages and level-set densities only see the count values
-of n and n+shift, never n itself beyond its weight.  One chunked pass over a
-counts block therefore compresses everything the downstream operations need
-into 64-vectors and a 64x64 joint matrix per (N, shift):
+Correlation averages and level-set densities only see the count values of
+n and n+shift, never n itself beyond its weight.  One chunked pass over a
+multiplicity counts block therefore compresses everything the downstream
+operations need into 64-vectors and a 64x64 joint matrix per (N, shift):
 
   hist[l]        count of {n <= N : count(n) = l}
   log_hist[l]    sum of 1/n over that level set
   joint[k,l]     count of {n <= N : count(n) = k, count(n+shift) = l}
   joint_log[k,l] same pairs, 1/n-weighted
 
-A module-level cache keeps the largest multiplicity block sieved so far and
-serves smaller ranges as views, so a 1e8 sieve run is paid for once per
-process.
+Shift 0 is the marginal-only profile: its pass fills hist and log_hist
+alone, and joint, joint_log are their diagonals.
+
+Every 1/n-weighted reduction over n <= N walks `chunks`, the only place
+that builds 1/n, so no float array over the full range is materialized.
+
+Caching follows one rule.  The largest multiplicity block sieved or
+adopted so far is the shared block, and smaller ranges are served as views
+of it, so a 1e8 sieve is paid for once per process.  Profiles computed
+from the shared block are kept in one bounded (N, shift) cache that drops
+its oldest entry when full.  The cache is read and written only when the
+counts are the shared block: counts=None, or an array whose memory starts
+at the shared block's n = 1 (checked by identity, never by content).  Any
+other explicit counts are used as given and never cached.
 """
 
 from __future__ import annotations
@@ -24,8 +35,10 @@ import numpy as np
 from . import sieve
 from .errors import ContractError
 
+# level sets above 63 are empty for any n < 2**64
 NBINS = 64
-_CHUNK = 1 << 22
+CHUNK = 1 << 22
+_CACHE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -60,10 +73,61 @@ def adopt_block(block: sieve.FactorCountBlock) -> None:
 
 def shared_counts(hi: int, config: sieve.SieveConfig | None = None) -> np.ndarray:
     """Multiplicity counts for n in [1, hi), index n-1, served from cache."""
-    global _cached_block
     if _cached_block is None or _cached_block.hi < hi:
         adopt_block(sieve.factor_counts(1, hi, sieve.BigOmega, config))
     return _cached_block.counts[: hi - 1]
+
+
+def _is_shared(counts: np.ndarray) -> bool:
+    """True when counts is a view of the shared block starting at n = 1."""
+    return (_cached_block is not None and counts.dtype == np.uint8
+            and counts.strides == (1,)
+            and counts.ctypes.data == _cached_block.counts.ctypes.data)
+
+
+def chunks(n_limit: int, weighted: bool = True):
+    """Yield (start, stop, inv_n) covering n = start+1 .. stop for n <= N.
+
+    inv_n holds 1/n for that stretch (None unless weighted); indices into a
+    counts array with index n-1 are start:stop.
+    """
+    for start in range(0, n_limit, CHUNK):
+        stop = min(start + CHUNK, n_limit)
+        if not weighted:
+            yield start, stop, None
+            continue
+        # in place: no second full-chunk float array
+        inv_n = np.arange(start + 1, stop + 1, dtype=np.float64)
+        yield start, stop, np.divide(1.0, inv_n, out=inv_n)
+
+
+def _profile_pass(counts: np.ndarray, n_limit: int, shift: int) -> TwoPointProfile:
+    hist = np.zeros(NBINS, dtype=np.int64)
+    log_hist = np.zeros(NBINS, dtype=np.float64)
+    joint = np.zeros(NBINS * NBINS, dtype=np.int64)
+    joint_log = np.zeros(NBINS * NBINS, dtype=np.float64)
+    mass = 0.0
+    for start, stop, inv_n in chunks(n_limit):
+        level = counts[start:stop].astype(np.intp)
+        mass += float(inv_n.sum())
+        log_hist += np.bincount(level, weights=inv_n, minlength=NBINS)
+        if shift:
+            # in place, level becomes the pair index count(n), count(n+shift)
+            level *= NBINS
+            level += counts[start + shift : stop + shift]
+            joint += np.bincount(level, minlength=NBINS * NBINS)
+            joint_log += np.bincount(level, weights=inv_n, minlength=NBINS * NBINS)
+        else:
+            hist += np.bincount(level, minlength=NBINS)
+        del level   # freed before the next chunk's 1/n is built
+    if shift:
+        joint, joint_log = joint.reshape(NBINS, NBINS), joint_log.reshape(NBINS, NBINS)
+        hist = joint.sum(axis=1)
+    else:
+        joint, joint_log = np.diag(hist), np.diag(log_hist)
+    return TwoPointProfile(n_limit=n_limit, shift=shift, hist=hist,
+                           log_hist=log_hist, joint=joint, joint_log=joint_log,
+                           harmonic_mass=mass)
 
 
 def two_point_profile(n_limit: int, shift: int = 1,
@@ -78,40 +142,17 @@ def two_point_profile(n_limit: int, shift: int = 1,
         raise ContractError("profile needs N >= 3")
     if shift < 0:
         raise ContractError("profile needs shift >= 0")
+    if counts is not None and counts.shape[0] < n_limit + shift:
+        raise ContractError("counts must cover n = 1 .. N+shift")
+    shared = counts is None or _is_shared(counts)
     key = (n_limit, shift)
-    if counts is None and key in _profile_cache:
+    if shared and key in _profile_cache:
         return _profile_cache[key]
     if counts is None:
         counts = shared_counts(n_limit + shift + 1)
-    if counts.shape[0] < n_limit + shift:
-        raise ContractError("counts must cover n = 1 .. N+shift")
-
-    hist = np.zeros(NBINS, dtype=np.int64)
-    log_hist = np.zeros(NBINS, dtype=np.float64)
-    joint = np.zeros(NBINS * NBINS, dtype=np.int64)
-    joint_log = np.zeros(NBINS * NBINS, dtype=np.float64)
-    mass = 0.0
-    for start in range(0, n_limit, _CHUNK):
-        stop = min(start + _CHUNK, n_limit)
-        c0 = counts[start:stop]
-        c1 = counts[start + shift : stop + shift]
-        inv_n = 1.0 / np.arange(start + 1, stop + 1, dtype=np.float64)
-        mass += float(inv_n.sum())
-        hist += np.bincount(c0, minlength=NBINS)
-        log_hist += np.bincount(c0, weights=inv_n, minlength=NBINS)
-        pair = c0.astype(np.int32) * NBINS + c1
-        joint += np.bincount(pair, minlength=NBINS * NBINS)
-        joint_log += np.bincount(pair, weights=inv_n, minlength=NBINS * NBINS)
-    profile = TwoPointProfile(
-        n_limit=n_limit,
-        shift=shift,
-        hist=hist,
-        log_hist=log_hist,
-        joint=joint.reshape(NBINS, NBINS),
-        joint_log=joint_log.reshape(NBINS, NBINS),
-        harmonic_mass=mass,
-    )
-    if len(_profile_cache) > 64:
-        _profile_cache.clear()
-    _profile_cache[key] = profile
+    profile = _profile_pass(counts, n_limit, shift)
+    if shared:
+        if len(_profile_cache) >= _CACHE_LIMIT:
+            del _profile_cache[next(iter(_profile_cache))]
+        _profile_cache[key] = profile
     return profile

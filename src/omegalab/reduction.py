@@ -221,27 +221,15 @@ def parseval_audit(table: FourierTable, b: BoundedFunction) -> dict:
 # Reduced mean-square sums
 
 
-_inner_mean_cache: dict = {}
-
-
 def _mode_table(xi: int, size: int) -> np.ndarray:
     z = np.exp(2j * np.pi * xi / size)
     return z ** np.arange(NBINS)
 
 
 def _inner_log_mean(n_limit: int, xi: int, size: int) -> complex:
-    """Log-weighted mean of e(xi*count(m)/size) over m <= n_limit, cached."""
-    key = (n_limit, xi, size)
-    hit = _inner_mean_cache.get(key)
-    if hit is not None:
-        return hit
+    """Log-weighted mean of e(xi*count(m)/size) over m <= n_limit."""
     profile = profiles.two_point_profile(n_limit, 0)
-    table = _mode_table(xi, size)
-    value = complex((profile.log_hist @ table) / profile.harmonic_mass)
-    if len(_inner_mean_cache) > 256:
-        _inner_mean_cache.clear()
-    _inner_mean_cache[key] = value
-    return value
+    return complex((profile.log_hist @ _mode_table(xi, size)) / profile.harmonic_mass)
 
 
 def _window_shift_mean(values: np.ndarray, window: PrimeWindow,
@@ -327,9 +315,8 @@ def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
     profile = profiles.two_point_profile(n_limit, 1)
     ta, tb = a.table(), b.table()
     lhs_mean = (ta @ profile.joint_log @ tb) / profile.harmonic_mass
-    marg = profiles.two_point_profile(n_limit, 0)
-    mean_a = (marg.log_hist @ ta) / marg.harmonic_mass
-    mean_b = (marg.log_hist @ tb) / marg.harmonic_mass
+    mean_a = (profile.log_hist @ ta) / profile.harmonic_mass
+    mean_b = (profile.log_hist @ tb) / profile.harmonic_mass
     lhs = abs(lhs_mean - mean_a * mean_b)
     total = reduced_sum(n_limit, window, family.members)
     sqrt_reduced = math.sqrt(total)

@@ -143,7 +143,8 @@ def _strided_start(lo: int, q: int) -> int:
     return max(((lo + q - 1) // q) * q, q)
 
 
-def _fill_big(lo, hi, base, out):
+def _fill_omega(lo, hi, base, out, distinct):
+    """Multiplicity counts, or distinct-prime counts when distinct is set."""
     out[:] = 0
     rem_log = np.log(np.arange(lo, hi, dtype=np.float64))
     for p in base:
@@ -155,25 +156,7 @@ def _fill_big(lo, hi, base, out):
             if start >= hi:
                 break
             s = start - lo
-            out[s::q] += 1
-            rem_log[s::q] -= logp
-            q *= p
-    out[rem_log > _LOG_RESIDUAL_THRESHOLD] += 1
-
-
-def _fill_small(lo, hi, base, out):
-    out[:] = 0
-    rem_log = np.log(np.arange(lo, hi, dtype=np.float64))
-    for p in base:
-        p = int(p)
-        logp = math.log(p)
-        q = p
-        while q < hi:
-            start = _strided_start(lo, q)
-            if start >= hi:
-                break
-            s = start - lo
-            if q == p:
+            if not distinct or q == p:
                 out[s::q] += 1
             rem_log[s::q] -= logp
             q *= p
@@ -231,12 +214,10 @@ def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
     def run_segment(seg_lo):
         seg_hi = min(seg_lo + config.segment_length, hi)
         view = out[seg_lo - lo : seg_hi - lo]
-        if mode.kind == "big":
-            _fill_big(seg_lo, seg_hi, base, view)
-        elif mode.kind == "small":
-            _fill_small(seg_lo, seg_hi, base, view)
-        else:
+        if mode.kind == "truncated":
             _fill_truncated(seg_lo, seg_hi, base, view, cutoff_int)
+        else:
+            _fill_omega(seg_lo, seg_hi, base, view, mode.kind == "small")
 
     seg_starts = range(lo, hi, config.segment_length)
     if config.worker_count == 1:

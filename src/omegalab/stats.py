@@ -17,11 +17,7 @@ from scipy.special import erfc
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
-
-# level sets above 63 are empty for any n < 2**64
-_NBINS = 64
-
-_CHUNK = 1 << 22
+from .profiles import CHUNK, NBINS, two_point_profile
 
 
 @dataclass(frozen=True)
@@ -78,56 +74,38 @@ def typical_range(A: float, n_limit: int) -> TypicalRange:
     return TypicalRange(A=float(A), N=int(n_limit), lo=lo, hi=hi, members=members)
 
 
-def _level_histograms(counts: np.ndarray, n_of_first: int):
-    """Integer and 1/n-weighted histograms of count values.
-
-    counts[i] is the count for n = n_of_first + i.  Chunked so no float
-    array over the full range is ever materialized.
-    """
-    hist = np.zeros(_NBINS, dtype=np.int64)
-    log_hist = np.zeros(_NBINS, dtype=np.float64)
-    for start in range(0, counts.size, _CHUNK):
-        chunk = counts[start : start + _CHUNK]
-        hist += np.bincount(chunk, minlength=_NBINS)
-        n_values = np.arange(n_of_first + start,
-                             n_of_first + start + chunk.size, dtype=np.float64)
-        log_hist += np.bincount(chunk, weights=1.0 / n_values, minlength=_NBINS)
-    return hist, log_hist
+def _block_counts(n_limit, block, mode=sieve.BigOmega):
+    """Counts for n = 1 .. N from a caller's block in the given mode."""
+    if block.lo != 1 or block.hi < n_limit + 1:
+        raise ContractError("counts block must cover [1, N]")
+    if block.mode != mode:
+        raise ContractError(f"these statistics need {mode.kind!r} counts, "
+                            f"got {block.mode.kind!r}")
+    return block.counts[: n_limit]
 
 
-def _counts_for(n_limit, counts_block, config):
-    if counts_block is not None:
-        if counts_block.lo != 1 or counts_block.hi < n_limit + 1:
-            raise ContractError("counts block must cover [1, N]")
-        if counts_block.mode.kind != "big":
-            raise ContractError("density statistics need multiplicity counts")
-        return counts_block.counts[: n_limit]
-    return sieve.factor_counts(1, n_limit + 1, sieve.BigOmega, config).counts
-
-
-def density_table(n_limit: int, counts_block=None, config=None) -> DensityTable:
+def density_table(n_limit: int, counts_block=None) -> DensityTable:
     """Level-set densities of the multiplicity count over [N].
 
     The ell=0 row (n=1 alone) is kept so the uniform densities partition
-    exactly.  Pass a prepared FactorCountBlock covering [1, N] to reuse a
-    sieve run.
+    exactly.  Read off the marginal (N, 0) profile; pass a prepared
+    FactorCountBlock covering [1, N] to reuse a sieve run.
     """
     if n_limit < 3:
         raise ContractError("density table needs N >= 3")
-    counts = _counts_for(n_limit, counts_block, config)
-    hist, log_hist = _level_histograms(counts, 1)
-    mass = float(log_hist.sum())
+    counts = None if counts_block is None else _block_counts(n_limit, counts_block)
+    profile = two_point_profile(n_limit, 0, counts)
     model = gaussian_model(n_limit)
-    ells = np.arange(_NBINS, dtype=np.float64)
+    ells = np.arange(NBINS, dtype=np.float64)
     z = (ells - model.mu) / model.sigma
     gauss = np.exp(-0.5 * z * z) / (model.sigma * math.sqrt(2.0 * math.pi))
     return DensityTable(
         N=int(n_limit),
-        counts=hist,
-        pi_bar=hist / float(n_limit),
-        pi_bar_log=log_hist / mass,
+        counts=profile.hist,
+        pi_bar=profile.hist / float(n_limit),
+        pi_bar_log=profile.log_hist / profile.harmonic_mass,
         gaussian=gauss,
-        harmonic_mass=mass,
+        harmonic_mass=profile.harmonic_mass,
     )
 
 
@@ -168,7 +146,7 @@ def erdos_kac_ks(n_limit: int, counts_block=None) -> dict:
     table = density_table(n_limit, counts_block=counts_block)
     model = gaussian_model(n_limit)
     cum = np.cumsum(table.pi_bar)
-    x = (np.arange(_NBINS) - model.mu) / model.sigma
+    x = (np.arange(NBINS) - model.mu) / model.sigma
     phi = normal_cdf(x)
     left = np.concatenate(([0.0], cum[:-1]))
     ks = float(np.max(np.maximum(np.abs(cum - phi), np.abs(left - phi))))
@@ -196,8 +174,8 @@ def turan_kubilius_check(n_limit: int, prime_set) -> dict:
         indicator_sum[p - 1 :: p] += 1
     expected = float(np.sum(1.0 / p_arr.astype(np.float64)))
     lhs = 0.0
-    for start in range(0, n_limit, _CHUNK):
-        chunk = indicator_sum[start : start + _CHUNK].astype(np.float64)
+    for start in range(0, n_limit, CHUNK):
+        chunk = indicator_sum[start : start + CHUNK].astype(np.float64)
         lhs += float(np.sum(np.abs(chunk - expected)))
     lhs /= n_limit
     rhs = 2.0 * math.sqrt(expected)
@@ -214,16 +192,11 @@ def tail_densities(n_limit: int, D: float, distinct_block=None) -> dict:
     """
     if D < 1:
         raise ContractError("tail densities need D >= 1")
-    if distinct_block is not None:
-        if distinct_block.lo != 1 or distinct_block.hi < n_limit + 1:
-            raise ContractError("counts block must cover [1, N]")
-        if distinct_block.mode.kind != "small":
-            raise ContractError("tail densities need distinct counts")
-        counts = distinct_block.counts[: n_limit]
-    else:
-        counts = sieve.factor_counts(1, n_limit + 1, sieve.SmallOmega).counts[: n_limit]
+    if distinct_block is None:
+        distinct_block = sieve.factor_counts(1, n_limit + 1, sieve.SmallOmega)
+    counts = _block_counts(n_limit, distinct_block, sieve.SmallOmega)
     model = gaussian_model(n_limit)
-    hist = np.bincount(counts, minlength=_NBINS)
+    hist = np.bincount(counts, minlength=NBINS)
     ells = np.arange(hist.size)
     upper = model.mu + D * model.sigma
     lower = model.mu - D * model.sigma
@@ -244,7 +217,7 @@ def write_density_csv(table: DensityTable, path) -> None:
     """CSV export `ell,pi_bar,pi_bar_log,gaussian,ratio` (17 significant digits)."""
     with open(path, "w", newline="") as fh:
         fh.write("ell,pi_bar,pi_bar_log,gaussian,ratio\n")
-        for ell in range(_NBINS):
+        for ell in range(NBINS):
             if table.counts[ell] == 0 and table.gaussian[ell] < 1e-300:
                 continue
             ratio = table.pi_bar[ell] / table.gaussian[ell]

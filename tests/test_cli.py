@@ -72,6 +72,40 @@ def test_contract_exit_code(capsys):
     assert code == cli.EXIT_CONTRACT
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("densities", "--n", "nan"), cli.EXIT_CONTRACT),
+    (("densities", "--n", "inf"), cli.EXIT_CONTRACT),
+    (("densities", "--n", "1.5"), cli.EXIT_CONTRACT),
+    (("densities", "--n", "10k"), cli.EXIT_CONTRACT),
+    (("correlate", "--n", "1000", "--shift", "abc"), cli.EXIT_CONTRACT),
+    (("halasz", "--n", "1000", "--points", "2.5"), cli.EXIT_CONTRACT),
+    (("sieve", "--n", "100", "--workers", "two"), cli.EXIT_CONTRACT),
+    (("sieve", "--lo", "1e3", "--hi", "nan"), cli.EXIT_CONTRACT),
+    (("circle", "--n", "10000", "--resolution", "inf"), cli.EXIT_CONTRACT),
+    (("densities", "--n", "1e30"), cli.EXIT_CAPACITY),
+    (("densities", "--n", "1e999999999"), cli.EXIT_CAPACITY),
+])
+def test_integer_flags_map_bad_values_to_exit_codes(capsys, argv, code):
+    assert _run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("text,value", [
+    ("9007199254740993", 9007199254740993),
+    ("1e12", 10**12),
+    ("2.0E3", 2000),
+    (" 42 ", 42),
+    (1e6, 10**6),
+])
+def test_integer_flags_parse_exactly(text, value):
+    assert cli._integer(text) == value
+
+
+def test_sieve_window_edges_in_exponent_form(capsys):
+    rep = _report(capsys, "sieve", "--lo", "1e12", "--hi", "1000000000100")
+    assert (rep["manifest"]["lo"], rep["manifest"]["hi"]) == (10**12, 10**12 + 100)
+    assert rep["results"]["count"] == 100
+
+
 def test_manifest_file_supplies_defaults(capsys, tmp_path):
     mpath = tmp_path / "man.json"
     mpath.write_text(json.dumps({"a": "parity", "b": "parity",

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omegalab import profiles
+from omegalab import profiles, reduction
 from omegalab.errors import ContractError
 from omegalab.profiles import TwoPointProfile, shared_counts, two_point_profile
 from omegalab.sieve import BigOmega, SmallOmega, factor_counts
+from omegalab.stats import density_table
 
 
-def _direct_profile(n_limit: int, shift: int) -> TwoPointProfile:
+def _direct_profile(n_limit: int, shift: int, mode=BigOmega) -> TwoPointProfile:
     # Same statistics assembled one n at a time, no bincount tricks.
-    counts = factor_counts(1, n_limit + shift + 1).counts
+    counts = factor_counts(1, n_limit + shift + 1, mode).counts
     hist = np.zeros(profiles.NBINS, dtype=np.int64)
     log_hist = np.zeros(profiles.NBINS, dtype=np.float64)
     joint = np.zeros((profiles.NBINS, profiles.NBINS), dtype=np.int64)
@@ -28,7 +31,8 @@ def _direct_profile(n_limit: int, shift: int) -> TwoPointProfile:
     return TwoPointProfile(n_limit, shift, hist, log_hist, joint, joint_log, mass)
 
 
-@pytest.mark.parametrize("n_limit,shift", [(50, 1), (500, 1), (500, 7), (1000, 2)])
+@pytest.mark.parametrize("n_limit,shift",
+                         [(50, 1), (500, 1), (500, 7), (1000, 2), (1000, 0)])
 def test_profile_matches_direct_loop(n_limit, shift):
     got = two_point_profile(n_limit, shift)
     want = _direct_profile(n_limit, shift)
@@ -87,8 +91,88 @@ def test_profile_validation():
         two_point_profile(100, 1, counts=short)
 
 
+def _assert_same_profile(got: TwoPointProfile, want: TwoPointProfile):
+    assert (got.n_limit, got.shift) == (want.n_limit, want.shift)
+    np.testing.assert_array_equal(got.hist, want.hist)
+    np.testing.assert_array_equal(got.joint, want.joint)
+    np.testing.assert_allclose(got.log_hist, want.log_hist, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.joint_log, want.joint_log, rtol=0, atol=1e-12)
+    assert got.harmonic_mass == pytest.approx(want.harmonic_mass, abs=1e-12)
+
+
 def test_explicit_counts_bypass_cache():
+    profiles.invalidate_cache()
     counts = factor_counts(1, 102).counts
     prof = two_point_profile(100, 1, counts=counts)
-    want = _direct_profile(100, 1)
-    np.testing.assert_array_equal(prof.joint, want.joint)
+    _assert_same_profile(prof, _direct_profile(100, 1))
+    # Nothing was stored: the shared path computes its own result, and a
+    # second explicit call is computed afresh instead of read back.
+    assert profiles._profile_cache == {}
+    shared = two_point_profile(100, 1)
+    assert shared is not prof
+    assert two_point_profile(100, 1, counts=counts) is not shared
+    assert list(profiles._profile_cache) == [(100, 1)]
+
+
+def test_shared_block_view_reads_the_cache():
+    profiles.invalidate_cache()
+    first = two_point_profile(300, 2)
+    assert two_point_profile(300, 2, counts=shared_counts(303)) is first
+    # Equal content in other memory is not the shared block.
+    assert two_point_profile(300, 2, counts=shared_counts(303).copy()) is not first
+
+
+def test_foreign_counts_do_not_poison_the_cache():
+    profiles.invalidate_cache()
+    distinct = factor_counts(1, 1003, SmallOmega).counts
+    poisoned = two_point_profile(1000, 1, counts=distinct)
+    _assert_same_profile(poisoned, _direct_profile(1000, 1, SmallOmega))
+    _assert_same_profile(two_point_profile(1000, 1), _direct_profile(1000, 1))
+
+
+def test_inner_log_mean_follows_the_profile_cache():
+    profiles.invalidate_cache()
+    two_point_profile(1000, 0, counts=factor_counts(1, 1001, SmallOmega).counts)
+    reduction._inner_log_mean(1000, 1, 7)
+    profiles.invalidate_cache()
+    want = _direct_profile(1000, 0)
+    table = np.exp(2j * np.pi * np.arange(profiles.NBINS) / 7)
+    expected = complex(want.log_hist @ table) / want.harmonic_mass
+    assert reduction._inner_log_mean(1000, 1, 7) == pytest.approx(expected, abs=1e-12)
+
+
+# few (N, shift) keys, so that calls in one sequence meet in the cache
+_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "foreign"]),
+                          st.sampled_from([3, 64, 1000, 2000]), st.integers(0, 7)),
+                min_size=1, max_size=12)
+
+
+@settings(max_examples=40)
+@given(ops=_OPS)
+def test_results_do_not_depend_on_call_order(ops):
+    profiles.invalidate_cache()
+    for op, n_limit, shift in ops:
+        if op == "foreign":
+            counts = factor_counts(1, n_limit + shift + 1, SmallOmega).counts
+            _assert_same_profile(two_point_profile(n_limit, shift, counts),
+                                 _direct_profile(n_limit, shift, SmallOmega))
+            continue
+        if op == "fresh":
+            profiles.invalidate_cache()
+        if op == "explicit":
+            got = two_point_profile(n_limit, shift,
+                                    factor_counts(1, n_limit + shift + 1).counts)
+        else:
+            got = two_point_profile(n_limit, shift)
+        _assert_same_profile(got, _direct_profile(n_limit, shift))
+        # cached, fresh and explicit results come from the same pass
+        again = two_point_profile(n_limit, shift)
+        for name in ("hist", "log_hist", "joint", "joint_log"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(again, name))
+        assert got.harmonic_mass == again.harmonic_mass
+    n_limit = ops[-1][1]
+    block = factor_counts(1, n_limit + 1)
+    with_block, shared = density_table(n_limit, block), density_table(n_limit)
+    for name in ("counts", "pi_bar", "pi_bar_log", "gaussian"):
+        np.testing.assert_array_equal(getattr(with_block, name), getattr(shared, name))
+    assert with_block.harmonic_mass == shared.harmonic_mass
