@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-One experiment per invocation.  Every run prints a JSON report to
-stdout whose "manifest" block echoes the fully resolved parameters
-(including derived quantities such as the frequency interval, the
-truncation cutoff, and window edges).  CSV outputs carry the same
-manifest in comment lines; numeric payloads are deterministic given
-manifest and seed, and files are written atomically so a failed run
-never leaves partial results behind.
+One experiment per invocation, declared once in COMMANDS: flags (cast,
+default, required) and handler.  The parser, the manifest check and the
+flag resolution all read that table.  Every run prints a JSON report whose
+"manifest" block echoes the resolved flags, the handler's extra fields
+(window, frequency list, ...) and the quantities derived at that N.  CSV
+outputs carry the same manifest in comment lines; numeric payloads are
+deterministic given manifest and seed, and files are written atomically
+so a failed run never leaves partial results behind.
 
 Exit codes: 0 success, 2 contract violation or bad usage, 3 unknown
 function preset, 4 degenerate prime window, 5 capacity overflow.
@@ -15,13 +16,19 @@ function preset, 4 degenerate prime window, 5 capacity overflow.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -41,50 +48,16 @@ EXIT_PRESET = 3
 EXIT_WINDOW = 4
 EXIT_CAPACITY = 5
 
+# most specific first: all but OSError are ContractErrors
+_EXIT_CODES = ((UnknownPresetError, EXIT_PRESET), (DegenerateWindowError, EXIT_WINDOW),
+               (CapacityError, EXIT_CAPACITY), (ContractError, EXIT_CONTRACT),
+               (OSError, 1))
+
 WORKERS_ENV = "OMEGALAB_WORKERS"
 
 
 # ---------------------------------------------------------------------------
-# Presets and small helpers
-
-
-def resolve_preset(text: str, n_limit: int) -> corr.BoundedFunction:
-    """Parse a function preset: parity, const[:c], indicator:l,
-    fourier-mode:xi, random:seed."""
-    if not isinstance(text, str) or not text:
-        raise UnknownPresetError(f"bad preset {text!r}")
-    name, _, arg = text.partition(":")
-    try:
-        if name == "parity" and not arg:
-            return corr.parity_function()
-        if name == "const":
-            return corr.constant_function(float(arg) if arg else 1.0)
-        if name == "indicator" and arg:
-            return corr.indicator_function(int(arg))
-        if name == "fourier-mode" and arg:
-            family = pretentious.frequency_family(n_limit)
-            return corr.fourier_mode_function(int(arg), family.size)
-        if name == "random" and arg:
-            return corr.random_bounded_function(int(arg))
-    except (ValueError, ContractError) as exc:
-        raise UnknownPresetError(f"preset {text!r}: {exc}") from exc
-    raise UnknownPresetError(f"unknown preset {text!r}")
-
-
-def _jsonify(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    return value
+# Casts and presets
 
 
 def _integer(value) -> int:
@@ -105,6 +78,21 @@ def _integer(value) -> int:
     return int(number)
 
 
+def _real(value) -> float:
+    """Finite float from a flag or manifest value.
+
+    Number text parses to the nearest float; nan, inf, values past the
+    float range and garbage are contract violations.
+    """
+    try:
+        number = float(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ContractError(f"expected a finite number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ContractError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_n(value) -> int:
     n = _integer(value)
     if n < 1:
@@ -112,8 +100,75 @@ def _parse_n(value) -> int:
     return n
 
 
-def _parse_n_list(text) -> list:
-    return [_parse_n(part) for part in str(text).split(",") if part != ""]
+def _comma_list(cast):
+    def parse(value) -> list:
+        items = [cast(part) for part in str(value).split(",") if part != ""]
+        if not items:
+            raise ContractError(f"expected a comma list, got {value!r}")
+        return items
+    return parse
+
+
+def _choice(*names):
+    def parse(value) -> str:
+        if value not in names:
+            raise ContractError(f"expected one of {', '.join(names)}, got {value!r}")
+        return value
+    return parse
+
+
+def resolve_preset(text: str, n_limit: int) -> corr.BoundedFunction:
+    """Parse a function preset: parity, const[:c], indicator:l,
+    fourier-mode:xi, random:seed."""
+    if not isinstance(text, str) or not text:
+        raise UnknownPresetError(f"bad preset {text!r}")
+    name, _, arg = text.partition(":")
+    try:
+        if name == "parity" and not arg:
+            return corr.parity_function()
+        if name == "const":
+            return corr.constant_function(_real(arg) if arg else 1.0)
+        if name == "indicator" and arg:
+            return corr.indicator_function(int(arg))
+        if name == "fourier-mode" and arg:
+            family = pretentious.frequency_family(n_limit)
+            return corr.fourier_mode_function(int(arg), family.size)
+        if name == "random" and arg:
+            return corr.random_bounded_function(int(arg))
+    except (ValueError, ContractError) as exc:
+        raise UnknownPresetError(f"preset {text!r}: {exc}") from exc
+    raise UnknownPresetError(f"unknown preset {text!r}")
+
+
+def _halasz_spec(preset: str, n_limit: int) -> pretentious.MultFunSpec:
+    name, _, arg = preset.partition(":")
+    if name == "parity" and not arg:
+        return pretentious.liouville_spec()
+    if name == "fourier-mode" and arg:
+        family = pretentious.frequency_family(n_limit)
+        try:
+            xi = _real(arg)
+        except ContractError as exc:
+            raise UnknownPresetError(f"preset {preset!r}: {exc}") from exc
+        return pretentious.mode_spec(family, xi)
+    raise UnknownPresetError(
+        f"halasz preset must be parity or fourier-mode:xi, got {preset!r}")
+
+
+# ---------------------------------------------------------------------------
+# Report and file helpers
+
+
+def _jsonify(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _derived_block(n_limit: int | None) -> dict:
@@ -134,287 +189,215 @@ def _derived_block(n_limit: int | None) -> dict:
     return out
 
 
-def _atomic_csv(path: str, manifest: dict, write_body) -> None:
-    """Write a CSV atomically: body to a temp file, then final file with
-    timestamp + manifest comment lines prepended."""
-    tmp = path + ".tmp"
-    write_body(tmp)
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    final_tmp = path + ".hdr.tmp"
+@contextlib.contextmanager
+def _temp_beside(path: str, suffix: str = ".tmp"):
+    """A scratch file name next to path, removed on the way out."""
+    tmp = path + suffix
     try:
-        with open(final_tmp, "w", newline="") as out:
-            out.write(f"# timestamp {stamp}\n")
-            out.write("# manifest " + json.dumps(_jsonify(manifest),
-                                                 sort_keys=True) + "\n")
-            with open(tmp) as body:
-                for line in body:
-                    out.write(line)
-        os.replace(final_tmp, path)
+        yield tmp
     finally:
-        for leftover in (tmp, final_tmp):
-            if os.path.exists(leftover):
-                os.remove(leftover)
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _resolve(args, manifest: dict, key: str, default=None, cast=None):
-    """Flag value if given, else manifest value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = manifest.get(key, manifest.get(key.replace("-", "_")))
-    if value is None:
-        value = default
-    if value is not None and cast is not None:
-        value = cast(value)
-    return value
+def _atomic_write(path: str, write) -> None:
+    """write(tmp) to a temp file, then rename it over path."""
+    with _temp_beside(path) as tmp:
+        write(tmp)
+        os.replace(tmp, path)
 
 
-def _workers(args, manifest) -> int:
-    value = _resolve(args, manifest, "workers")
-    if value is None:
-        value = os.environ.get(WORKERS_ENV, 1)
-    return _integer(value)
+def _atomic_csv(path: str, manifest: dict, write_body) -> None:
+    """Write a CSV atomically, timestamp and manifest comment lines first."""
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    header = (f"# timestamp {stamp}\n# manifest "
+              + json.dumps(_jsonify(manifest), sort_keys=True) + "\n")
+
+    def write(tmp):
+        with _temp_beside(path, ".body.tmp") as body:
+            write_body(body)
+            with open(tmp, "w", newline="") as out, open(body) as src:
+                out.write(header)
+                shutil.copyfileobj(src, out)
+    _atomic_write(path, write)
+
+
+def _csv(write_body):
+    """save(path, manifest) for an output that is a CSV body."""
+    return partial(_atomic_csv, write_body=write_body)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Handlers: run(params) -> (extra manifest fields, results[, save])
 
 
-def _cmd_sieve(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    lo = _resolve(args, manifest, "lo", 1, _integer)
-    hi = _resolve(args, manifest, "hi", cast=_integer)
+def _truncated(cutoff):
+    if cutoff is None:
+        raise ContractError("truncated mode needs --cutoff")
+    return sieve.TruncatedOmega(cutoff)
+
+
+_COUNT_MODES = {"big": lambda cutoff: sieve.BigOmega,
+                "small": lambda cutoff: sieve.SmallOmega,
+                "truncated": _truncated}
+
+
+def _run_sieve(p):
+    hi = p["hi"]
     if hi is None:
-        if n is None:
+        if p["n"] is None:
             raise ContractError("sieve needs --n or --hi")
-        hi = n + 1
-    mode_name = _resolve(args, manifest, "mode", "big", str)
-    cutoff = _resolve(args, manifest, "cutoff", cast=float)
-    if mode_name == "big":
-        mode = sieve.BigOmega
-    elif mode_name == "small":
-        mode = sieve.SmallOmega
-    elif mode_name == "truncated":
-        if cutoff is None:
-            raise ContractError("truncated mode needs --cutoff")
-        mode = sieve.TruncatedOmega(cutoff)
-    else:
-        raise ContractError(f"unknown mode {mode_name!r}")
-    config = sieve.SieveConfig(worker_count=_workers(args, manifest))
-    out = _resolve(args, manifest, "out", cast=str)
-    fmt = _resolve(args, manifest, "format", "bin", str)
-    if fmt not in ("bin", "csv"):
-        raise ContractError(f"unknown format {fmt!r}")
-
-    block = sieve.factor_counts(lo, hi, mode, config)
-    digest = hashlib.sha256(block.counts.tobytes()).hexdigest()
-    resolved = {"command": "sieve", "lo": lo, "hi": hi, "mode": mode_name,
-                "cutoff": cutoff, "format": fmt, "out": out,
-                "workers": config.worker_count,
-                "derived": _derived_block(hi - 1)}
-    if out is not None:
-        if fmt == "bin":
-            tmp = out + ".tmp"
-            try:
-                sieve.write_block(block, tmp)
-                os.replace(tmp, out)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        else:
-            _atomic_csv(out, resolved, lambda p: sieve.write_block_csv(block, p))
-    results = {"count": int(hi - lo), "digest": digest,
-               "histogram": _jsonify(np.bincount(block.counts, minlength=1))}
-    return resolved, results
+        hi = p["n"] + 1
+    workers = p["workers"]
+    if workers is None:
+        workers = _integer(os.environ.get(WORKERS_ENV, 1))
+    mode = _COUNT_MODES[p["mode"]](p["cutoff"])
+    block = sieve.factor_counts(p["lo"], hi, mode, sieve.SieveConfig(worker_count=workers))
+    save = {"bin": lambda path, _: _atomic_write(path, partial(sieve.write_block, block)),
+            "csv": _csv(partial(sieve.write_block_csv, block))}[p["format"]]
+    results = {"count": hi - p["lo"],
+               "digest": hashlib.sha256(block.counts.tobytes()).hexdigest(),
+               "histogram": np.bincount(block.counts, minlength=1)}
+    return {"hi": hi, "workers": workers}, results, save
 
 
-def _cmd_densities(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("densities needs --n")
-    out = _resolve(args, manifest, "out", cast=str)
-    table = stats.density_table(n)
-    resolved = {"command": "densities", "n": n, "out": out,
-                "derived": _derived_block(n)}
-    if out is not None:
-        _atomic_csv(out, resolved, lambda p: stats.write_density_csv(table, p))
+def _run_densities(p):
+    table = stats.density_table(p["n"])
     top = int(np.max(np.nonzero(table.counts)[0]))
     results = {"max_level": top,
                "mass_check": float(table.pi_bar.sum()),
-               "pi_bar": _jsonify(table.pi_bar[: top + 1])}
-    return resolved, results
+               "pi_bar": table.pi_bar[: top + 1]}
+    return {}, results, _csv(partial(stats.write_density_csv, table))
 
 
-def _cmd_erdos_kac(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("erdos-kac needs --n")
-    report = stats.erdos_kac_ks(n)
-    resolved = {"command": "erdos-kac", "n": n, "derived": _derived_block(n)}
-    return resolved, _jsonify(report)
+def _run_erdos_kac(p):
+    return {}, stats.erdos_kac_ks(p["n"])
 
 
-def _cmd_correlate(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("correlate needs --n")
-    a_name = _resolve(args, manifest, "a", "const", str)
-    b_name = _resolve(args, manifest, "b", "const", str)
-    shift = _resolve(args, manifest, "shift", 1, _integer)
-    weighting = _resolve(args, manifest, "weighting",
-                         averaging.LOGARITHMIC, str)
-    a = resolve_preset(a_name, n)
-    b = resolve_preset(b_name, n)
-    lhs = corr.two_point_lhs(a, b, n, shift, weighting)
+def _run_correlate(p):
+    n = p["n"]
+    a, b = resolve_preset(p["a"], n), resolve_preset(p["b"], n)
+    lhs = complex(corr.two_point_lhs(a, b, n, p["shift"], p["weighting"]))
     profile = profiles.two_point_profile(n, 0)
-    mean_a = complex(a.table() @ profile.hist) / n
-    mean_b = complex(b.table() @ profile.hist) / n
-    prediction = mean_a * mean_b
-    resolved = {"command": "correlate", "n": n, "a": a_name, "b": b_name,
-                "shift": shift, "weighting": weighting,
-                "derived": _derived_block(n)}
-    results = {"lhs": _jsonify(complex(lhs)),
-               "prediction": _jsonify(complex(prediction)),
-               "error": abs(complex(lhs) - prediction)}
-    return resolved, results
+    prediction = corr._cesaro_mean(a, profile) * corr._cesaro_mean(b, profile)
+    return {}, {"lhs": lhs, "prediction": prediction, "error": abs(lhs - prediction)}
 
 
-def _cmd_theorem_c(args, manifest):
-    n_list = _resolve(args, manifest, "n", cast=_parse_n_list)
-    if not n_list:
-        raise ContractError("theorem-c needs --n (single value or comma list)")
-    a_name = _resolve(args, manifest, "a", "parity", str)
-    values = {}
-    for n in n_list:
-        a = resolve_preset(a_name, n)
-        values[str(n)] = corr.theorem_c_sum(a, n)
-    resolved = {"command": "theorem-c", "n": n_list, "a": a_name,
-                "derived": _derived_block(max(n_list))}
-    return resolved, {"values": values}
+def _run_theorem_c(p):
+    values = {str(n): corr.theorem_c_sum(resolve_preset(p["a"], n), n) for n in p["n"]}
+    return {}, {"values": values}
 
 
-def _cmd_distance(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("distance needs --n")
-    xi = _resolve(args, manifest, "xi", 0.0, float)
-    t = _resolve(args, manifest, "t", 0.0, float)
-    residual = pretentious.dist_formula_residual(xi, n, t)
-    family = pretentious.frequency_family(n)
-    resolved = {"command": "distance", "n": n, "xi": xi, "t": t,
-                "folded_xi": family.fold(xi), "derived": _derived_block(n)}
-    return resolved, {"residual": residual}
+def _run_distance(p):
+    residual = pretentious.dist_formula_residual(p["xi"], p["n"], p["t"])
+    family = pretentious.frequency_family(p["n"])
+    return {"folded_xi": family.fold(p["xi"])}, {"residual": residual}
 
 
-def _cmd_halasz(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("halasz needs --n")
-    preset = _resolve(args, manifest, "preset", "parity", str)
-    points = _resolve(args, manifest, "points", 2001, _integer)
-    name, _, arg = preset.partition(":")
-    if name == "parity" and not arg:
-        spec = pretentious.liouville_spec()
-    elif name == "fourier-mode" and arg:
-        family = pretentious.frequency_family(n)
-        spec = pretentious.mode_spec(family, float(arg))
-    else:
-        raise UnknownPresetError(
-            f"halasz preset must be parity or fourier-mode:xi, got {preset!r}")
-    grid = pretentious.log_t_grid(math.log(n), points=points)
-    report = pretentious.halasz_audit(spec, n, grid)
-    resolved = {"command": "halasz", "n": n, "preset": preset,
-                "points": points, "derived": _derived_block(n)}
-    return resolved, _jsonify(report)
+def _run_halasz(p):
+    spec = _halasz_spec(p["preset"], p["n"])
+    grid = pretentious.log_t_grid(math.log(p["n"]), points=p["points"])
+    return {}, pretentious.halasz_audit(spec, p["n"], grid)
 
 
-def _window_from(args, manifest, n):
-    lower = _resolve(args, manifest, "window-lower", cast=float)
-    upper = _resolve(args, manifest, "window-upper", cast=float)
-    overrides = None
-    if lower is not None or upper is not None:
-        overrides = {}
-        if lower is not None:
-            overrides["lower"] = lower
-        if upper is not None:
-            overrides["upper"] = upper
-    return reduction.prime_window(n, overrides)
+def _window(p):
+    """The prime window at --n with any edge overrides, and its manifest block."""
+    overrides = {edge: p["window_" + edge] for edge in ("lower", "upper")
+                 if p["window_" + edge] is not None}
+    window = reduction.prime_window(p["n"], overrides or None)
+    return window, {"lower": window.lower, "upper": window.upper,
+                    "formula_lower": window.formula_lower,
+                    "formula_upper": window.formula_upper,
+                    "primes": int(window.primes.size), "mass": window.mass}
 
 
-def _cmd_reduce(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("reduce needs --n")
-    window = _window_from(args, manifest, n)
-    family = pretentious.frequency_family(n)
-    xi_text = _resolve(args, manifest, "xi", cast=str)
-    xi_set = (family.members if xi_text is None
-              else [_integer(x) for x in xi_text.split(",") if x != ""])
-    out = _resolve(args, manifest, "out", cast=str)
+def _run_reduce(p):
+    n = p["n"]
+    window, block = _window(p)
+    members = pretentious.frequency_family(n).members
+    xi_set = list(members if p["xi"] is None else p["xi"])
     terms = reduction.reduced_sum_terms(n, window, xi_set)
     total = float(sum(terms.values()))
-    resolved = {"command": "reduce", "n": n, "xi": list(xi_set), "out": out,
-                "window": {"lower": window.lower, "upper": window.upper,
-                           "formula_lower": window.formula_lower,
-                           "formula_upper": window.formula_upper,
-                           "primes": int(window.primes.size),
-                           "mass": window.mass},
-                "derived": _derived_block(n)}
-    if out is not None:
-        _atomic_csv(out, resolved, lambda p: reduction.write_xi_sweep_csv(p, terms))
     results = {"terms": {str(k): v for k, v in sorted(terms.items())},
                "total": total, "sqrt_total": math.sqrt(total)}
-    return resolved, results
+    return ({"xi": xi_set, "window": block}, results,
+            _csv(lambda path: reduction.write_xi_sweep_csv(path, terms)))
 
 
-def _cmd_circle(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    window = _window_from(args, manifest, n)
-    epsilon = _resolve(args, manifest, "epsilon", 0.5, float)
-    resolution = _resolve(args, manifest, "resolution",
-                          10 * window.max_prime, _integer)
-    out = _resolve(args, manifest, "out", cast=str)
-    measure = reduction.major_arc_measure(window, epsilon, resolution)
-    resolved = {"command": "circle", "n": n, "epsilon": epsilon,
-                "resolution": resolution, "out": out,
-                "window": {"lower": window.lower, "upper": window.upper,
-                           "formula_lower": window.formula_lower,
-                           "formula_upper": window.formula_upper,
-                           "primes": int(window.primes.size),
-                           "mass": window.mass},
-                "derived": _derived_block(n)}
-    if out is not None:
-        alphas = np.arange(resolution, dtype=np.float64) / resolution
-        _atomic_csv(out, resolved,
-                    lambda p: reduction.write_alpha_sweep_csv(p, window, alphas))
+def _run_circle(p):
+    window, block = _window(p)
+    resolution = p["resolution"]
+    if resolution is None:
+        resolution = 10 * int(window.max_prime)
+    measure = reduction.major_arc_measure(window, p["epsilon"], resolution)
     results = {"measure": measure, "spacing": 1.0 / resolution,
-               "audit_product": measure * epsilon ** 4 * window.max_prime}
-    return resolved, results
+               "audit_product": measure * p["epsilon"] ** 4 * window.max_prime}
+
+    def body(path):
+        alphas = np.arange(resolution, dtype=np.float64) / resolution
+        reduction.write_alpha_sweep_csv(path, window, alphas)
+    return {"resolution": resolution, "window": block}, results, _csv(body)
 
 
-def _cmd_explore_k(args, manifest):
-    n = _resolve(args, manifest, "n", cast=_parse_n)
-    if n is None:
-        raise ContractError("explore-k needs --n")
-    names = _resolve(args, manifest, "functions", "parity,parity", str)
-    weighting = _resolve(args, manifest, "weighting", averaging.CESARO, str)
-    funcs = [resolve_preset(part, n) for part in names.split(",") if part]
-    report = corr.k_point_explore(funcs, n, weighting)
-    resolved = {"command": "explore-k", "n": n, "functions": names,
-                "weighting": weighting, "derived": _derived_block(n)}
-    return resolved, _jsonify(report)
+def _run_explore_k(p):
+    funcs = [resolve_preset(part, p["n"]) for part in p["functions"].split(",") if part]
+    return {}, corr.k_point_explore(funcs, p["n"], p["weighting"])
 
 
-_COMMANDS = {
-    "sieve": _cmd_sieve,
-    "densities": _cmd_densities,
-    "erdos-kac": _cmd_erdos_kac,
-    "correlate": _cmd_correlate,
-    "theorem-c": _cmd_theorem_c,
-    "distance": _cmd_distance,
-    "halasz": _cmd_halasz,
-    "reduce": _cmd_reduce,
-    "circle": _cmd_circle,
-    "explore-k": _cmd_explore_k,
+# ---------------------------------------------------------------------------
+# The command table
+
+
+@dataclass(frozen=True)
+class Flag:
+    """--name on the command line; name, or name with underscores, in a manifest."""
+    name: str
+    cast: Callable
+    default: object = None
+    required: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.name.replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's flags and handler; limit(manifest) is the N of its derived block."""
+    flags: tuple
+    run: Callable
+    limit: Callable = itemgetter("n")
+
+
+_N = Flag("n", _parse_n, required=True)
+_OUT = Flag("out", str)
+_WINDOW = (Flag("window-lower", _real), Flag("window-upper", _real))
+_WEIGHTING = _choice(averaging.CESARO, averaging.LOGARITHMIC)
+
+COMMANDS = {
+    "sieve": Command((Flag("n", _parse_n), Flag("lo", _integer, 1), Flag("hi", _integer),
+                      Flag("mode", _choice(*_COUNT_MODES), "big"), Flag("cutoff", _real),
+                      _OUT, Flag("format", _choice("bin", "csv"), "bin"),
+                      Flag("workers", _integer)),
+                     _run_sieve, limit=lambda m: m["hi"] - 1),
+    "densities": Command((_N, _OUT), _run_densities),
+    "erdos-kac": Command((_N,), _run_erdos_kac),
+    "correlate": Command((_N, Flag("a", str, "const"), Flag("b", str, "const"),
+                          Flag("shift", _integer, 1),
+                          Flag("weighting", _WEIGHTING, averaging.LOGARITHMIC)),
+                         _run_correlate),
+    "theorem-c": Command((Flag("n", _comma_list(_parse_n), required=True),
+                          Flag("a", str, "parity")),
+                         _run_theorem_c, limit=lambda m: max(m["n"])),
+    "distance": Command((_N, Flag("xi", _real, 0.0), Flag("t", _real, 0.0)), _run_distance),
+    "halasz": Command((_N, Flag("preset", str, "parity"), Flag("points", _integer, 2001)),
+                      _run_halasz),
+    "reduce": Command((_N, *_WINDOW, Flag("xi", _comma_list(_integer)), _OUT), _run_reduce),
+    "circle": Command((Flag("n", _parse_n), *_WINDOW, Flag("epsilon", _real, 0.5),
+                       Flag("resolution", _integer), _OUT), _run_circle),
+    "explore-k": Command((_N, Flag("functions", str, "parity,parity"),
+                          Flag("weighting", _WEIGHTING, averaging.CESARO)),
+                         _run_explore_k),
 }
 
 
@@ -423,37 +406,64 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omegalab",
         description="Experiments on prime-factor counting statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--manifest", help="JSON manifest file; flags override")
-        for flag in flags:
-            p.add_argument(f"--{flag}")
-        return p
-
-    add("sieve", "n", "lo", "hi", "mode", "cutoff", "out", "format", "workers")
-    add("densities", "n", "out", "workers")
-    add("erdos-kac", "n", "workers")
-    add("correlate", "n", "a", "b", "shift", "weighting", "workers")
-    add("theorem-c", "n", "a", "workers")
-    add("distance", "n", "xi", "t")
-    add("halasz", "n", "preset", "points")
-    add("reduce", "n", "window-lower", "window-upper", "xi", "out", "workers")
-    add("circle", "n", "window-lower", "window-upper", "epsilon",
-        "resolution", "out")
-    add("explore-k", "n", "functions", "weighting", "workers")
+        for flag in command.flags:
+            p.add_argument(f"--{flag.name}")
     return parser
 
 
-def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _read_manifest(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ContractError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ContractError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ContractError(f"manifest {path} must hold a JSON object, "
+                            f"not a {type(data).__name__}")
+    return data
+
+
+def _params(name: str, args) -> dict:
+    """Each flag cast from its first given source: flag, manifest, default."""
+    flags = {flag.key: flag for flag in COMMANDS[name].flags}
     manifest = {}
-    if getattr(args, "manifest", None):
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-    resolved, results = _COMMANDS[args.command](args, manifest)
+    for key, value in (_read_manifest(args.manifest) if args.manifest else {}).items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise ContractError(f"manifest {args.manifest}: {key!r} is not a flag of {name}")
+        manifest[flag.key] = value
+    params = {}
+    for key, flag in flags.items():
+        value = next((v for v in (getattr(args, key), manifest.get(key), flag.default)
+                      if v is not None), None)
+        if value is None and flag.required:
+            raise ContractError(f"{name} needs --{flag.name}")
+        try:
+            params[key] = None if value is None else flag.cast(value)
+        except ContractError as exc:
+            raise type(exc)(f"--{flag.name}: {exc}") from None
+    return params
+
+
+def run(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the usage or the help
+        return exc.code
+    command = COMMANDS[args.command]
+    params = _params(args.command, args)
+    extras, results, *save = command.run(params)
+    manifest = {"command": args.command, **params, **extras}
+    manifest["derived"] = _derived_block(command.limit(manifest))
+    if save and params["out"] is not None:
+        save[0](params["out"], manifest)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report = {"manifest": _jsonify(resolved), "results": _jsonify(results),
+    report = {"manifest": _jsonify(manifest), "results": _jsonify(results),
               "timestamp": stamp}
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
@@ -462,21 +472,9 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except UnknownPresetError as exc:
+    except (ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRESET
-    except DegenerateWindowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

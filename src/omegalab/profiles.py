@@ -71,10 +71,10 @@ def adopt_block(block: sieve.FactorCountBlock) -> None:
         _cached_block = block
 
 
-def shared_counts(hi: int, config: sieve.SieveConfig | None = None) -> np.ndarray:
+def shared_counts(hi: int) -> np.ndarray:
     """Multiplicity counts for n in [1, hi), index n-1, served from cache."""
     if _cached_block is None or _cached_block.hi < hi:
-        adopt_block(sieve.factor_counts(1, hi, sieve.BigOmega, config))
+        adopt_block(sieve.factor_counts(1, hi, sieve.BigOmega))
     return _cached_block.counts[: hi - 1]
 
 

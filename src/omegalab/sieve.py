@@ -283,6 +283,12 @@ def read_block(path) -> FactorCountBlock:
         if len(raw) != _HEADER.size:
             raise ContractError(f"truncated block header in {path}")
         lo, hi, code, cutoff = _HEADER.unpack(raw)
+        if hi > MAX_RANGE_END:
+            raise CapacityError(
+                f"block header in {path}: range end {hi} exceeds 64-bit capacity")
+        if not 1 <= lo < hi:
+            raise ContractError(
+                f"block header in {path}: need 1 <= lo < hi, got [{lo}, {hi})")
         body = fh.read()
     if code not in _CODE_MODE:
         raise ContractError(f"unknown mode code {code} in {path}")

@@ -2,8 +2,11 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalab import cli
 
@@ -84,6 +87,14 @@ def test_contract_exit_code(capsys):
     (("circle", "--n", "10000", "--resolution", "inf"), cli.EXIT_CONTRACT),
     (("densities", "--n", "1e30"), cli.EXIT_CAPACITY),
     (("densities", "--n", "1e999999999"), cli.EXIT_CAPACITY),
+    (("distance", "--n", "10000", "--t", "abc"), cli.EXIT_CONTRACT),
+    (("distance", "--n", "10000", "--xi", "abc"), cli.EXIT_CONTRACT),
+    (("circle", "--n", "10000", "--epsilon", "abc"), cli.EXIT_CONTRACT),
+    (("circle", "--window-lower", "2", "--window-upper", "inf"), cli.EXIT_CONTRACT),
+    (("reduce", "--n", "10000", "--window-lower", "x"), cli.EXIT_CONTRACT),
+    (("reduce", "--n", "10000", "--window-upper", "1e400"), cli.EXIT_CONTRACT),
+    (("sieve", "--n", "100", "--mode", "truncated", "--cutoff", "abc"), cli.EXIT_CONTRACT),
+    (("halasz", "--n", "1000", "--preset", "fourier-mode:abc"), cli.EXIT_PRESET),
 ])
 def test_integer_flags_map_bad_values_to_exit_codes(capsys, argv, code):
     assert _run(capsys, *argv)[0] == code
@@ -216,3 +227,124 @@ def test_random_preset_is_seeded(capsys):
     rep2 = _report(capsys, "correlate", "--a", "random:7", "--b", "random:9",
                    "--n", "2000")
     assert rep1["results"]["lhs"] == rep2["results"]["lhs"]
+
+
+_BAD_MANIFESTS = {
+    "absent.json": None,
+    "folder.json": "directory",
+    "broken.json": '{"n": 100,',
+    "list.json": "[100]",
+    "bogus.json": '{"n": 100, "bogus": 1}',
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_MANIFESTS))
+def test_bad_manifest_exits_2_and_writes_nothing(capsys, tmp_path, name):
+    content = _BAD_MANIFESTS[name]
+    mpath = tmp_path / name
+    if content == "directory":
+        mpath.mkdir()
+    elif content is not None:
+        mpath.write_text(content)
+    out = tmp_path / "dens.csv"
+    code, stdout, err = _run(capsys, "densities", "--manifest", str(mpath),
+                             "--n", "100", "--out", str(out))
+    assert code == cli.EXIT_CONTRACT
+    assert stdout == ""
+    assert name in err
+    if name == "bogus.json":
+        assert "'bogus'" in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else [name])
+
+
+def test_workers_only_where_honoured(capsys):
+    assert _run(capsys, "densities", "--n", "1000", "--workers", "0")[0] == cli.EXIT_CONTRACT
+    assert _run(capsys, "correlate", "--n", "1000", "--workers", "2")[0] == cli.EXIT_CONTRACT
+    assert [c for c, cmd in cli.COMMANDS.items()
+            if "workers" in {f.name for f in cmd.flags}] == ["sieve"]
+
+
+_WINDOW = {"window", "window_lower", "window_upper"}
+# command: (flags of one run, manifest keys besides "command" and "derived")
+_MANIFEST_KEYS = {
+    "sieve": (("--n", "200"), {"n", "lo", "hi", "mode", "cutoff", "format", "out", "workers"}),
+    "densities": (("--n", "200"), {"n", "out"}),
+    "erdos-kac": (("--n", "10000"), {"n"}),
+    "correlate": (("--n", "1000"), {"n", "a", "b", "shift", "weighting"}),
+    "theorem-c": (("--n", "1000"), {"n", "a"}),
+    "distance": (("--n", "10000"), {"n", "xi", "t", "folded_xi"}),
+    "halasz": (("--n", "10000", "--points", "21"), {"n", "preset", "points"}),
+    "reduce": (("--n", "10000", "--xi", "1"), {"n", "xi", "out"} | _WINDOW),
+    "circle": (("--n", "10000"), {"n", "epsilon", "resolution", "out"} | _WINDOW),
+    "explore-k": (("--n", "1000"), {"n", "functions", "weighting"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_MANIFEST_KEYS))
+def test_manifest_key_set_per_command(capsys, tmp_path, command):
+    flags, keys = _MANIFEST_KEYS[command]
+    if _WINDOW <= keys:
+        # the hyphen and the underscore spelling both name a window edge
+        mpath = tmp_path / "window.json"
+        mpath.write_text(json.dumps({"window-lower": 2, "window_upper": 30}))
+        flags += ("--manifest", str(mpath))
+    manifest = _report(capsys, command, *flags)["manifest"]
+    assert set(manifest) == keys | {"command", "derived"}
+    assert manifest["command"] == command
+    if _WINDOW <= keys:
+        assert (manifest["window"]["lower"], manifest["window"]["upper"]) == (2.0, 30.0)
+
+
+# Flag values for the fuzz test: every number stays within 10^4 in magnitude,
+# so no draw asks for a large sieve, grid or thread count.
+_SIZES = st.sampled_from(["2", "30", "1000", "10000", "1000,2000"])
+_NUMBERS = st.one_of(
+    _SIZES, st.integers(-10**4, 10**4).map(str),
+    st.fractions(-10**4, 10**4, max_denominator=8).map(lambda f: str(float(f))),
+    st.sampled_from(["nan", "inf", "-inf", "1e4", "1,-2"]))
+_NAMES = st.sampled_from(["big", "small", "truncated", "bin", "csv", "cesaro",
+                          "logarithmic", "parity", "const:0.5", "indicator:2",
+                          "fourier-mode:1", "fourier-mode:nan", "random:3",
+                          "parity,const", ""])
+_VALUES = st.one_of(_NUMBERS, _NAMES, st.text(max_size=6))
+_JSON_VALUES = st.one_of(_VALUES, st.none(), st.integers(-10**4, 10**4),
+                         st.floats(-1e4, 1e4), st.lists(st.integers(0, 9), max_size=2))
+_WORKERS = st.sampled_from(["0", "1", "2", "-1", "two", "1.5", "nan"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_invocations_exit_with_a_documented_code(data):
+    name = data.draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[name].flags
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.dat")
+
+        def value(flag, anything):
+            """Mostly the table's default or a plausible size, else anything."""
+            if flag.name == "out":
+                return out
+            if flag.name == "workers":
+                return data.draw(_WORKERS)
+            if data.draw(st.integers(0, 2)) == 0:
+                return data.draw(anything)
+            return str(flag.default) if flag.default is not None else data.draw(_SIZES)
+
+        argv = [name] + [f"--{flag.name}={value(flag, _VALUES)}"
+                         for flag in flags if data.draw(st.booleans())]
+        shape = data.draw(st.sampled_from(["none", "none", "object", "object",
+                                           "bogus", "list", "broken"]))
+        if shape != "none":
+            manifest = {data.draw(st.sampled_from([flag.name, flag.key])):
+                        value(flag, _JSON_VALUES)
+                        for flag in flags if data.draw(st.booleans())}
+            if shape == "bogus":
+                manifest["bogus"] = 1
+            text = {"list": "[1000]", "broken": "{not json"}.get(shape, json.dumps(manifest))
+            mpath = os.path.join(tmp, "manifest.json")
+            with open(mpath, "w") as fh:
+                fh.write(text)
+            argv += ["--manifest", mpath]
+        assert cli.main(argv) in (0, 2, 3, 4, 5), argv
+        assert not [f for f in os.listdir(tmp) if f.endswith(".tmp")], argv

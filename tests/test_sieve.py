@@ -1,6 +1,7 @@
 """Sieve kernels against trial division and their own contracts."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ def test_binary_rejects_corruption(tmp_path):
     path.write_bytes(data[:-3])
     with pytest.raises(ContractError):
         read_block(path)
+    # hand-packed headers {lo, hi, mode code, cutoff} whose body length matches
+    for lo, hi, error in [(0, 5, ContractError), (5, 5, ContractError),
+                          (7, 5, ContractError), (2**63, 2**63 + 5, CapacityError),
+                          (1, 2**64 - 1, CapacityError)]:
+        body = bytes(max(0, min(hi - lo, 8)))
+        path.write_bytes(struct.pack("<QQBd", lo, hi, 0, 0.0) + body)
+        with pytest.raises(error):
+            read_block(path)
 
 
 def test_csv_export(tmp_path):
