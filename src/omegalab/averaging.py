@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import profiles
 from .errors import ContractError, EmptyDomainError
 
 CESARO = "cesaro"
@@ -59,10 +60,10 @@ def log_avg(values, indices=None) -> WeightedAverage:
 
 
 def harmonic_mass(n: int) -> float:
-    """Sum of 1/k over 1 <= k <= n."""
+    """Sum of 1/k over 1 <= k <= n, chunk by chunk as every 1/n pass."""
     if n < 1:
         raise EmptyDomainError("harmonic mass needs n >= 1")
-    return float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
+    return sum(float(inv_n.sum()) for _, _, inv_n in profiles.chunks(int(n)))
 
 
 def cesaro_to_log_decompose(values, epsilon: float) -> dict:

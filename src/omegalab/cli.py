@@ -200,6 +200,12 @@ def _temp_beside(path: str, suffix: str = ".tmp"):
             os.remove(tmp)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an --out path that cannot take the file, before any work."""
+    if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise ContractError(f"cannot write --out {path}: not a file in a writable directory")
+
+
 def _atomic_write(path: str, write) -> None:
     """write(tmp) to a temp file, then rename it over path."""
     with _temp_beside(path) as tmp:
@@ -457,6 +463,8 @@ def run(argv=None) -> int:
         return exc.code
     command = COMMANDS[args.command]
     params = _params(args.command, args)
+    if params.get("out") is not None:
+        _check_writable(params["out"])
     extras, results, *save = command.run(params)
     manifest = {"command": args.command, **params, **extras}
     manifest["derived"] = _derived_block(command.limit(manifest))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
@@ -61,7 +60,8 @@ def gaussian_density(x: float, model: GaussianModel) -> float:
 
 def normal_cdf(x) -> np.ndarray:
     """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * np.vectorize(math.erfc, otypes=[np.float64])(-x / math.sqrt(2.0))
 
 
 def typical_range(A: float, n_limit: int) -> TypicalRange:

@@ -1,7 +1,10 @@
 """Command-line interface run in-process: exit codes, manifests, outputs."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -182,6 +185,33 @@ def test_failed_run_writes_no_partial_files(capsys, tmp_path):
     assert code == cli.EXIT_CONTRACT
     assert not path.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_exits_2_before_any_work(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "densities",
+                        dataclasses.replace(cli.COMMANDS["densities"], run=calls.append))
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = _run(capsys, "densities", "--n", "100", "--out", str(target))
+        assert code == cli.EXIT_CONTRACT
+        assert str(target) in err
+        assert out == ""
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    script = ("import sys, omegalab\n"
+              "from omegalab import cli\n"
+              "assert cli.main(['reduce', '--n', '10000']) == 0\n"
+              "assert 'scipy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["total"] == pytest.approx(
+        1.956258330517151, abs=1e-10)
 
 
 def test_theorem_c_multiple_n(capsys):

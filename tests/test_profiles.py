@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import profiles, reduction
+from omegalab import pretentious, profiles, reduction
 from omegalab.errors import ContractError
 from omegalab.profiles import TwoPointProfile, shared_counts, two_point_profile
 from omegalab.sieve import BigOmega, SmallOmega, factor_counts
@@ -131,14 +131,22 @@ def test_foreign_counts_do_not_poison_the_cache():
 
 
 def test_inner_log_mean_follows_the_profile_cache():
+    # A foreign explicit (N, 0) profile must not leak into a later
+    # shared-block reduced sum, whose inner mean reads the (N, 0) profile.
     profiles.invalidate_cache()
     two_point_profile(1000, 0, counts=factor_counts(1, 1001, SmallOmega).counts)
-    reduction._inner_log_mean(1000, 1, 7)
-    profiles.invalidate_cache()
-    want = _direct_profile(1000, 0)
-    table = np.exp(2j * np.pi * np.arange(profiles.NBINS) / 7)
-    expected = complex(want.log_hist @ table) / want.harmonic_mass
-    assert reduction._inner_log_mean(1000, 1, 7) == pytest.approx(expected, abs=1e-12)
+    window = reduction.prime_window(overrides={"lower": 2, "upper": 12})
+    got = reduction.reduced_sum_terms(1000, window, [1])[1]
+    counts = factor_counts(1, 1000 + window.max_prime + 1).counts
+    size = pretentious.frequency_family(1000).size
+    phase = np.exp(2j * np.pi * counts.astype(np.float64) / size)
+    mass = sum(1.0 / n for n in range(1, 1001))
+    inner = sum(phase[m - 1] / m for m in range(1, 1001)) / mass
+    total = 0.0
+    for n in range(1, 1001):
+        avg = sum(phase[n + p - 1] / p for p in window.primes.tolist()) / window.mass
+        total += abs(avg - inner) ** 2 / n
+    assert got == pytest.approx(total / mass, abs=1e-12)
 
 
 # few (N, shift) keys, so that calls in one sequence meet in the cache

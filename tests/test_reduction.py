@@ -2,19 +2,21 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab import profiles, reduction
 from omegalab.correlation import (
     parity_function,
     random_bounded_function,
 )
 from omegalab.errors import ContractError, DegenerateWindowError
 from omegalab.pretentious import frequency_family
-from omegalab.profiles import shared_counts
+from omegalab.profiles import NBINS, shared_counts
 from omegalab.reduction import (
     fourier_expand,
     major_arc_measure,
@@ -30,6 +32,7 @@ from omegalab.reduction import (
     write_alpha_sweep_csv,
     write_xi_sweep_csv,
 )
+from omegalab.sieve import SmallOmega, factor_counts
 
 
 # --- prime windows ---------------------------------------------------------
@@ -221,6 +224,99 @@ def test_reduced_terms_gather_and_convolution_branches_agree():
         total += abs(avg - inner) ** 2 / n
         mass += 1.0 / n
     assert t_big[1] == pytest.approx(total / mass, abs=1e-12)
+
+
+def _gather_terms(n_limit, window, xi_list, counts):
+    # Independent numpy route: per-prime gathers of e(xi*count/|I|), one
+    # length-N complex array per frequency.
+    size = frequency_family(n_limit).size
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    weights = window.weights / window.mass
+    terms = {}
+    for xi in xi_list:
+        table = np.exp(2j * np.pi * xi * np.arange(NBINS) / size)
+        values = table[counts[: n_limit + window.max_prime]]
+        inner = sum(w * values[p : p + n_limit] for p, w in zip(window.primes, weights))
+        inner -= (values[:n_limit] @ inv_n) / inv_n.sum()
+        terms[xi] = float((np.abs(inner) ** 2) @ inv_n / inv_n.sum())
+    return terms
+
+
+@pytest.mark.parametrize("window", [
+    "formula",
+    {"lower": 2, "upper": 100},          # 25 primes
+    {"lower": 39000, "upper": 40000},    # max prime past half a block: longer FFT
+])
+def test_reduced_terms_match_gather_oracle_across_blocks(window):
+    n_limit = 200_000
+    assert n_limit > 2 * reduction._BLOCK     # at least three row blocks
+    w = prime_window(n_limit) if window == "formula" else prime_window(overrides=window)
+    xi_list = [5, 0, -6, 1, -2]
+    assert set(xi_list) < set(frequency_family(n_limit).members)
+    got = reduced_sum_terms(n_limit, w, xi_list)
+    assert list(got) == xi_list
+    assert got[0] == 0.0
+    want = _gather_terms(n_limit, w, xi_list, shared_counts(n_limit + w.max_prime + 1))
+    for xi in xi_list:
+        if xi:
+            assert got[xi] == pytest.approx(want[xi], rel=1e-12, abs=0)
+
+
+def test_reduced_sum_over_the_family_is_the_class_trace():
+    # Parseval: over the whole family the terms add up to |I| * tr(M) / H,
+    # M the 1/n-weighted covariance of the window-averaged class histogram.
+    n_limit = 2000
+    w = prime_window(overrides={"lower": 2, "upper": 60})
+    fam = frequency_family(n_limit)
+    cls = shared_counts(n_limit + w.max_prime + 1).astype(np.int64) % fam.size
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    pi = np.bincount(cls[:n_limit], weights=inv_n, minlength=fam.size) / inv_n.sum()
+    hist = np.zeros((n_limit, fam.size))
+    for p, weight in zip(w.primes, w.weights / w.mass):
+        hist[np.arange(n_limit), cls[p : p + n_limit]] += weight
+    trace = float(((hist - pi) ** 2).sum(axis=1) @ inv_n) / inv_n.sum()
+    assert reduced_sum(n_limit, w, fam.members) == pytest.approx(fam.size * trace, rel=1e-12)
+
+
+def test_explicit_counts_give_their_own_reduced_sum():
+    # SmallOmega counts passed in: the inner mean comes from them too, and
+    # no shared block is sieved.
+    n_limit, xi = 400, 2
+    w = prime_window(overrides={"lower": 2, "upper": 12})
+    counts = factor_counts(1, n_limit + w.max_prime + 1, SmallOmega).counts
+    fam_size = frequency_family(n_limit).size
+
+    def phase(m):
+        return cmath.exp(2j * cmath.pi * xi * int(counts[m - 1]) / fam_size)
+
+    mass = sum(1.0 / n for n in range(1, n_limit + 1))
+    inner = sum(phase(m) / m for m in range(1, n_limit + 1)) / mass
+    total = 0.0
+    for n in range(1, n_limit + 1):
+        avg = sum(phase(n + int(p)) / int(p) for p in w.primes) / w.mass
+        total += abs(avg - inner) ** 2 / n
+    want = total / mass
+    assert want == pytest.approx(0.19323, abs=1e-5)
+
+    profiles.invalidate_cache()
+    got = reduced_sum_terms(n_limit, w, [xi], counts=counts)[xi]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert profiles._cached_block is None
+    assert profiles._profile_cache == {}
+
+
+def test_reduced_terms_peak_memory_at_1e6():
+    n_limit = 10**6
+    w = prime_window(n_limit)
+    members = frequency_family(n_limit).members
+    profiles.invalidate_cache()
+    tracemalloc.start()
+    try:
+        reduced_sum_terms(n_limit, w, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_reduced_sum_rejects_foreign_frequencies():
