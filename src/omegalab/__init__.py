@@ -33,7 +33,7 @@ from .pretentious import (FrequencyFamily, MultFunSpec, TwistSpec,
                           distance_sq_profile, distance_sq_to_twist, eval_multfun,
                           frequency_family, halasz_audit, liouville_spec,
                           log_t_grid, m0, mean_over_range, mode_spec,
-                          twisted_distance, unit_spec)
+                          prime_trig_sums, twisted_distance, unit_spec)
 from .reduction import (FourierTable, PrimeWindow, fourier_expand,
                         major_arc_measure, omega_truncation_gap, parseval_audit,
                         prime_exponential_sum, prime_window, reduced_sum,

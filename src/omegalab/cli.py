@@ -339,10 +339,8 @@ def _run_circle(p):
     results = {"measure": measure, "spacing": 1.0 / resolution,
                "audit_product": measure * p["epsilon"] ** 4 * window.max_prime}
 
-    def body(path):
-        alphas = np.arange(resolution, dtype=np.float64) / resolution
-        reduction.write_alpha_sweep_csv(path, window, alphas)
-    return {"resolution": resolution, "window": block}, results, _csv(body)
+    return ({"resolution": resolution, "window": block}, results,
+            _csv(lambda path: reduction.write_alpha_sweep_csv(path, window, resolution)))
 
 
 def _run_explore_k(p):

@@ -7,6 +7,11 @@ multiplicative modes in the factor-count variable, Dirichlet character
 construction from the unit-group structure, and residual checks of the
 closed-form distance formula for the frequency family.
 
+A distance at one t (optionally twisted by a character) is an exact sum
+over the primes.  Distances along a t grid, and the grid infimum, read one
+set of binned Taylor moments of f(p)/p instead (PrimeTrigSums): one pass
+over the primes, then O(#bins) per t, with a certified truncation bound.
+
 Frequencies are identified modulo the family size: e(xi*n/|I|) with integer
 n depends only on xi mod |I|, so callers may pass any real xi (large
 frequency labels land outside the canonical window at desk scale) and it is
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ContractError
-from .profiles import NBINS, two_point_profile
+from .profiles import NBINS, chunks, shared_counts, two_point_profile
 
 _MODULUS_SLACK = 1e-12
 
@@ -194,50 +199,104 @@ def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float,
     return float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
 
 
-_trig_cache: dict = {}
+# ---------------------------------------------------------------------------
+# certified binned prime trig sums
+
+# Bins of log p are at most this wide, and narrower when the t range reaches
+# past 1/_BIN_WIDTH, so that |t| h / 2 <= 1/2 for every t evaluated.
+_BIN_WIDTH = 1e-2
+# The Taylor order is the least one whose certified bound is at most this.
+_TAIL_TARGET = 1e-15
+# t x bin cells evaluated at once; bounds the complex temporaries.
+_BLOCK_CELLS = 1 << 16
 
 
-def _trig_sums(n_limit: int, t_grid: np.ndarray):
-    """C(t) = sum cos(t log p)/p and S(t) likewise, cached per (N, grid)."""
-    key = (n_limit, t_grid.tobytes())
-    if key in _trig_cache:
-        return _trig_cache[key]
-    _, logs, invp = _primes_upto(n_limit)
-    C = np.empty(t_grid.size)
-    S = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        phase = t * logs
-        C[i] = np.cos(phase) @ invp
-        S[i] = np.sin(phase) @ invp
-    if len(_trig_cache) > 8:
-        _trig_cache.clear()
-    _trig_cache[key] = (C, S)
-    return C, S
+@dataclass(frozen=True)
+class PrimeTrigSums:
+    """Binned Taylor moments of w_p = f(p)/p over the primes p <= N.
+
+    log p is binned on cells of width h = 2 s with centres c_b (occupied
+    cells only) and moments[k, b] = sum_{p in b} w_p ((log p - c_b)/s)^k for
+    k < K.  Then F(t) = sum_p w_p p^{-it}
+    = sum_b e^{-i t c_b} sum_k (-i t s)^k / k! moments[k, b], and
+    D(f, n -> n^{it}; N)^2 = sum 1/p - Re F(t) for |t| <= t_max, with
+    truncation error at most tail_bound = x^K / K! e^x sum |w_p|,
+    x = t_max max |log p - c_b| <= t_max h / 2.
+    """
+
+    t_max: float
+    half_width: float
+    centres: np.ndarray
+    moments: np.ndarray
+    harmonic: float
+    tail_bound: float
+
+    def distance_sq(self, t_grid) -> np.ndarray:
+        """D(f, n -> n^{it}; N)^2 for each t, in blocks of t."""
+        t = np.asarray(t_grid, dtype=np.float64).ravel()
+        if not np.all(np.abs(t) <= self.t_max):
+            raise ContractError("t outside the range the sums were built for")
+        order = np.arange(self.moments.shape[0])
+        inv_fact = np.array([1.0 / math.factorial(k) for k in order])
+        out = np.empty(t.size)
+        step = max(1, _BLOCK_CELLS // max(self.centres.size, 1))
+        for lo in range(0, t.size, step):
+            tb = t[lo : lo + step]
+            taylor = (-1j * self.half_width * tb[:, None]) ** order * inv_fact
+            phases = np.exp(-1j * np.multiply.outer(tb, self.centres))
+            shifted = (taylor * (phases @ self.moments.T)).sum(axis=1)
+            out[lo : lo + step] = self.harmonic - shifted.real
+        return out
+
+
+def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums:
+    """Moments of f(p)/p over p <= N certified for every |t| <= t_max."""
+    t_max = float(t_max)
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ContractError("t range must be finite")
+    primes, logs, invp = _primes_upto(n_limit)
+    width = min(_BIN_WIDTH, 1.0 / t_max) if t_max > 0.0 else _BIN_WIDTH
+    half = width / 2.0
+    cell = np.floor((logs - math.log(2.0)) / width)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    centres = math.log(2.0) + (cell[starts] + 0.5) * width
+    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / half
+    weights = f.values_on(primes) * invp
+
+    x = t_max * half * float(np.abs(scaled).max(initial=0.0))
+    if x > 1.0:
+        # cells narrower than the rounding of log p: the moments cannot bin it
+        raise ContractError("t range too wide for binned prime sums")
+    mass = float(np.abs(weights).sum())
+
+    def tail(order):
+        if x == 0.0 or mass == 0.0:
+            return 0.0
+        return math.exp(order * math.log(x) - math.lgamma(order + 1) + x) * mass
+
+    order = 1
+    while tail(order) > _TAIL_TARGET:
+        order += 1
+    moments = np.empty((order, starts.size), dtype=np.complex128)
+    for k in range(order):
+        moments[k] = np.add.reduceat(weights, starts) if starts.size else 0.0
+        weights *= scaled
+    return PrimeTrigSums(t_max=t_max, half_width=half, centres=centres,
+                         moments=moments, harmonic=float(np.sum(invp)),
+                         tail_bound=tail(order))
 
 
 def distance_sq_profile(f: MultFunSpec, n_limit: int, t_grid) -> np.ndarray:
     """D(f, n -> n^{it}; N)^2 along a t grid.
 
-    Specs that are constant on primes share one cached pair of trig prime
-    sums per (N, grid); general specs pay a per-spec scan.
+    Every spec goes through one set of certified binned trig sums built for
+    the grid's max |t| (see PrimeTrigSums); the cost is one pass over the
+    primes plus O(#bins) per t.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ContractError("empty t grid")
-    primes, logs, invp = _primes_upto(n_limit)
-    h = float(np.sum(invp))
-    z = f.constant_prime_value()
-    if z is not None:
-        C, S = _trig_sums(n_limit, t_grid)
-        return h - z.real * C - z.imag * S
-    fp = f.values_on(primes)
-    u = fp.real * invp
-    v = fp.imag * invp
-    out = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        phase = t * logs
-        out[i] = h - np.cos(phase) @ u - np.sin(phase) @ v
-    return out
+    return prime_trig_sums(f, n_limit, np.abs(t_grid).max()).distance_sq(t_grid)
 
 
 def log_t_grid(t_max: float, points: int = 10**4, t_min: float = 1e-6) -> np.ndarray:
@@ -255,13 +314,15 @@ def m0(f: MultFunSpec, n_limit: int, t_grid) -> dict:
     The grid argmin is refined by golden-section search on the bracketing
     interval; the squared distance is slowly varying in t (each prime term
     is Lipschitz with constant log p / p), so this pins the infimum to far
-    below the audit tolerances.
+    below the audit tolerances.  Grid and refinement evaluate the same
+    binned trig sums; tail_bound is their certified truncation bound.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ContractError("empty t grid")
     t_grid = np.sort(t_grid)
-    values = distance_sq_profile(f, n_limit, t_grid)
+    sums = prime_trig_sums(f, n_limit, np.abs(t_grid).max())
+    values = sums.distance_sq(t_grid)
     i = int(np.argmin(values))
     best_t, best_v = float(t_grid[i]), float(values[i])
 
@@ -269,7 +330,7 @@ def m0(f: MultFunSpec, n_limit: int, t_grid) -> dict:
     hi = t_grid[min(i + 1, t_grid.size - 1)]
     if hi > lo:
         def d2(t):
-            return distance_sq_to_twist(f, n_limit, t)
+            return float(sums.distance_sq(t)[0])
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = float(lo), float(hi)
         c = b - phi * (b - a)
@@ -289,7 +350,7 @@ def m0(f: MultFunSpec, n_limit: int, t_grid) -> dict:
         for t, v in ((c, fc), (d, fd)):
             if v < best_v:
                 best_t, best_v = float(t), float(v)
-    return {"value": best_v, "argmin_t": best_t}
+    return {"value": best_v, "argmin_t": best_t, "tail_bound": sums.tail_bound}
 
 
 def dist_formula_residual(xi: float, n_limit: int, t: float) -> float:
@@ -445,9 +506,10 @@ def twisted_distance(f: MultFunSpec, chi: TwistSpec, n_limit: int) -> float:
 # mean values and the Halasz audit
 
 def eval_multfun_range(spec: MultFunSpec, n_limit: int) -> np.ndarray:
-    """f(n) for n = 1..N (index n-1) via count lookup plus override fixups."""
-    from .profiles import shared_counts
+    """f(n) for n = 1..N (index n-1) via count lookup plus override fixups.
 
+    One complex array of length N: the small-N evaluator and test oracle.
+    """
     counts = shared_counts(n_limit + 1)[:n_limit]
     base = complex(spec.default_prime_value)
     table = np.array([base**k for k in range(NBINS)], dtype=np.complex128)
@@ -465,21 +527,40 @@ def eval_multfun_range(spec: MultFunSpec, n_limit: int) -> np.ndarray:
 
 
 def mean_over_range(spec: MultFunSpec, n_limit: int) -> complex:
-    """Cesaro mean of f over [N]."""
-    z = spec.constant_prime_value()
-    if z is not None:
-        profile = two_point_profile(n_limit, 0)
-        table = np.array([z**k for k in range(NBINS)], dtype=np.complex128)
-        return complex(table @ profile.hist) / n_limit
-    values = eval_multfun_range(spec, n_limit)
-    return complex(np.sum(values)) / n_limit
+    """Cesaro mean of f over [N].
+
+    Constant specs contract the (N, 0) level histogram; specs with prime
+    overrides sum f(n) chunk by chunk, each override's ratio applied where
+    p^k | n, so no array of length N is built.
+    """
+    base = complex(spec.default_prime_value)
+    table = np.array([base**k for k in range(NBINS)], dtype=np.complex128)
+    if spec.constant_prime_value() is not None:
+        return complex(table @ two_point_profile(n_limit, 0).hist) / n_limit
+    if abs(base) == 0.0:
+        raise ContractError("override fixup needs a nonzero default value")
+    ratios = [(int(p), complex(v) / base) for p, v in spec.prime_values.items()]
+    counts = shared_counts(n_limit + 1)
+    total = 0.0 + 0.0j
+    for start, stop, _ in chunks(n_limit, weighted=False):
+        values = table[counts[start:stop]]
+        for p, ratio in ratios:
+            q = p
+            while q <= stop:
+                # n = start + 1 + i is a multiple of q
+                values[(q - 1 - start) % q :: q] *= ratio
+                q *= p
+        total += complex(values.sum())
+        del values   # freed before the next chunk's values are built
+    return total / n_limit
 
 
 def halasz_audit(f: MultFunSpec, n_limit: int, t_grid) -> dict:
     """Mean value against the distance-based decay bound.
 
     bound = exp(-(1/16) * min over the grid of D(f, n^{it}; N)^2); the
-    grid should cover |t| <= log N.  ratio = |mean| / bound.
+    grid should cover |t| <= log N.  ratio = |mean| / bound.  The m0
+    entry carries the certified tail_bound of the binned trig sums.
     """
     if n_limit < 10**4:
         raise ContractError("mean-value audit wants N >= 1e4")

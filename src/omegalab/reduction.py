@@ -423,13 +423,16 @@ def prime_exponential_sum(window: PrimeWindow, alpha: float) -> complex:
     return complex((window.weights @ phases) / window.mass)
 
 
-def _abs_sum_grid(window: PrimeWindow, alphas: np.ndarray) -> np.ndarray:
-    primes = window.primes.astype(np.float64)
-    weights = window.weights / window.mass
-    acc = np.zeros(alphas.size, dtype=np.complex128)
-    for p, w in zip(primes, weights):
-        acc += w * np.exp(2j * np.pi * p * alphas)
-    return np.abs(acc)
+def _abs_sum_grid(window: PrimeWindow, resolution: int) -> np.ndarray:
+    """|prime_exponential_sum| at every alpha = j/R, j = 0 .. R-1.
+
+    e(p j/R) depends on p mod R only, so the sum over the window is the
+    length-R DFT of the weights folded mod R: O(R log R), exact up to
+    rounding.
+    """
+    folded = np.bincount(window.primes % resolution, weights=window.weights,
+                         minlength=resolution)
+    return np.abs(np.fft.fft(folded)) / window.mass
 
 
 def major_arc_measure(window: PrimeWindow, epsilon: float,
@@ -448,7 +451,7 @@ def major_arc_measure(window: PrimeWindow, epsilon: float,
             "grid_resolution must be at least 10 * max window prime")
     spacing = 1.0 / grid_resolution
     alphas = np.arange(grid_resolution, dtype=np.float64) * spacing
-    values = _abs_sum_grid(window, alphas)
+    values = _abs_sum_grid(window, grid_resolution)
     above = values > epsilon
     nxt = np.roll(above, -1)
     measure = spacing * float(np.count_nonzero(above & nxt))
@@ -488,10 +491,13 @@ def write_xi_sweep_csv(path, terms: dict) -> None:
             writer.writerow([xi, format(terms[xi], ".17g")])
 
 
-def write_alpha_sweep_csv(path, window: PrimeWindow, alphas) -> None:
-    """Write alpha/abs_sum rows for the window exponential sum."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    magnitudes = _abs_sum_grid(window, alphas)
+def write_alpha_sweep_csv(path, window: PrimeWindow, resolution: int) -> None:
+    """Write alpha/abs_sum rows for the window exponential sum at alpha = j/R."""
+    resolution = int(resolution)
+    if resolution < 1:
+        raise ContractError("resolution must be positive")
+    alphas = np.arange(resolution, dtype=np.float64) / resolution
+    magnitudes = _abs_sum_grid(window, resolution)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["alpha", "abs_sum"])

@@ -234,6 +234,13 @@ def test_halasz_parity_preset(capsys):
     assert rep["results"]["ratio"] <= 10.0
 
 
+def test_halasz_reports_the_tail_bound_and_distance_none(capsys):
+    rep = _report(capsys, "halasz", "--n", "10000", "--points", "2001")
+    assert 0.0 < rep["results"]["m0"]["tail_bound"] <= 1e-13
+    rep = _report(capsys, "distance", "--n", "10000", "--t", "1.0")
+    assert "tail_bound" not in json.dumps(rep)
+
+
 def test_circle_command_reports_measure(capsys, tmp_path):
     rep = _report(capsys, "circle", "--n", "10000",
                   "--window-lower", "2", "--window-upper", "30",

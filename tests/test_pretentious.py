@@ -26,10 +26,12 @@ from omegalab.pretentious import (
     m0,
     mean_over_range,
     mode_spec,
+    prime_trig_sums,
     twisted_distance,
     unit_spec,
 )
-from omegalab.sieve import factor_counts
+from omegalab import profiles
+from omegalab.sieve import enumerate_primes, factor_counts
 
 
 def _plain_primes(limit):
@@ -285,3 +287,105 @@ def test_halasz_audit_unit_spec_mean_near_one():
     assert out["mean"] == pytest.approx(1.0, abs=1e-12)
     assert out["bound"] == pytest.approx(1.0, abs=1e-9)
     assert out["ratio"] <= 10.0
+
+
+# --- certified binned trig sums ---------------------------------------------
+
+def _exact_profile(spec, n_limit, grid):
+    # Oracle: one full pass over the primes per t, no binning.
+    primes = enumerate_primes(n_limit).primes
+    logs = np.log(primes.astype(np.float64))
+    invp = 1.0 / primes.astype(np.float64)
+    fp = np.array([spec.value_at_prime(p) for p in primes.tolist()])
+    return np.array([float(np.sum((1.0 - (fp * np.exp(-1j * t * logs)).real) * invp))
+                     for t in grid])
+
+
+_BINNED_SPECS = {
+    "liouville": liouville_spec(),
+    "override": MultFunSpec(default_prime_value=-1.0,
+                            prime_values={2: 1j, 3: 1.0, 97: 0.6 - 0.8j}),
+    "zero": MultFunSpec(default_prime_value=0.0),
+}
+_BINNED_GRIDS = {
+    # 301 points span several evaluation blocks at both N
+    "unsorted": np.random.default_rng(7).permutation(log_t_grid(16.0, points=301)),
+    "single": np.array([1.7]),
+    "wide": np.concatenate((np.linspace(-1e3, 1e3, 15), [999.9, -0.3])),
+}
+
+
+@pytest.mark.parametrize("grid_name", list(_BINNED_GRIDS))
+@pytest.mark.parametrize("n_limit", [10**4, 10**6])
+@pytest.mark.parametrize("spec_name", list(_BINNED_SPECS))
+def test_binned_profile_matches_exact_loop(spec_name, n_limit, grid_name):
+    spec, grid = _BINNED_SPECS[spec_name], _BINNED_GRIDS[grid_name]
+    got = distance_sq_profile(spec, n_limit, grid)
+    bound = prime_trig_sums(spec, n_limit, np.abs(grid).max()).tail_bound
+    want = _exact_profile(spec, n_limit, grid)
+    assert got.shape == grid.shape
+    assert np.max(np.abs(got - want)) <= bound + 1e-12
+    if spec_name == "zero":
+        # f(p) = 0 everywhere: no truncation at all, D^2 = sum 1/p
+        assert bound == 0.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_binned_sums_rule_for_width_and_order():
+    sums = prime_trig_sums(liouville_spec(), 10**6, 1e3)
+    # |t| h/2 <= 1/2: the bin width shrinks to 1/t_max past t_max = 100
+    assert sums.half_width == pytest.approx(0.5e-3, rel=1e-15)
+    assert sums.tail_bound <= 1e-15
+    narrow = prime_trig_sums(liouville_spec(), 10**6, 5.0)
+    assert narrow.half_width == pytest.approx(0.5e-2, rel=1e-15)
+    assert narrow.moments.shape[0] < sums.moments.shape[0]
+    # the bound is certified only inside the range the moments were built for
+    with pytest.raises(ContractError):
+        narrow.distance_sq([5.5])
+    with pytest.raises(ContractError):
+        distance_sq_profile(liouville_spec(), 10**4, [0.0, math.nan])
+    # cells finer than the rounding of log p cannot be certified
+    with pytest.raises(ContractError):
+        distance_sq_profile(liouville_spec(), 10**4, [1e16])
+
+
+def test_tail_bound_on_the_cli_default_grid_at_1e7():
+    grid = log_t_grid(math.log(10**7), points=2001)
+    out = m0(liouville_spec(), 10**7, grid)
+    assert out["tail_bound"] <= 1e-13
+    # the reported infimum is the exact distance at the reported argmin
+    exact = distance_sq_to_twist(liouville_spec(), 10**7, out["argmin_t"])
+    assert out["value"] == pytest.approx(exact, abs=out["tail_bound"] + 1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    liouville_spec(),
+    MultFunSpec(default_prime_value=-1.0, prime_values={2: 1j, 5: 1.0}),
+    mode_spec(frequency_family(10**5), 3),
+], ids=["liouville", "override", "mode3"])
+def test_m0_matches_exact_grid_and_exact_refinement(spec):
+    n = 10**5
+    grid = log_t_grid(math.log(n), points=101)
+    out = m0(spec, n, grid)
+    exact_grid = _exact_profile(spec, n, grid)
+    slack = out["tail_bound"] + 1e-12
+    assert out["value"] <= float(exact_grid.min()) + slack
+    assert out["value"] == pytest.approx(
+        distance_sq_to_twist(spec, n, out["argmin_t"]), abs=slack)
+
+
+def test_streamed_override_mean_matches_full_range_oracle(monkeypatch):
+    # Small odd chunks put prime-power multiples on both sides of each cut;
+    # the prime 997 is the last n of the first chunk.
+    monkeypatch.setattr(profiles, "CHUNK", 997)
+    n = 10**4
+    spec = MultFunSpec(default_prime_value=-1.0 + 0.0j,
+                       prime_values={2: 0.6 + 0.8j, 3: 1j, 97: -0.28 + 0.96j,
+                                     997: 0.8 - 0.6j})
+    want = complex(np.sum(eval_multfun_range(spec, n))) / n
+    got = mean_over_range(spec, n)
+    assert abs(got - want) <= 1e-12
+    # unit values sum exactly, so the chunked mean is bit-identical
+    units = MultFunSpec(default_prime_value=-1.0 + 0.0j,
+                        prime_values={2: 1j, 7: 1.0 + 0.0j, 97: -1j})
+    assert mean_over_range(units, n) == complex(np.sum(eval_multfun_range(units, n))) / n

@@ -428,6 +428,53 @@ def test_prime_exponential_sum_alpha_zero_and_conjugacy():
     assert abs(plus) <= 1.0 + 1e-12
 
 
+def _loop_abs_sums(window, alphas):
+    # Oracle: one pass over the alpha grid per window prime.
+    weights = window.weights / window.mass
+    acc = np.zeros(alphas.size, dtype=np.complex128)
+    for p, w in zip(window.primes.astype(np.float64), weights):
+        acc += w * np.exp(2j * np.pi * p * alphas)
+    return np.abs(acc)
+
+
+@pytest.mark.parametrize("edges,resolution", [
+    ((2, 3), 30),
+    ((2, 2000), None),
+    ((500, 1000), None),
+    ((2, 30), 17),          # primes past R fold onto p mod R
+])
+def test_abs_sum_grid_matches_loop_oracle(edges, resolution):
+    w = prime_window(overrides={"lower": edges[0], "upper": edges[1]})
+    res = resolution or 10 * w.max_prime
+    got = reduction._abs_sum_grid(w, res)
+    want = _loop_abs_sums(w, np.arange(res, dtype=np.float64) / res)
+    assert got.shape == (res,)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("edges", [(2, 2000), (500, 1000)])
+def test_major_arc_measure_matches_loop_oracle(monkeypatch, edges):
+    w = prime_window(overrides={"lower": edges[0], "upper": edges[1]})
+    res = 10 * w.max_prime
+    eps_grid = (0.2, 0.5, 0.8)
+    fast = [major_arc_measure(w, eps, res) for eps in eps_grid]
+    monkeypatch.setattr(reduction, "_abs_sum_grid", lambda window, r: _loop_abs_sums(
+        window, np.arange(r, dtype=np.float64) / r))
+    slow = [major_arc_measure(w, eps, res) for eps in eps_grid]
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+def test_alpha_sweep_csv_rows_match_loop_oracle(tmp_path):
+    w = prime_window(overrides={"lower": 2, "upper": 30})
+    path = tmp_path / "alpha.csv"
+    write_alpha_sweep_csv(path, w, 290)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], np.arange(290) / 290)
+    np.testing.assert_allclose(rows[:, 1], _loop_abs_sums(w, rows[:, 0]), rtol=0, atol=1e-12)
+    with pytest.raises(ContractError):
+        write_alpha_sweep_csv(tmp_path / "empty.csv", w, 0)
+
+
 def test_major_arc_measure_limits():
     w = prime_window(overrides={"lower": 2, "upper": 3})
     # threshold below the minimum modulus: the whole circle qualifies
@@ -476,7 +523,7 @@ def test_xi_sweep_csv(tmp_path):
 def test_alpha_sweep_csv(tmp_path):
     w = prime_window(overrides={"lower": 2, "upper": 3})
     path = tmp_path / "alpha.csv"
-    write_alpha_sweep_csv(path, w, [0.0, 0.25, 0.5])
+    write_alpha_sweep_csv(path, w, 3)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "alpha,abs_sum"
     assert lines[1].split(",")[1] == "1"          # alpha = 0 gives |sum| = 1
