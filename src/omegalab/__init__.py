@@ -30,7 +30,7 @@ from .correlation import (BoundedFunction, CorrelationReport, constant_function,
                           typical_ell_exceptions)
 from .pretentious import (FrequencyFamily, MultFunSpec, TwistSpec,
                           dirichlet_characters, dist_formula_residual, distance,
-                          distance_sq_profile, distance_sq_to_twist, eval_multfun,
+                          distance_sq_profile, distance_sq_to_twist,
                           frequency_family, halasz_audit, liouville_spec,
                           log_t_grid, m0, mean_over_range, mode_spec,
                           prime_trig_sums, twisted_distance, unit_spec)

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import profiles
 from .errors import ContractError, EmptyDomainError
-
-CESARO = "cesaro"
-LOGARITHMIC = "logarithmic"
+from .profiles import CESARO, LOGARITHMIC
 
 
 @dataclass(frozen=True)

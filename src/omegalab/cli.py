@@ -285,7 +285,8 @@ def _run_correlate(p):
     a, b = resolve_preset(p["a"], n), resolve_preset(p["b"], n)
     lhs = complex(corr.two_point_lhs(a, b, n, p["shift"], p["weighting"]))
     profile = profiles.two_point_profile(n, 0)
-    prediction = corr._cesaro_mean(a, profile) * corr._cesaro_mean(b, profile)
+    prediction = (profile.mean(a.table(), profiles.CESARO)
+                  * profile.mean(b.table(), profiles.CESARO))
     return {}, {"lhs": lhs, "prediction": prediction, "error": abs(lhs - prediction)}
 
 

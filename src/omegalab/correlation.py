@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sieve, stats
-from .averaging import CESARO, LOGARITHMIC
+from . import stats
 from .errors import CapacityError, ContractError, EmptyDomainError
-from .profiles import NBINS, chunks, shared_counts, two_point_profile
+from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, chunks,
+                       require_primes, shared_counts, two_point_profile)
 
-_MODULUS_SLACK = 1e-12
+MODULUS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class BoundedFunction:
     def __post_init__(self):
         if not self.bound > 0:
             raise ContractError("bound must be positive")
-        cap = self.bound + _MODULUS_SLACK
+        cap = self.bound + MODULUS_SLACK
         if abs(self.default_value) > cap:
             raise ContractError("default_value exceeds the stated bound")
         for ell, val in self.values.items():
@@ -121,28 +121,9 @@ def two_point_lhs(a: BoundedFunction, b: BoundedFunction, n_limit: int,
         raise ContractError("two-point average needs N >= 3")
     if shift < 1:
         raise ContractError("shift must be >= 1")
+    check_weighting(weighting)
     profile = two_point_profile(n_limit, shift, counts)
-    ta, tb = a.table(), b.table()
-    if weighting == LOGARITHMIC:
-        return _log_pair_mean(ta, tb, profile)
-    if weighting == CESARO:
-        return complex(ta @ profile.joint.astype(np.complex128) @ tb) / n_limit
-    raise ContractError(f"unknown weighting {weighting!r}")
-
-
-def _log_pair_mean(ta: np.ndarray, tb: np.ndarray, profile) -> complex:
-    """Log average of ta[count(n)] * tb[count(n+shift)] from the joint matrix."""
-    return complex(ta @ profile.joint_log.astype(np.complex128) @ tb
-                   ) / profile.harmonic_mass
-
-
-def _cesaro_mean(fn: BoundedFunction, profile) -> complex:
-    return complex(fn.table() @ profile.hist.astype(np.complex128)) / profile.n_limit
-
-
-def _log_mean(fn: BoundedFunction, profile) -> complex:
-    return complex(fn.table() @ profile.log_hist.astype(np.complex128)
-                   ) / profile.harmonic_mass
+    return profile.pair_mean(a.table(), b.table(), weighting)
 
 
 def theorem_a_report(a: BoundedFunction, b: BoundedFunction, n_limit: int,
@@ -151,8 +132,8 @@ def theorem_a_report(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     if n_limit < 10**3:
         raise ContractError("correlation report wants N >= 1e3")
     profile = two_point_profile(n_limit, 1, counts)
-    lhs = _log_pair_mean(a.table(), b.table(), profile)
-    prediction = _cesaro_mean(a, profile) * _cesaro_mean(b, profile)
+    lhs = profile.pair_mean(a.table(), b.table(), LOGARITHMIC)
+    prediction = profile.mean(a.table(), CESARO) * profile.mean(b.table(), CESARO)
     meta = {"shift": 1, "a_bound": a.bound, "b_bound": b.bound}
     if metadata:
         meta.update(metadata)
@@ -174,9 +155,7 @@ def theorem_b_prediction(a: BoundedFunction, b: BoundedFunction,
     top = math.ceil(model.mu + 12.0 * model.sigma)
     if top >= NBINS:
         raise CapacityError("level cutoff beyond the 64-level table")
-    ells = np.arange(top + 1, dtype=np.float64)
-    z = (ells - model.mu) / model.sigma
-    dens = np.exp(-0.5 * z * z) / (model.sigma * math.sqrt(2.0 * math.pi))
+    dens = stats.gaussian_density(np.arange(top + 1, dtype=np.float64), model)
     ta = a.table(top + 1) * dens
     tb = b.table(top + 1) * dens
     return complex(np.sum(np.outer(ta, tb)))
@@ -185,7 +164,7 @@ def theorem_b_prediction(a: BoundedFunction, b: BoundedFunction,
 def _level_discrepancies(a: BoundedFunction, profile):
     """Per-level |E^log_{level set} a(count(n+1)) - cesaro mean of a|."""
     ta = a.table()
-    mean_a = _cesaro_mean(a, profile)
+    mean_a = profile.mean(ta, CESARO)
     with np.errstate(invalid="ignore", divide="ignore"):
         row_means = (profile.joint_log.astype(np.complex128) @ ta) / profile.log_hist
     disc = np.abs(row_means - mean_a)
@@ -233,15 +212,13 @@ def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     p_arr = np.unique(np.asarray(list(window), dtype=np.int64))
     if p_arr.size == 0:
         raise ContractError("prime window is empty")
-    table = sieve.enumerate_primes(int(p_arr[-1]))
-    if np.setdiff1d(p_arr, table.primes).size:
-        raise ContractError("window contains a composite")
     if n_limit < 10 * int(p_arr[-1]):
         raise ContractError("need N >= 10 * max window prime")
+    require_primes(p_arr, "window")
     lhs = two_point_lhs(a, b, n_limit, 1, LOGARITHMIC)
     ta = a.down_shifted().table()
     tb = b.down_shifted().table()
-    inner = np.array([_log_pair_mean(ta, tb, two_point_profile(n_limit, int(p)))
+    inner = np.array([two_point_profile(n_limit, int(p)).pair_mean(ta, tb, LOGARITHMIC)
                       for p in p_arr])
     weights = 1.0 / p_arr.astype(np.float64)
     rhs = complex(np.sum(inner * weights) / np.sum(weights))
@@ -262,9 +239,8 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
         raise CapacityError("k-point exploration is capped at k = 4")
     if n_limit < 10**3:
         raise ContractError("exploration wants N >= 1e3")
+    check_weighting(weighting)
     counts = shared_counts(n_limit + k)
-    if weighting not in (CESARO, LOGARITHMIC):
-        raise ContractError(f"unknown weighting {weighting!r}")
     tables = [fn.table() for fn in functions]
     total = 0.0 + 0.0j
     for start, stop, inv_n in chunks(n_limit, weighting == LOGARITHMIC):
@@ -274,12 +250,8 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
         total += np.sum(prod if inv_n is None else prod * inv_n)
 
     profile = two_point_profile(n_limit, 0)
-    if weighting == CESARO:
-        joint = complex(total / n_limit)
-        singles = [_cesaro_mean(fn, profile) for fn in functions]
-    else:
-        joint = complex(total / profile.harmonic_mass)
-        singles = [_log_mean(fn, profile) for fn in functions]
+    joint = complex(total / (n_limit if weighting == CESARO else profile.harmonic_mass))
+    singles = [profile.mean(table, weighting) for table in tables]
     product = complex(np.prod(singles))
     return {
         "label": "EXPLORATORY",

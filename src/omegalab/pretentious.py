@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sieve
+from .correlation import MODULUS_SLACK
 from .errors import ContractError
-from .profiles import NBINS, chunks, shared_counts, two_point_profile
-
-_MODULUS_SLACK = 1e-12
+from .profiles import (CESARO, NBINS, chunks, primes_upto, shared_counts,
+                       two_point_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +45,12 @@ class MultFunSpec:
 
     default_prime_value: complex = 1.0 + 0.0j
     prime_values: dict = field(default_factory=dict)
-    completely_multiplicative: bool = True
 
     def __post_init__(self):
-        if abs(self.default_prime_value) > 1.0 + _MODULUS_SLACK:
+        if abs(self.default_prime_value) > 1.0 + MODULUS_SLACK:
             raise ContractError("default prime value must have modulus <= 1")
         for p, v in self.prime_values.items():
-            if abs(v) > 1.0 + _MODULUS_SLACK:
+            if abs(v) > 1.0 + MODULUS_SLACK:
                 raise ContractError(f"prime value at {p} must have modulus <= 1")
 
     def value_at_prime(self, p: int) -> complex:
@@ -61,11 +59,10 @@ class MultFunSpec:
     def values_on(self, primes: np.ndarray) -> np.ndarray:
         out = np.full(primes.size, complex(self.default_prime_value),
                       dtype=np.complex128)
-        if self.prime_values:
-            for p, v in self.prime_values.items():
-                idx = np.searchsorted(primes, p)
-                if idx < primes.size and primes[idx] == p:
-                    out[idx] = v
+        for p, v in self.prime_values.items():
+            idx = np.searchsorted(primes, p)
+            if idx < primes.size and primes[idx] == p:
+                out[idx] = v
         return out
 
     def constant_prime_value(self):
@@ -106,16 +103,6 @@ def factorize(n: int):
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def eval_multfun(spec: MultFunSpec, n: int, factorization=None) -> complex:
-    """f(n) as the product of prime values with multiplicity; f(1) = 1."""
-    if factorization is None:
-        factorization = factorize(n)
-    value = 1.0 + 0.0j
-    for p, e in factorization:
-        value *= spec.value_at_prime(p) ** e
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +147,18 @@ def mode_spec(family: FrequencyFamily, xi: float) -> MultFunSpec:
 # ---------------------------------------------------------------------------
 # prime sums and distances
 
-_prime_cache: dict = {}
-
-
-def _primes_upto(n_limit: int):
-    """(primes, log primes, 1/p) for p <= N, served from a growing cache."""
-    cached = _prime_cache.get("data")
-    if cached is None or cached[0] < n_limit:
-        table = sieve.enumerate_primes(max(n_limit, 10**5))
-        primes = table.primes.astype(np.float64)
-        _prime_cache["data"] = (table.limit, table.primes, np.log(primes), 1.0 / primes)
-        cached = _prime_cache["data"]
-    limit, primes, logs, invp = cached
-    cut = int(np.searchsorted(primes, n_limit, side="right"))
-    return primes[:cut], logs[:cut], invp[:cut]
+def _prime_columns(n_limit: int):
+    """(primes, log p, 1/p) for p <= N, the primes read from the profiles table."""
+    primes = primes_upto(n_limit)
+    as_float = primes.astype(np.float64)
+    return primes, np.log(as_float), 1.0 / as_float
 
 
 def distance(f: MultFunSpec, g: MultFunSpec, n_limit: int) -> float:
     """Pretentious distance between two completely multiplicative specs."""
     if n_limit < 2:
         raise ContractError("distance needs N >= 2")
-    primes, _, invp = _primes_upto(n_limit)
+    primes, _, invp = _prime_columns(n_limit)
     fp = f.values_on(primes)
     gp = g.values_on(primes)
     total = float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
@@ -190,12 +168,12 @@ def distance(f: MultFunSpec, g: MultFunSpec, n_limit: int) -> float:
 def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float,
                          chi_table=None) -> float:
     """D(f, n -> chi(n) n^{it}; N)^2 for one t (chi optional)."""
-    primes, logs, invp = _primes_upto(n_limit)
+    primes, logs, invp = _prime_columns(n_limit)
     fp = f.values_on(primes)
     gp = np.exp(1j * t * logs)
     if chi_table is not None:
         q = len(chi_table)
-        gp = gp * np.asarray(chi_table)[(primes.astype(np.int64) % q)]
+        gp = gp * np.asarray(chi_table)[primes % q]
     return float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
 
 
@@ -254,7 +232,7 @@ def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ContractError("t range must be finite")
-    primes, logs, invp = _primes_upto(n_limit)
+    primes, logs, invp = _prime_columns(n_limit)
     width = min(_BIN_WIDTH, 1.0 / t_max) if t_max > 0.0 else _BIN_WIDTH
     half = width / 2.0
     cell = np.floor((logs - math.log(2.0)) / width)
@@ -311,17 +289,23 @@ def log_t_grid(t_max: float, points: int = 10**4, t_min: float = 1e-6) -> np.nda
 def m0(f: MultFunSpec, n_limit: int, t_grid) -> dict:
     """Grid minimum of the squared distance to Archimedean twists.
 
-    The grid argmin is refined by golden-section search on the bracketing
-    interval; the squared distance is slowly varying in t (each prime term
-    is Lipschitz with constant log p / p), so this pins the infimum to far
+    The dips of the squared distance are about 1/log N wide, so the grid
+    is joined by a uniform one of spacing 1/(2 log N) over its span.  The
+    argmin is refined by golden-section search on the bracketing interval;
+    the squared distance is slowly varying in t (each prime term is
+    Lipschitz with constant log p / p), so this pins the infimum to far
     below the audit tolerances.  Grid and refinement evaluate the same
     binned trig sums; tail_bound is their certified truncation bound.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ContractError("empty t grid")
-    t_grid = np.sort(t_grid)
+    if n_limit < 2:
+        raise ContractError("distance needs N >= 2")
     sums = prime_trig_sums(f, n_limit, np.abs(t_grid).max())
+    lo, hi = float(t_grid.min()), float(t_grid.max())
+    steps = math.ceil(2.0 * math.log(n_limit) * (hi - lo))
+    t_grid = np.union1d(t_grid, np.linspace(lo, hi, steps + 1))
     values = sums.distance_sq(t_grid)
     i = int(np.argmin(values))
     best_t, best_v = float(t_grid[i]), float(values[i])
@@ -536,7 +520,7 @@ def mean_over_range(spec: MultFunSpec, n_limit: int) -> complex:
     base = complex(spec.default_prime_value)
     table = np.array([base**k for k in range(NBINS)], dtype=np.complex128)
     if spec.constant_prime_value() is not None:
-        return complex(table @ two_point_profile(n_limit, 0).hist) / n_limit
+        return two_point_profile(n_limit, 0).mean(table, CESARO)
     if abs(base) == 0.0:
         raise ContractError("override fixup needs a nonzero default value")
     ratios = [(int(p), complex(v) / base) for p, v in spec.prime_values.items()]

@@ -16,14 +16,20 @@ alone, and joint, joint_log are their diagonals.
 Every 1/n-weighted reduction over n <= N walks `chunks`, the only place
 that builds 1/n, so no float array over the full range is materialized.
 
+Every average of a level table is a profile method, `mean` or
+`pair_mean`: CESARO divides by N, LOGARITHMIC by the harmonic mass.
+
 Caching follows one rule.  The largest multiplicity block sieved or
 adopted so far is the shared block, and smaller ranges are served as views
-of it, so a 1e8 sieve is paid for once per process.  Profiles computed
+of it, so a 1e8 sieve is paid for once per process.  The prime table
+follows the same rule: the largest limit asked for so far (at least 1e5)
+is kept, and smaller limits are prefix views of it.  Profiles computed
 from the shared block are kept in one bounded (N, shift) cache that drops
 its oldest entry when full.  The cache is read and written only when the
 counts are the shared block: counts=None, or an array whose memory starts
 at the shared block's n = 1 (checked by identity, never by content).  Any
 other explicit counts are used as given and never cached.
+`invalidate_cache` empties the block, the profiles and the prime table.
 """
 
 from __future__ import annotations
@@ -40,6 +46,15 @@ NBINS = 64
 CHUNK = 1 << 22
 _CACHE_LIMIT = 64
 
+CESARO = "cesaro"
+LOGARITHMIC = "logarithmic"
+
+
+def check_weighting(weighting: str) -> None:
+    """Refuse anything but CESARO or LOGARITHMIC, before any work is done."""
+    if weighting not in (CESARO, LOGARITHMIC):
+        raise ContractError(f"unknown weighting {weighting!r}")
+
 
 @dataclass(frozen=True)
 class TwoPointProfile:
@@ -51,15 +66,52 @@ class TwoPointProfile:
     joint_log: np.ndarray
     harmonic_mass: float
 
+    def _weighted(self, weighting: str):
+        """(level histogram, joint matrix, total weight) under the weighting."""
+        check_weighting(weighting)
+        if weighting == CESARO:
+            return self.hist, self.joint, self.n_limit
+        return self.log_hist, self.joint_log, self.harmonic_mass
+
+    def mean(self, table: np.ndarray, weighting: str) -> complex:
+        """Average of table[count(n)] over n <= N."""
+        hist, _, total = self._weighted(weighting)
+        return complex(table @ hist.astype(np.complex128)) / total
+
+    def pair_mean(self, ta: np.ndarray, tb: np.ndarray, weighting: str) -> complex:
+        """Average of ta[count(n)] * tb[count(n+shift)] over n <= N."""
+        _, joint, total = self._weighted(weighting)
+        return complex(ta @ joint.astype(np.complex128) @ tb) / total
+
 
 _cached_block: sieve.FactorCountBlock | None = None
 _profile_cache: dict = {}
+_prime_table: sieve.PrimeTable | None = None
 
 
 def invalidate_cache() -> None:
-    global _cached_block
+    global _cached_block, _prime_table
     _cached_block = None
     _profile_cache.clear()
+    _prime_table = None
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending int64, a prefix view of the table."""
+    global _prime_table
+    limit = int(limit)
+    if _prime_table is None or _prime_table.limit < limit:
+        _prime_table = sieve.enumerate_primes(max(limit, 10**5))
+        _prime_table.primes.flags.writeable = False   # callers hold views of it
+    primes = _prime_table.primes
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+
+
+def require_primes(values: np.ndarray, what: str) -> None:
+    """Raise ContractError unless every entry of values is a prime."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and np.setdiff1d(values, primes_upto(int(values.max()))).size:
+        raise ContractError(f"{what} contains a number that is not prime")
 
 
 def adopt_block(block: sieve.FactorCountBlock) -> None:

@@ -30,7 +30,7 @@ from . import profiles
 from . import pretentious
 from . import sieve
 from .correlation import BoundedFunction
-from .profiles import NBINS
+from .profiles import LOGARITHMIC, NBINS
 
 __all__ = [
     "PrimeWindow",
@@ -138,8 +138,8 @@ def prime_window(n_limit: int | None = None,
     if upper < 2.0:
         raise DegenerateWindowError(
             f"no primes at or below {upper!r}", lower=lower, upper=upper)
-    table = sieve.enumerate_primes(int(math.floor(upper)))
-    primes = table.primes[table.primes >= lower]
+    primes = profiles.primes_upto(math.floor(upper))
+    primes = primes[primes >= lower]
     if primes.size == 0:
         raise DegenerateWindowError(
             f"no primes in [{lower!r}, {upper!r}]", lower=lower, upper=upper)
@@ -310,10 +310,8 @@ def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
     family = pretentious.frequency_family(n_limit)
     profile = profiles.two_point_profile(n_limit, 1)
     ta, tb = a.table(), b.table()
-    lhs_mean = (ta @ profile.joint_log @ tb) / profile.harmonic_mass
-    mean_a = (profile.log_hist @ ta) / profile.harmonic_mass
-    mean_b = (profile.log_hist @ tb) / profile.harmonic_mass
-    lhs = abs(lhs_mean - mean_a * mean_b)
+    lhs = abs(profile.pair_mean(ta, tb, LOGARITHMIC)
+              - profile.mean(ta, LOGARITHMIC) * profile.mean(tb, LOGARITHMIC))
     total = reduced_sum(n_limit, window, family.members)
     sqrt_reduced = math.sqrt(total)
     audit_term = audit_constant * math.log(math.log(n_limit)) ** (-1.0 / 6.0)

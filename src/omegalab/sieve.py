@@ -69,24 +69,18 @@ def TruncatedOmega(cutoff) -> CountMode:  # noqa: N802 - reads as a constructor
 class SieveConfig:
     segment_length: int = 1 << 22
     worker_count: int = 1
-    truncation_exponent: float = 8.0
 
     def __post_init__(self):
         if self.segment_length < 2:
             raise ContractError("segment_length must be >= 2")
         if self.worker_count < 1:
             raise ContractError("worker_count must be >= 1")
-        if not self.truncation_exponent > 0:
-            raise ContractError("truncation_exponent must be positive")
 
 
 @dataclass(frozen=True)
 class PrimeTable:
     limit: int
     primes: np.ndarray  # ascending int64
-
-    def __len__(self):
-        return int(self.primes.size)
 
 
 @dataclass(frozen=True)
@@ -132,6 +126,8 @@ def truncation_cutoff(n_limit: int, exponent: float = 8.0) -> float:
 
 
 def _base_primes(hi: int) -> np.ndarray:
+    # sieved afresh, never kept: the primes below the square root of a far
+    # window (10^7 at 10^14), retained, would add to every later memory peak
     root = isqrt(hi - 1)
     if root < 2:
         return np.empty(0, dtype=np.int64)

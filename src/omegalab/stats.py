@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
-from .profiles import CHUNK, NBINS, two_point_profile
+from .profiles import NBINS, chunks, require_primes, two_point_profile
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,12 @@ def gaussian_model(n_limit: int) -> GaussianModel:
     return GaussianModel(mu=mu, sigma=math.sqrt(mu))
 
 
-def gaussian_density(x: float, model: GaussianModel) -> float:
+def gaussian_density(x, model: GaussianModel):
+    """Model density at x, a number or an array of levels."""
     if not model.sigma > 0:
         raise ContractError("gaussian density needs sigma > 0")
-    z = (x - model.mu) / model.sigma
-    return math.exp(-0.5 * z * z) / (model.sigma * math.sqrt(2.0 * math.pi))
+    z = (np.asarray(x, dtype=np.float64) - model.mu) / model.sigma
+    return np.exp(-0.5 * z * z) / (model.sigma * math.sqrt(2.0 * math.pi))
 
 
 def normal_cdf(x) -> np.ndarray:
@@ -95,10 +96,7 @@ def density_table(n_limit: int, counts_block=None) -> DensityTable:
         raise ContractError("density table needs N >= 3")
     counts = None if counts_block is None else _block_counts(n_limit, counts_block)
     profile = two_point_profile(n_limit, 0, counts)
-    model = gaussian_model(n_limit)
-    ells = np.arange(NBINS, dtype=np.float64)
-    z = (ells - model.mu) / model.sigma
-    gauss = np.exp(-0.5 * z * z) / (model.sigma * math.sqrt(2.0 * math.pi))
+    gauss = gaussian_density(np.arange(NBINS, dtype=np.float64), gaussian_model(n_limit))
     return DensityTable(
         N=int(n_limit),
         counts=profile.hist,
@@ -166,16 +164,14 @@ def turan_kubilius_check(n_limit: int, prime_set) -> dict:
     p_arr = np.unique(p_arr)
     if p_arr[0] < 2 or p_arr[-1] > n_limit:
         raise ContractError("prime set must lie inside [2, N]")
-    table = sieve.enumerate_primes(int(p_arr[-1]))
-    if np.setdiff1d(p_arr, table.primes).size:
-        raise ContractError("prime set contains a composite")
+    require_primes(p_arr, "prime set")
     indicator_sum = np.zeros(n_limit, dtype=np.uint8)   # index = n - 1
     for p in p_arr:
         indicator_sum[p - 1 :: p] += 1
     expected = float(np.sum(1.0 / p_arr.astype(np.float64)))
     lhs = 0.0
-    for start in range(0, n_limit, CHUNK):
-        chunk = indicator_sum[start : start + CHUNK].astype(np.float64)
+    for start, stop, _ in chunks(n_limit, weighted=False):
+        chunk = indicator_sum[start:stop].astype(np.float64)
         lhs += float(np.sum(np.abs(chunk - expected)))
     lhs /= n_limit
     rhs = 2.0 * math.sqrt(expected)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab import correlation
 from omegalab.correlation import (
     CESARO,
     LOGARITHMIC,
@@ -248,3 +249,15 @@ def test_k_point_explore_capacity_and_validation():
         k_point_explore([par], 100)
     with pytest.raises(ContractError):
         k_point_explore([par], 2000, "uniform")
+
+
+def test_unknown_weighting_is_refused_before_any_pass(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("counts were read before the weighting was checked")
+    for name in ("two_point_profile", "shared_counts", "chunks"):
+        monkeypatch.setattr(correlation, name, reached)
+    par = parity_function()
+    with pytest.raises(ContractError, match="bogus"):
+        two_point_lhs(par, par, 5000, 1, "bogus")
+    with pytest.raises(ContractError, match="bogus"):
+        k_point_explore([par, par], 5000, "bogus")

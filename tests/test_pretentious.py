@@ -342,8 +342,11 @@ def test_binned_sums_rule_for_width_and_order():
     # the bound is certified only inside the range the moments were built for
     with pytest.raises(ContractError):
         narrow.distance_sq([5.5])
-    with pytest.raises(ContractError):
-        distance_sq_profile(liouville_spec(), 10**4, [0.0, math.nan])
+    for bad in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ContractError):
+            distance_sq_profile(liouville_spec(), 10**4, bad)
+        with pytest.raises(ContractError):
+            m0(liouville_spec(), 10**4, bad)
     # cells finer than the rounding of log p cannot be certified
     with pytest.raises(ContractError):
         distance_sq_profile(liouville_spec(), 10**4, [1e16])
@@ -356,6 +359,24 @@ def test_tail_bound_on_the_cli_default_grid_at_1e7():
     # the reported infimum is the exact distance at the reported argmin
     exact = distance_sq_to_twist(liouville_spec(), 10**7, out["argmin_t"])
     assert out["value"] == pytest.approx(exact, abs=out["tail_bound"] + 1e-12)
+
+
+def test_m0_finds_the_deepest_dip_on_a_coarse_grid():
+    # 101 log-spaced points over |t| <= log N miss the dips near |t| = 14
+    # at 10^7 (they gave 2.5447 for Liouville and 2.287 for mode 5)
+    n = 10**7
+    coarse = log_t_grid(math.log(n), points=101)
+    fine = np.linspace(-math.log(n), math.log(n), 20001)
+    liouville = m0(liouville_spec(), n, coarse)
+    assert liouville["value"] == pytest.approx(1.802379, abs=1e-6)
+    assert abs(liouville["argmin_t"]) == pytest.approx(14.1003, abs=1e-4)
+    assert liouville["value"] == pytest.approx(
+        m0(liouville_spec(), n, log_t_grid(math.log(n), points=2001))["value"], abs=1e-12)
+    mode5 = mode_spec(frequency_family(n), 5)
+    out = m0(mode5, n, coarse)
+    assert out["value"] == pytest.approx(1.907675, abs=1e-6)
+    for spec, found in ((liouville_spec(), liouville), (mode5, out)):
+        assert found["value"] <= float(distance_sq_profile(spec, n, fine).min()) + 1e-12
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,5 +1,11 @@
 """Two-point profile construction against direct per-n loops."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +13,9 @@ from hypothesis import strategies as st
 
 from omegalab import pretentious, profiles, reduction
 from omegalab.errors import ContractError
-from omegalab.profiles import TwoPointProfile, shared_counts, two_point_profile
-from omegalab.sieve import BigOmega, SmallOmega, factor_counts
+from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, require_primes,
+                               shared_counts, two_point_profile)
+from omegalab.sieve import BigOmega, SmallOmega, enumerate_primes, factor_counts
 from omegalab.stats import density_table
 
 
@@ -41,6 +48,26 @@ def test_profile_matches_direct_loop(n_limit, shift):
     np.testing.assert_allclose(got.log_hist, want.log_hist, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.joint_log, want.joint_log, rtol=0, atol=1e-12)
     assert got.harmonic_mass == pytest.approx(want.harmonic_mass, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3])
+def test_profile_means_match_direct_sums(shift):
+    n_limit = 700
+    counts = factor_counts(1, n_limit + shift + 1).counts
+    rng = np.random.default_rng(shift)
+    shape = (2, profiles.NBINS)
+    ta, tb = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    prof = two_point_profile(n_limit, shift)
+    n = np.arange(1, n_limit + 1)
+    a, b = ta[counts[:n_limit]], tb[counts[shift : n_limit + shift]]
+    for weighting, w in ((CESARO, np.ones(n_limit)), (LOGARITHMIC, 1.0 / n)):
+        assert prof.mean(ta, weighting) == pytest.approx(np.sum(a * w) / w.sum(), abs=1e-12)
+        assert prof.pair_mean(ta, tb, weighting) == pytest.approx(
+            np.sum(a * b * w) / w.sum(), abs=1e-12)
+    with pytest.raises(ContractError):
+        prof.mean(ta, "uniform")
+    with pytest.raises(ContractError):
+        prof.pair_mean(ta, tb, "uniform")
 
 
 def test_profile_marginals_are_consistent():
@@ -150,9 +177,27 @@ def test_inner_log_mean_follows_the_profile_cache():
 
 
 # few (N, shift) keys, so that calls in one sequence meet in the cache
-_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "foreign"]),
+_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "foreign",
+                                           "window", "distance", "require"]),
                           st.sampled_from([3, 64, 1000, 2000]), st.integers(0, 7)),
                 min_size=1, max_size=12)
+
+
+def _check_prime_read(op, limit):
+    # the sieve itself keeps no table: it is the oracle for the cached one
+    want = enumerate_primes(limit).primes
+    if op == "window":
+        window = reduction.prime_window(overrides={"lower": 2, "upper": limit})
+        np.testing.assert_array_equal(window.primes, want)
+    elif op == "distance":
+        got = pretentious.distance(pretentious.liouville_spec(), pretentious.unit_spec(),
+                                   limit)
+        assert got == pytest.approx(math.sqrt(np.sum(2.0 / want)), rel=1e-14)
+    else:
+        require_primes(want, "primes")
+        for bad in ([1], [want[-1], 4 * want[-1]]):
+            with pytest.raises(ContractError):
+                require_primes(np.array(bad), "primes")
 
 
 @settings(max_examples=40)
@@ -160,6 +205,10 @@ _OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "forei
 def test_results_do_not_depend_on_call_order(ops):
     profiles.invalidate_cache()
     for op, n_limit, shift in ops:
+        if op in ("window", "distance", "require"):
+            # limits below and above the table's 10^5 floor, so it grows
+            _check_prime_read(op, 100 * n_limit + shift)
+            continue
         if op == "foreign":
             counts = factor_counts(1, n_limit + shift + 1, SmallOmega).counts
             _assert_same_profile(two_point_profile(n_limit, shift, counts),
@@ -184,3 +233,54 @@ def test_results_do_not_depend_on_call_order(ops):
     for name in ("counts", "pi_bar", "pi_bar_log", "gaussian"):
         np.testing.assert_array_equal(getattr(with_block, name), getattr(shared, name))
     assert with_block.harmonic_mass == shared.harmonic_mass
+
+
+_CACHE_PROBE = """
+import contextlib, io, json, math, sys
+from omegalab import cli, correlation, pretentious, profiles, reduction, stats
+
+def state():
+    # every module-level value of the package, containers by their contents
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "omegalab":
+            continue
+        for key, value in vars(module).items():
+            if isinstance(value, dict):
+                value = [(k, id(v)) for k, v in value.items()]
+            elif isinstance(value, (list, set)):
+                value = [id(v) for v in value]
+            else:
+                value = id(value)
+            out[name + "." + key] = value
+    return out
+
+before = state()
+par = correlation.parity_function()
+grid = pretentious.log_t_grid(math.log(10**4), points=21)
+pretentious.halasz_audit(pretentious.liouville_spec(), 10**4, grid)
+pretentious.distance(pretentious.liouville_spec(), pretentious.unit_spec(), 2 * 10**5)
+correlation.prime_shift_identity(par, par, 10**4, [3, 5])
+correlation.k_point_explore([par, par], 10**4)
+stats.turan_kubilius_check(100, [2, 3])
+stats.density_table(10**4)
+reduction.reduced_sum_terms(10**4, reduction.prime_window(10**4), [1])
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["correlate", "--n", "5000"])
+profiles.invalidate_cache()
+after = state()
+print(json.dumps(sorted(k for k in set(before) | set(after)
+                        if before.get(k) != after.get(k))))
+"""
+
+
+def test_invalidate_cache_leaves_no_module_level_cache():
+    # A fresh process, so that no earlier test has filled a cache: after a
+    # run through every module and invalidate_cache(), each module-level
+    # value of the package is what it was at import.
+    src = os.path.dirname(os.path.dirname(profiles.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _CACHE_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

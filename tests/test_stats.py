@@ -27,6 +27,10 @@ def test_gaussian_density_peak():
     model = gaussian_model(10 ** 6)
     peak = gaussian_density(model.mu, model)
     assert math.isclose(peak, 0.3989422804014327 / model.sigma, rel_tol=1e-12)
+    # an array of levels gives the same values as one call per level
+    levels = np.array([0.0, 1.0, 2.5, model.mu, 9.0])
+    np.testing.assert_array_equal(gaussian_density(levels, model),
+                                  [gaussian_density(x, model) for x in levels])
 
 
 def test_normal_cdf():
