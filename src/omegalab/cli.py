@@ -307,11 +307,15 @@ def _run_halasz(p):
     return {}, pretentious.halasz_audit(spec, p["n"], grid)
 
 
-def _window(p):
-    """The prime window at --n with any edge overrides, and its manifest block."""
+def _window_overrides(p):
     overrides = {edge: p["window_" + edge] for edge in ("lower", "upper")
                  if p["window_" + edge] is not None}
-    window = reduction.prime_window(p["n"], overrides or None)
+    return overrides or None
+
+
+def _window(p):
+    """The prime window at --n with any edge overrides, and its manifest block."""
+    window = reduction.prime_window(p["n"], _window_overrides(p))
     return window, {"lower": window.lower, "upper": window.upper,
                     "formula_lower": window.formula_lower,
                     "formula_upper": window.formula_upper,
@@ -332,8 +336,12 @@ def _run_reduce(p):
 
 
 def _run_circle(p):
-    window, block = _window(p)
     resolution = p["resolution"]
+    if resolution is not None:
+        # every window prime is at least the lower edge: refuse before sieving
+        lower = reduction.window_edges(p["n"], _window_overrides(p))[0]
+        reduction.require_grid_resolution(resolution, lower)
+    window, block = _window(p)
     if resolution is None:
         resolution = 10 * int(window.max_prime)
     measure = reduction.major_arc_measure(window, p["epsilon"], resolution)

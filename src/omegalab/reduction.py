@@ -106,14 +106,11 @@ def window_formula_bounds(n_limit: int) -> tuple[float, float]:
     return lower, upper
 
 
-def prime_window(n_limit: int | None = None,
-                 overrides: dict | None = None) -> PrimeWindow:
-    """Prime window for shift averaging, by formula or explicit bounds.
+def window_edges(n_limit: int | None = None,
+                 overrides: dict | None = None) -> tuple:
+    """(lower, upper, formula_lower, formula_upper) of prime_window's window.
 
-    overrides, when given, is a mapping with keys "lower" and "upper"
-    that replaces the formula edges; the formula values are still
-    recorded when n_limit is supplied.  An empty window raises
-    DegenerateWindowError carrying the offending edges.
+    Checks the edges as prime_window does, without sieving any prime.
     """
     formula_lower = formula_upper = None
     if n_limit is not None:
@@ -138,6 +135,19 @@ def prime_window(n_limit: int | None = None,
     if upper < 2.0:
         raise DegenerateWindowError(
             f"no primes at or below {upper!r}", lower=lower, upper=upper)
+    return lower, upper, formula_lower, formula_upper
+
+
+def prime_window(n_limit: int | None = None,
+                 overrides: dict | None = None) -> PrimeWindow:
+    """Prime window for shift averaging, by formula or explicit bounds.
+
+    overrides, when given, is a mapping with keys "lower" and "upper"
+    that replaces the formula edges; the formula values are still
+    recorded when n_limit is supplied.  An empty window raises
+    DegenerateWindowError carrying the offending edges.
+    """
+    lower, upper, formula_lower, formula_upper = window_edges(n_limit, overrides)
     primes = profiles.primes_upto(math.floor(upper))
     primes = primes[primes >= lower]
     if primes.size == 0:
@@ -433,6 +443,17 @@ def _abs_sum_grid(window: PrimeWindow, resolution: int) -> np.ndarray:
     return np.abs(np.fft.fft(folded)) / window.mass
 
 
+def require_grid_resolution(grid_resolution, max_prime) -> None:
+    """Refuse a grid of fewer than 10 * max_prime points.
+
+    A lower bound of the window's largest prime, such as its lower edge,
+    refuses a grid before the window is built.
+    """
+    if grid_resolution < 10 * max_prime:
+        raise ContractError(
+            "grid_resolution must be at least 10 * max window prime")
+
+
 def major_arc_measure(window: PrimeWindow, epsilon: float,
                       grid_resolution: int) -> float:
     """Grid estimate of the measure of {alpha in [0,1): |sum| > epsilon}.
@@ -444,9 +465,7 @@ def major_arc_measure(window: PrimeWindow, epsilon: float,
     if not epsilon > 0.0:
         raise ContractError("epsilon must be positive")
     grid_resolution = int(grid_resolution)
-    if grid_resolution < 10 * window.max_prime:
-        raise ContractError(
-            "grid_resolution must be at least 10 * max window prime")
+    require_grid_resolution(grid_resolution, window.max_prime)
     spacing = 1.0 / grid_resolution
     alphas = np.arange(grid_resolution, dtype=np.float64) * spacing
     values = _abs_sum_grid(window, grid_resolution)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import cli
+from omegalab import cli, profiles
 
 
 def _run(capsys, *argv):
@@ -247,6 +247,19 @@ def test_circle_command_reports_measure(capsys, tmp_path):
                   "--epsilon", "0.5")
     assert 0.0 <= rep["results"]["measure"] <= 1.0
     assert rep["results"]["audit_product"] >= 0.0
+
+
+def test_circle_refuses_low_resolution_before_sieving(capsys, monkeypatch):
+    # every window prime is at least the lower edge, so a grid below 10 x
+    # that edge is refused before the primes up to the upper edge are sieved
+    def unreachable(limit):
+        raise AssertionError(f"primes sieved up to {limit}")
+    monkeypatch.setattr(profiles, "primes_upto", unreachable)
+    code, out, err = _run(capsys, "circle", "--window-lower", "99999000",
+                          "--window-upper", "1e8", "--resolution", "10")
+    assert code == cli.EXIT_CONTRACT
+    assert out == ""
+    assert "grid_resolution must be at least 10 * max window prime" in err
 
 
 def test_reduce_writes_sweep_csv(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Sieve kernels against trial division and their own contracts."""
 
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,112 @@ def test_count_bounds(n):
     assert block.counts[0] >= 1
 
 
+# --- the two prime paths and the integer residual -----------------------
+
+# 211 and 37 lie above the strided/bucketed split of both segment lengths
+# used here (64 >> 7 = 0 and 2**12 >> 7 = 32).  The segment roots are about
+# 211, 225 and 3064 around 211**2, 37**3 and 211**3, so the truncated
+# cutoffs fall on both sides of each of them; 233 and 3079 are themselves
+# the prime factor above the root of some n in those windows.
+@pytest.mark.parametrize("segment_length", [64, 1 << 12])
+@pytest.mark.parametrize("center", [211 ** 2, 37 ** 3, 211 ** 3])
+@pytest.mark.parametrize("mode,kwargs", [
+    (BigOmega, {}),
+    (SmallOmega, {"distinct": True}),
+    *((TruncatedOmega(c), {"distinct": True, "cutoff": c}) for c in (199, 233, 3061, 3079, 10 ** 8)),
+])
+def test_kernel_matches_trial_division_around_prime_powers(segment_length, center,
+                                                           mode, kwargs):
+    lo, hi = center - 150, center + 150
+    block = factor_counts(lo, hi, mode, SieveConfig(segment_length=segment_length))
+    assert list(block.counts) == _trial_counts(lo, hi, **kwargs)
+
+
+def _reference_primes(limit):
+    """Primes <= limit by a plain boolean sieve over every integer."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
+
+
+def _numpy_trial_counts(ns, hi, cutoff):
+    """(Omega, omega, omega up to cutoff) of each n, dividing by the primes to sqrt(hi)."""
+    primes = _reference_primes(math.isqrt(hi - 1))
+    rows = []
+    for n in ns:
+        m, big, small, truncated = n, 0, 0, 0
+        for p in primes[n % primes == 0].tolist():
+            while m % p == 0:
+                m //= p
+                big += 1
+            small += 1
+            truncated += p <= cutoff
+        if m > 1:
+            big, small, truncated = big + 1, small + 1, truncated + (m <= cutoff)
+        rows.append((big, small, truncated))
+    return np.array(rows)
+
+
+# sha256 of the counts on [lo, lo + 2**15), computed by the float-residual
+# kernel that the integer residual replaced
+_FAR_WIDTH = 1 << 15
+_FAR_CUTOFF = 10 ** 7
+_FAR_DIGESTS = {
+    10 ** 12: ("d06444e62529061618e8aa9733e5ee0cdf7953a02291ccd6a511a25d542c957a",
+               "53b4b38aac99bd204ed9ced26debc3f070d314f3b80ae83d0005d8eebd2cd172",
+               "978aaddd2ac3dd9abc0429b18352a5a096b3f4ab49be380704b353298b805691"),
+    10 ** 14: ("18a413f380eaaebd176f3fcead1b01fad2a8d7edc61a9b5b182e759164feb497",
+               "e6296d4f0296e0078150e696bff70cc256f288b0b82b4a67bed73a133ae2a565",
+               "41c183642eade66de69d8ce7d8afbff94d84db8535b2479cce77caae735ee727"),
+    10 ** 15: ("8f3e0681f2aee7e6719d6203aaa9453478c7a02a4002e1967781eb207031df74",
+               "ab8b057c2e1a0c4c148ba8107942a3cc152bfc4bd127782e736bd94b6a32fecd",
+               "42e1d6cdc5a7914fa511dc8c5eebec73eb11296474de936a4cc3c71bd8cdef02"),
+}
+
+
+@pytest.mark.parametrize("lo", sorted(_FAR_DIGESTS))
+def test_far_windows_match_pinned_digests_and_trial_division(lo):
+    hi = lo + _FAR_WIDTH
+    modes = (BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF))
+    blocks = [factor_counts(lo, hi, mode) for mode in modes]
+    digests = tuple(hashlib.sha256(b.counts.tobytes()).hexdigest() for b in blocks)
+    assert digests == _FAR_DIGESTS[lo]
+    rng = np.random.default_rng(lo % 1000003)
+    ns = sorted({lo, hi - 1, *(lo + int(k) for k in rng.integers(0, _FAR_WIDTH, 40))})
+    sieved = np.array([[int(b.counts[n - lo]) for b in blocks] for n in ns])
+    assert np.array_equal(sieved, _numpy_trial_counts(ns, hi, _FAR_CUTOFF))
+
+
+@pytest.mark.parametrize("mode", [BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF)])
+def test_far_window_independent_of_workers_and_segments(mode):
+    lo, hi = 10 ** 14 + 12345, 10 ** 14 + 12345 + _FAR_WIDTH
+    base = factor_counts(lo, hi, mode)
+    for config in (SieveConfig(worker_count=2),
+                   SieveConfig(segment_length=1 << 12),
+                   SieveConfig(segment_length=1 << 12, worker_count=2)):
+        assert np.array_equal(factor_counts(lo, hi, mode, config).counts, base.counts)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_peaks_of_far_window_and_dense_sieve():
+    # the float-residual kernel peaked at 21.3 MiB and 73.5 MiB here
+    far = _traced_peak(factor_counts, 10 ** 14, 10 ** 14 + 10 ** 6, SmallOmega)
+    assert far <= 25 * 2 ** 20
+    dense = _traced_peak(factor_counts, 1, 10 ** 7 + 1)
+    assert dense <= 73.5 * 2 ** 20
+
+
 # --- configuration and determinism ----------------------------------------
 
 def test_worker_counts_bit_identical():
@@ -158,6 +266,10 @@ def test_enumerate_primes():
     table = enumerate_primes(10 ** 6)
     assert table.primes.size == 78498
     assert table.primes[0] == 2 and table.primes[-1] == 999983
+    for limit in [*range(2, 130), 10 ** 5 + 3]:
+        primes = enumerate_primes(limit).primes
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, _reference_primes(limit))
     with pytest.raises(EmptyDomainError):
         enumerate_primes(1)
 
@@ -208,6 +320,15 @@ def test_binary_rejects_corruption(tmp_path):
         path.write_bytes(struct.pack("<QQBd", lo, hi, 0, 0.0) + body)
         with pytest.raises(error):
             read_block(path)
+
+
+def test_csv_bytes_match_row_by_row_format(tmp_path):
+    lo = 10 ** 6 + 7
+    block = factor_counts(lo, lo + (1 << 16) + 100)   # crosses chunk boundaries
+    path = tmp_path / "block.csv"
+    write_block_csv(block, path)
+    rows = "".join(f"{lo + i},{int(v)}\n" for i, v in enumerate(block.counts))
+    assert path.read_bytes() == ("n,count\n" + rows).encode()
 
 
 def test_csv_export(tmp_path):
