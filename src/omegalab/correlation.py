@@ -19,7 +19,8 @@ import numpy as np
 from . import stats
 from .errors import CapacityError, ContractError, EmptyDomainError
 from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, chunks,
-                       require_primes, shared_counts, two_point_profile)
+                       require_primes, shared_counts, two_point_profile,
+                       two_point_profiles)
 
 MODULUS_SLACK = 1e-12
 
@@ -208,6 +209,7 @@ def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,
 
     lhs averages a(count(n)) b(count(n+1)); rhs log-averages over window
     primes p the correlation of the down-shifted functions at shift p.
+    One multi-shift pass fills every (N, 1) and (N, p) profile not cached.
     """
     p_arr = np.unique(np.asarray(list(window), dtype=np.int64))
     if p_arr.size == 0:
@@ -215,11 +217,11 @@ def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     if n_limit < 10 * int(p_arr[-1]):
         raise ContractError("need N >= 10 * max window prime")
     require_primes(p_arr, "window")
-    lhs = two_point_lhs(a, b, n_limit, 1, LOGARITHMIC)
+    first, *shifted = two_point_profiles(n_limit, [1, *p_arr.tolist()])
+    lhs = first.pair_mean(a.table(), b.table(), LOGARITHMIC)
     ta = a.down_shifted().table()
     tb = b.down_shifted().table()
-    inner = np.array([two_point_profile(n_limit, int(p)).pair_mean(ta, tb, LOGARITHMIC)
-                      for p in p_arr])
+    inner = np.array([profile.pair_mean(ta, tb, LOGARITHMIC) for profile in shifted])
     weights = 1.0 / p_arr.astype(np.float64)
     rhs = complex(np.sum(inner * weights) / np.sum(weights))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
@@ -229,7 +231,10 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
     """Joint average of up to four consecutive-shift factors; EXPLORATORY.
 
     Returns the joint average, the product of marginal averages over [N],
-    and their gap.
+    and their gap.  The joint average contracts the k tables with one
+    histogram of the index sum over i < k of count(n+i) * L^(k-1-i), where
+    L = (N+k).bit_length() bounds every level read, since count(n) <=
+    log2(n).  So it has L^k bins: about 5.3e5 at k = 4 and N = 1e8.
     """
     functions = list(functions)
     k = len(functions)
@@ -241,18 +246,21 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
         raise ContractError("exploration wants N >= 1e3")
     check_weighting(weighting)
     counts = shared_counts(n_limit + k)
-    tables = [fn.table() for fn in functions]
-    total = 0.0 + 0.0j
+    base = (n_limit + k).bit_length()
+    hist = np.zeros(base**k, dtype=np.int64 if weighting == CESARO else np.float64)
     for start, stop, inv_n in chunks(n_limit, weighting == LOGARITHMIC):
-        prod = tables[0][counts[start:stop]]
+        index = counts[start:stop].astype(np.intp)
         for i in range(1, k):
-            prod = prod * tables[i][counts[start + i : stop + i]]
-        total += np.sum(prod if inv_n is None else prod * inv_n)
+            index *= base
+            index += counts[start + i : stop + i]
+        hist += np.bincount(index, weights=inv_n, minlength=hist.size)
 
+    value = hist.astype(np.complex128)
+    for fn in reversed(functions):   # the last factor is the fastest index
+        value = value.reshape(-1, base) @ fn.table(base)
     profile = two_point_profile(n_limit, 0)
-    joint = complex(total / (n_limit if weighting == CESARO else profile.harmonic_mass))
-    singles = [profile.mean(table, weighting) for table in tables]
-    product = complex(np.prod(singles))
+    joint = complex(value[0]) / (n_limit if weighting == CESARO else profile.harmonic_mass)
+    product = complex(np.prod([profile.mean(fn.table(), weighting) for fn in functions]))
     return {
         "label": "EXPLORATORY",
         "k": k,

@@ -10,11 +10,18 @@ operations need into 64-vectors and a 64x64 joint matrix per (N, shift):
   joint[k,l]     count of {n <= N : count(n) = k, count(n+shift) = l}
   joint_log[k,l] same pairs, 1/n-weighted
 
-Shift 0 is the marginal-only profile: its pass fills hist and log_hist
-alone, and joint, joint_log are their diagonals.
+hist and log_hist are the row sums of the pair's own joint matrices.  For
+shift 0 the joints are diagonal, so the (N, 0) profile is the marginal one.
+
+One pass serves any set of shifts, 0 included: each chunk builds its 1/n
+and its level cast once, and every shift adds one pair index and two
+bincounts (plain and 1/n-weighted).  A value for (N, shift) is therefore
+the same whichever other shifts shared its pass.
 
 Every 1/n-weighted reduction over n <= N walks `chunks`, the only place
 that builds 1/n, so no float array over the full range is materialized.
+Chunks are cache-sized (CHUNK entries), so the per-chunk temporaries are
+reused from the heap instead of being mapped and faulted in afresh.
 
 Every average of a level table is a profile method, `mean` or
 `pair_mean`: CESARO divides by N, LOGARITHMIC by the harmonic mass.
@@ -25,10 +32,12 @@ of it, so a 1e8 sieve is paid for once per process.  The prime table
 follows the same rule: the largest limit asked for so far (at least 1e5)
 is kept, and smaller limits are prefix views of it.  Profiles computed
 from the shared block are kept in one bounded (N, shift) cache that drops
-its oldest entry when full.  The cache is read and written only when the
-counts are the shared block: counts=None, or an array whose memory starts
-at the shared block's n = 1 (checked by identity, never by content).  Any
-other explicit counts are used as given and never cached.
+its oldest entry when full; `two_point_profiles` fills every missing
+shift of one N in one pass and stores each under its own key.  The cache
+is read and written only when the counts are the shared block:
+counts=None, or an array whose memory starts at the shared block's n = 1
+(checked by identity, never by content).  Any other explicit counts are
+used as given and never cached.
 `invalidate_cache` empties the block, the profiles and the prime table.
 """
 
@@ -43,7 +52,15 @@ from .errors import ContractError
 
 # level sets above 63 are empty for any n < 2**64
 NBINS = 64
-CHUNK = 1 << 22
+# Entries per chunk of every pass.  A pass allocates a float64 1/n array and
+# intp level and pair-index arrays per chunk; at 2^22 entries (32 MiB each)
+# they sit at glibc's largest mmap threshold, so every chunk mapped fresh
+# pages and faulted them in again.  One shift-1 pass at N = 10^8 on a 2-core
+# x86 box: 2^22, 2.3 s and 25 000-38 000 minor faults; 2^20, 1.6 s and 2 700;
+# 2^18, 0.95 s and 1 500; 2^16, 0.90 s and 250.  2^16 was also the fastest
+# for the multi-shift pass and the k = 3 histogram of k_point_explore; only
+# its k = 4 histogram ran faster at 2^18 (1.4 s against 2.0 s).
+CHUNK = 1 << 16
 _CACHE_LIMIT = 64
 
 CESARO = "cesaro"
@@ -153,58 +170,64 @@ def chunks(n_limit: int, weighted: bool = True):
         yield start, stop, np.divide(1.0, inv_n, out=inv_n)
 
 
-def _profile_pass(counts: np.ndarray, n_limit: int, shift: int) -> TwoPointProfile:
-    hist = np.zeros(NBINS, dtype=np.int64)
-    log_hist = np.zeros(NBINS, dtype=np.float64)
-    joint = np.zeros(NBINS * NBINS, dtype=np.int64)
-    joint_log = np.zeros(NBINS * NBINS, dtype=np.float64)
+def _profile_pass(counts: np.ndarray, n_limit: int, shifts) -> list[TwoPointProfile]:
+    """One profile per shift, all from one chunked pass over counts."""
+    joints = np.zeros((len(shifts), NBINS * NBINS), dtype=np.int64)
+    joint_logs = np.zeros((len(shifts), NBINS * NBINS), dtype=np.float64)
     mass = 0.0
     for start, stop, inv_n in chunks(n_limit):
-        level = counts[start:stop].astype(np.intp)
         mass += float(inv_n.sum())
-        log_hist += np.bincount(level, weights=inv_n, minlength=NBINS)
-        if shift:
-            # in place, level becomes the pair index count(n), count(n+shift)
-            level *= NBINS
-            level += counts[start + shift : stop + shift]
-            joint += np.bincount(level, minlength=NBINS * NBINS)
-            joint_log += np.bincount(level, weights=inv_n, minlength=NBINS * NBINS)
-        else:
-            hist += np.bincount(level, minlength=NBINS)
-        del level   # freed before the next chunk's 1/n is built
-    if shift:
+        row = counts[start:stop].astype(np.intp)
+        row *= NBINS
+        pair = np.empty_like(row)
+        for joint, joint_log, shift in zip(joints, joint_logs, shifts):
+            # pair index count(n) * NBINS + count(n+shift)
+            np.add(row, counts[start + shift : stop + shift], out=pair)
+            joint += np.bincount(pair, minlength=NBINS * NBINS)
+            joint_log += np.bincount(pair, weights=inv_n, minlength=NBINS * NBINS)
+    out = []
+    for joint, joint_log, shift in zip(joints, joint_logs, shifts):
         joint, joint_log = joint.reshape(NBINS, NBINS), joint_log.reshape(NBINS, NBINS)
-        hist = joint.sum(axis=1)
-    else:
-        joint, joint_log = np.diag(hist), np.diag(log_hist)
-    return TwoPointProfile(n_limit=n_limit, shift=shift, hist=hist,
-                           log_hist=log_hist, joint=joint, joint_log=joint_log,
-                           harmonic_mass=mass)
+        out.append(TwoPointProfile(n_limit=n_limit, shift=shift, hist=joint.sum(axis=1),
+                                   log_hist=joint_log.sum(axis=1), joint=joint,
+                                   joint_log=joint_log, harmonic_mass=mass))
+    return out
+
+
+def two_point_profiles(n_limit: int, shifts,
+                       counts: np.ndarray | None = None) -> list[TwoPointProfile]:
+    """Sufficient statistics for two-point averages over n <= N, per shift.
+
+    counts, when given, must hold the multiplicity counts for
+    n = 1 .. N + max(shifts) (index n-1); otherwise the shared cache
+    supplies them.  Every shift missing from the cache is filled by one
+    pass, and the profiles come back in the order of shifts.
+    """
+    n_limit, shifts = int(n_limit), [int(h) for h in shifts]
+    if n_limit < 3:
+        raise ContractError("profile needs N >= 3")
+    if not shifts or min(shifts) < 0:
+        raise ContractError("profile needs shifts >= 0")
+    top = max(shifts)
+    if counts is not None and counts.shape[0] < n_limit + top:
+        raise ContractError("counts must cover n = 1 .. N+shift")
+    shared = counts is None or _is_shared(counts)
+    found = {h: _profile_cache[(n_limit, h)] for h in shifts
+             if shared and (n_limit, h) in _profile_cache}
+    missing = [h for h in dict.fromkeys(shifts) if h not in found]
+    if missing:
+        if counts is None:
+            counts = shared_counts(n_limit + top + 1)
+        for profile in _profile_pass(counts, n_limit, missing):
+            found[profile.shift] = profile
+            if shared:
+                if len(_profile_cache) >= _CACHE_LIMIT:
+                    del _profile_cache[next(iter(_profile_cache))]
+                _profile_cache[(n_limit, profile.shift)] = profile
+    return [found[h] for h in shifts]
 
 
 def two_point_profile(n_limit: int, shift: int = 1,
                       counts: np.ndarray | None = None) -> TwoPointProfile:
-    """Sufficient statistics for two-point averages over n <= N.
-
-    counts, when given, must hold the multiplicity counts for
-    n = 1 .. N+shift (index n-1); otherwise the shared cache supplies them.
-    """
-    n_limit, shift = int(n_limit), int(shift)
-    if n_limit < 3:
-        raise ContractError("profile needs N >= 3")
-    if shift < 0:
-        raise ContractError("profile needs shift >= 0")
-    if counts is not None and counts.shape[0] < n_limit + shift:
-        raise ContractError("counts must cover n = 1 .. N+shift")
-    shared = counts is None or _is_shared(counts)
-    key = (n_limit, shift)
-    if shared and key in _profile_cache:
-        return _profile_cache[key]
-    if counts is None:
-        counts = shared_counts(n_limit + shift + 1)
-    profile = _profile_pass(counts, n_limit, shift)
-    if shared:
-        if len(_profile_cache) >= _CACHE_LIMIT:
-            del _profile_cache[next(iter(_profile_cache))]
-        _profile_cache[key] = profile
-    return profile
+    """The profile of one shift: two_point_profiles(n_limit, [shift], counts)."""
+    return two_point_profiles(n_limit, [shift], counts)[0]

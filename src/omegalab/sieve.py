@@ -47,7 +47,7 @@ MAX_RANGE_END = 2**63
 # per prime power; larger ones, which hit a segment at most 2**_STRIDED_SHIFT
 # times, take the bucketed pass.  Shifts 6 to 9 ran within 25% of each other
 # (about the run-to-run noise) on 10^6-wide windows at 10^12 and 10^14, on a
-# 2-core x86 box.  With the default 2**22 segments a range below 2**30 is
+# 2-core x86 box.  With the default 2**20 segments a range below 2**26 is
 # all strided.
 _STRIDED_SHIFT = 7
 _HIT_BATCH = 1 << 16       # hits expanded at once on the bucketed pass
@@ -87,7 +87,13 @@ def TruncatedOmega(cutoff) -> CountMode:  # noqa: N802 - reads as a constructor
 
 @dataclass(frozen=True)
 class SieveConfig:
-    segment_length: int = 1 << 22
+    # At 2**22 entries a segment's int64 smooth part is 32 MiB, glibc's
+    # largest mmap threshold, so every segment mapped and faulted in fresh
+    # pages (a process sieving [1, 10**8 + 16) took 25 554 minor faults at
+    # 2**22, 9 288 at 2**20).  perfbench stats_1e8 set-up_s, medians of 8
+    # alternated fresh processes on a 2-core x86 box: 2**22, 4.42 s;
+    # 2**20, 2.91 s; 2**18, 2.97 s.
+    segment_length: int = 1 << 20
     worker_count: int = 1
 
     def __post_init__(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import correlation
+from omegalab import correlation, profiles
 from omegalab.correlation import (
     CESARO,
     LOGARITHMIC,
@@ -237,6 +237,30 @@ def test_k_point_explore_k3_frozen():
     out = k_point_explore([par, par, par], 2000, CESARO)
     assert out["value"].real == pytest.approx(0.062, abs=1e-15)
     assert out["independence_gap"] == pytest.approx(0.062001331, abs=1e-12)
+
+
+def _k_point_gather(functions, n_limit, weighting):
+    # the per-n gather loop of the old k_point_explore: one product per n
+    counts = profiles.shared_counts(n_limit + len(functions))
+    tables = [fn.table() for fn in functions]
+    prod = tables[0][counts[:n_limit]]
+    for i in range(1, len(tables)):
+        prod = prod * tables[i][counts[i : n_limit + i]]
+    if weighting == CESARO:
+        return complex(np.sum(prod)) / n_limit
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    return complex(np.sum(prod * inv_n)) / float(np.sum(inv_n))
+
+
+@pytest.mark.parametrize("n_limit", [2000, 10**5])
+@pytest.mark.parametrize("weighting", [CESARO, LOGARITHMIC])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_k_point_histogram_matches_gather_oracle(monkeypatch, k, weighting, n_limit):
+    monkeypatch.setattr(profiles, "CHUNK", 997)
+    functions = [random_bounded_function(10 * k + i) for i in range(k)]
+    out = k_point_explore(functions, n_limit, weighting)
+    assert out["value"] == pytest.approx(_k_point_gather(functions, n_limit, weighting),
+                                         abs=1e-13)
 
 
 def test_k_point_explore_capacity_and_validation():

@@ -5,16 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegalab import pretentious, profiles, reduction
+from omegalab import correlation, pretentious, profiles, reduction
 from omegalab.errors import ContractError
-from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, require_primes,
-                               shared_counts, two_point_profile)
+from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, primes_upto,
+                               require_primes, shared_counts, two_point_profile,
+                               two_point_profiles)
 from omegalab.sieve import BigOmega, SmallOmega, enumerate_primes, factor_counts
 from omegalab.stats import density_table
 
@@ -157,6 +159,69 @@ def test_foreign_counts_do_not_poison_the_cache():
     _assert_same_profile(two_point_profile(1000, 1), _direct_profile(1000, 1))
 
 
+def _assert_identical(got: TwoPointProfile, want: TwoPointProfile):
+    assert (got.n_limit, got.shift) == (want.n_limit, want.shift)
+    for name in ("hist", "log_hist", "joint", "joint_log"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.harmonic_mass == want.harmonic_mass
+
+
+def test_multi_shift_pass_matches_single_shift_passes(monkeypatch):
+    monkeypatch.setattr(profiles, "CHUNK", 997)
+    profiles.invalidate_cache()
+    n_limit, shifts = 5000, [0, 1, 7, 13]
+    counts = factor_counts(1, n_limit + 14).counts
+    singles = [two_point_profile(n_limit, h, counts) for h in shifts]
+    for together in (two_point_profiles(n_limit, shifts, counts),
+                     two_point_profiles(n_limit, shifts)):
+        for got, want in zip(together, singles):
+            _assert_identical(got, want)
+    # the shared pass stored each profile under its own key
+    assert list(profiles._profile_cache) == [(n_limit, h) for h in shifts]
+    assert all(two_point_profile(n_limit, h) is p for h, p in zip(shifts, together))
+    _assert_same_profile(singles[2], _direct_profile(n_limit, 7))
+
+
+def test_profile_pass_memory_is_bounded():
+    # the pass holds one chunk's 1/n, level and pair arrays at a time, a few
+    # MiB whatever N is (2.1 MiB measured), never arrays as long as the block
+    counts = factor_counts(1, 10**7 + 2).counts
+    tracemalloc.start()
+    try:
+        two_point_profile(10**7, 1, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _prime_shift_oracle(a, b, n_limit, window):
+    # lhs and rhs summed over n directly, one shift at a time
+    counts = factor_counts(1, n_limit + max(window) + 1).counts
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    mass = float(np.sum(inv_n))
+
+    def pair(ta, tb, shift):
+        return complex(np.sum(ta[counts[:n_limit]] * tb[counts[shift : n_limit + shift]]
+                              * inv_n)) / mass
+    ta, tb = a.down_shifted().table(), b.down_shifted().table()
+    weights = [1.0 / p for p in window]
+    rhs = sum(w * pair(ta, tb, p) for w, p in zip(weights, window)) / sum(weights)
+    return pair(a.table(), b.table(), 1), rhs
+
+
+def test_prime_shift_window_beyond_the_cache_limit():
+    profiles.invalidate_cache()
+    window = primes_upto(400)
+    assert window.size > profiles._CACHE_LIMIT
+    a, b = correlation.random_bounded_function(1), correlation.random_bounded_function(2)
+    out = correlation.prime_shift_identity(a, b, 4000, window)
+    lhs, rhs = _prime_shift_oracle(a, b, 4000, window.tolist())
+    assert out["lhs"] == pytest.approx(lhs, abs=1e-13)
+    assert out["rhs"] == pytest.approx(rhs, abs=1e-13)
+    assert len(profiles._profile_cache) == profiles._CACHE_LIMIT
+
+
 def test_inner_log_mean_follows_the_profile_cache():
     # A foreign explicit (N, 0) profile must not leak into a later
     # shared-block reduced sum, whose inner mean reads the (N, 0) profile.
@@ -178,9 +243,28 @@ def test_inner_log_mean_follows_the_profile_cache():
 
 # few (N, shift) keys, so that calls in one sequence meet in the cache
 _OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "foreign",
-                                           "window", "distance", "require"]),
+                                           "window", "distance", "require",
+                                           "prime_shift"]),
                           st.sampled_from([3, 64, 1000, 2000]), st.integers(0, 7)),
                 min_size=1, max_size=12)
+
+
+def _check_prime_shift(n_limit, shift):
+    window = [p for p in (2, 3, 5, 7, 11) if 10 * p <= n_limit][: shift + 1]
+    par = correlation.parity_function()
+    if not window:
+        with pytest.raises(ContractError):
+            correlation.prime_shift_identity(par, par, n_limit, window)
+        return
+    out = correlation.prime_shift_identity(par, par, n_limit, window)
+    lhs, rhs = _prime_shift_oracle(par, par, n_limit, window)
+    assert out["lhs"] == pytest.approx(lhs, abs=1e-13)
+    assert out["rhs"] == pytest.approx(rhs, abs=1e-13)
+    # what the multi-shift pass cached is what a single-shift pass gives
+    counts = factor_counts(1, n_limit + window[-1] + 1).counts
+    for h in [1, *window]:
+        _assert_identical(two_point_profile(n_limit, h),
+                          two_point_profile(n_limit, h, counts))
 
 
 def _check_prime_read(op, limit):
@@ -202,12 +286,17 @@ def _check_prime_read(op, limit):
 
 @settings(max_examples=40)
 @given(ops=_OPS)
+@example(ops=[("prime_shift", 1000, 1), ("cached", 1000, 1), ("fresh", 1000, 1),
+              ("explicit", 1000, 3), ("prime_shift", 1000, 2), ("cached", 1000, 5)])
 def test_results_do_not_depend_on_call_order(ops):
     profiles.invalidate_cache()
     for op, n_limit, shift in ops:
         if op in ("window", "distance", "require"):
             # limits below and above the table's 10^5 floor, so it grows
             _check_prime_read(op, 100 * n_limit + shift)
+            continue
+        if op == "prime_shift":
+            _check_prime_shift(n_limit, shift)
             continue
         if op == "foreign":
             counts = factor_counts(1, n_limit + shift + 1, SmallOmega).counts
@@ -223,10 +312,7 @@ def test_results_do_not_depend_on_call_order(ops):
             got = two_point_profile(n_limit, shift)
         _assert_same_profile(got, _direct_profile(n_limit, shift))
         # cached, fresh and explicit results come from the same pass
-        again = two_point_profile(n_limit, shift)
-        for name in ("hist", "log_hist", "joint", "joint_log"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(again, name))
-        assert got.harmonic_mass == again.harmonic_mass
+        _assert_identical(got, two_point_profile(n_limit, shift))
     n_limit = ops[-1][1]
     block = factor_counts(1, n_limit + 1)
     with_block, shared = density_table(n_limit, block), density_table(n_limit)
