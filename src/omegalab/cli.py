@@ -7,10 +7,14 @@ flag resolution all read that table.  Every run prints a JSON report whose
 (window, frequency list, ...) and the quantities derived at that N.  CSV
 outputs carry the same manifest in comment lines; numeric payloads are
 deterministic given manifest and seed, and files are written atomically
-so a failed run never leaves partial results behind.
+so a failed run never leaves partial results behind.  A report's echoed
+manifest fed back through --manifest reproduces the run: its command and
+derived N are checked against the run, its other echoes are recomputed.
 
-Exit codes: 0 success, 2 contract violation or bad usage, 3 unknown
-function preset, 4 degenerate prime window, 5 capacity overflow.
+Exit codes: 0 success, 1 I/O failure after the pre-checks (a disk that
+fills while an --out file is written), 2 contract violation or bad
+usage, 3 unknown function preset, 4 degenerate prime window, 5 capacity
+overflow.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from . import sieve
 from . import stats
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_CONTRACT = 2
 EXIT_PRESET = 3
 EXIT_WINDOW = 4
@@ -51,7 +56,7 @@ EXIT_CAPACITY = 5
 # most specific first: all but OSError are ContractErrors
 _EXIT_CODES = ((UnknownPresetError, EXIT_PRESET), (DegenerateWindowError, EXIT_WINDOW),
                (CapacityError, EXIT_CAPACITY), (ContractError, EXIT_CONTRACT),
-               (OSError, 1))
+               (OSError, EXIT_IO))
 
 WORKERS_ENV = "OMEGALAB_WORKERS"
 
@@ -101,8 +106,10 @@ def _parse_n(value) -> int:
 
 
 def _comma_list(cast):
+    """A comma list from a flag, or a JSON list from a manifest."""
     def parse(value) -> list:
-        items = [cast(part) for part in str(value).split(",") if part != ""]
+        parts = value if isinstance(value, list) else str(value).split(",")
+        items = [cast(part) for part in parts if part != ""]
         if not items:
             raise ContractError(f"expected a comma list, got {value!r}")
         return items
@@ -392,7 +399,7 @@ COMMANDS = {
                       Flag("mode", _choice(*_COUNT_MODES), "big"), Flag("cutoff", _real),
                       _OUT, Flag("format", _choice("bin", "csv"), "bin"),
                       Flag("workers", _integer)),
-                     _run_sieve, limit=lambda m: m["hi"] - 1),
+                     _run_sieve, limit=lambda m: m["n"] if m["hi"] is None else m["hi"] - 1),
     "densities": Command((_N, _OUT), _run_densities),
     "erdos-kac": Command((_N,), _run_erdos_kac),
     "correlate": Command((_N, Flag("a", str, "const"), Flag("b", str, "const"),
@@ -441,11 +448,30 @@ def _read_manifest(path: str) -> dict:
     return data
 
 
+# Keys a report's manifest echoes besides the flags.  command and derived
+# are checked against the run; window and folded_xi are results, recomputed.
+_ECHOES = ("command", "derived", "window", "folded_xi")
+
+
+def _check_echoes(name: str, path: str, echoes: dict, params: dict) -> None:
+    """Refuse an echoed command or derived N that this run would not reproduce."""
+    if echoes.get("command", name) != name:
+        raise ContractError(f"manifest {path}: made by {echoes['command']!r}, not {name}")
+    if "derived" in echoes:
+        derived, n_limit = echoes["derived"], COMMANDS[name].limit(params)
+        if not isinstance(derived, dict) or derived.get("n") != n_limit:
+            raise ContractError(f"manifest {path}: derived n does not match "
+                                f"the run's n = {n_limit}")
+
+
 def _params(name: str, args) -> dict:
     """Each flag cast from its first given source: flag, manifest, default."""
     flags = {flag.key: flag for flag in COMMANDS[name].flags}
-    manifest = {}
+    manifest, echoes = {}, {}
     for key, value in (_read_manifest(args.manifest) if args.manifest else {}).items():
+        if key in _ECHOES:
+            echoes[key] = value
+            continue
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise ContractError(f"manifest {args.manifest}: {key!r} is not a flag of {name}")
@@ -460,6 +486,7 @@ def _params(name: str, args) -> dict:
             params[key] = None if value is None else flag.cast(value)
         except ContractError as exc:
             raise type(exc)(f"--{flag.name}: {exc}") from None
+    _check_echoes(name, args.manifest, echoes, params)
     return params
 
 

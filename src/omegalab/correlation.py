@@ -115,24 +115,23 @@ class CorrelationReport:
 
 
 def two_point_lhs(a: BoundedFunction, b: BoundedFunction, n_limit: int,
-                  shift: int = 1, weighting: str = LOGARITHMIC,
-                  counts=None) -> complex:
+                  shift: int = 1, weighting: str = LOGARITHMIC) -> complex:
     """Average of a(count(n)) * b(count(n+shift)) over n <= N."""
     if n_limit < 3:
         raise ContractError("two-point average needs N >= 3")
     if shift < 1:
         raise ContractError("shift must be >= 1")
     check_weighting(weighting)
-    profile = two_point_profile(n_limit, shift, counts)
+    profile = two_point_profile(n_limit, shift)
     return profile.pair_mean(a.table(), b.table(), weighting)
 
 
 def theorem_a_report(a: BoundedFunction, b: BoundedFunction, n_limit: int,
-                     counts=None, metadata=None) -> CorrelationReport:
+                     metadata=None) -> CorrelationReport:
     """Log-averaged two-point correlation against the product of Cesaro means."""
     if n_limit < 10**3:
         raise ContractError("correlation report wants N >= 1e3")
-    profile = two_point_profile(n_limit, 1, counts)
+    profile = two_point_profile(n_limit, 1)
     lhs = profile.pair_mean(a.table(), b.table(), LOGARITHMIC)
     prediction = profile.mean(a.table(), CESARO) * profile.mean(b.table(), CESARO)
     meta = {"shift": 1, "a_bound": a.bound, "b_bound": b.bound}
@@ -173,7 +172,7 @@ def _level_discrepancies(a: BoundedFunction, profile):
     return disc
 
 
-def theorem_c_sum(a: BoundedFunction, n_limit: int, counts=None) -> float:
+def theorem_c_sum(a: BoundedFunction, n_limit: int) -> float:
     """Density-weighted sum of level-resolved correlation discrepancies.
 
     sum over ell of pi_bar_ell * |E^log over the ell-level set of
@@ -181,13 +180,13 @@ def theorem_c_sum(a: BoundedFunction, n_limit: int, counts=None) -> float:
     """
     if n_limit < 10**3:
         raise ContractError("discrepancy sum wants N >= 1e3")
-    profile = two_point_profile(n_limit, 1, counts)
+    profile = two_point_profile(n_limit, 1)
     disc = _level_discrepancies(a, profile)
     return float(np.sum(profile.hist / profile.n_limit * disc))
 
 
 def typical_ell_exceptions(a: BoundedFunction, n_limit: int, A: float,
-                           epsilon: float, counts=None) -> int:
+                           epsilon: float) -> int:
     """Count levels in the typical range whose discrepancy exceeds epsilon."""
     if not A > 1:
         raise ContractError("typical range audit needs A > 1")
@@ -197,7 +196,7 @@ def typical_ell_exceptions(a: BoundedFunction, n_limit: int, A: float,
     members = [ell for ell in window.members if 0 <= ell < NBINS]
     if not members:
         raise EmptyDomainError("typical range holds no usable levels")
-    profile = two_point_profile(n_limit, 1, counts)
+    profile = two_point_profile(n_limit, 1)
     disc = _level_discrepancies(a, profile)
     return int(sum(1 for ell in members
                    if profile.log_hist[ell] > 0.0 and disc[ell] > epsilon))

@@ -1,9 +1,11 @@
 """Brute-force reference computations for the test suites.
 
 Everything here recomputes from first principles: trial division for
-factor counts, direct loops for averages, full enumeration for moment
-combinations.  No arithmetic helper is shared with the fast modules, so
-agreement between the two is evidence, not tautology.
+factor counts and for the primes, direct loops for averages, full
+enumeration for moment combinations.  The one helper shared with the fast
+modules is the trial-division factoriser `sieve.factorize`; the sieve's
+segment kernel is never touched, so agreement between the two is
+evidence, not tautology.
 
 Single-threaded by design; determinism over speed.  Nothing here is
 meant to scale past n = 10^6.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ContractError
+from .sieve import factorize
 
 __all__ = [
     "PeriodicTerm",
@@ -82,18 +85,7 @@ def indicator_combo(modulus: int, residue: int = 0) -> PeriodicCombo:
 
 def count_with_multiplicity(n: int) -> int:
     """Trial-division count of prime factors with multiplicity."""
-    if n < 1:
-        raise ContractError("count defined for n >= 1")
-    total = 0
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            total += 1
-        d += 1
-    if n > 1:
-        total += 1
-    return total
+    return sum(e for _, e in factorize(n))
 
 
 def brute_correlation(a, b, n_limit: int, shift: int,
@@ -145,23 +137,6 @@ def periodic_independence_check(f: PeriodicCombo, g: PeriodicCombo,
     return {"lhs": lhs, "product": product, "scaled_error": float(scaled)}
 
 
-def _primes_by_trial(limit: float) -> list:
-    primes = []
-    n = 2
-    while n <= limit:
-        is_prime = True
-        for p in primes:
-            if p * p > n:
-                break
-            if n % p == 0:
-                is_prime = False
-                break
-        if is_prime:
-            primes.append(n)
-        n += 1
-    return primes
-
-
 def moment_identity_check(k: int, n_limit: int, p: int, q: int,
                           r_cutoff: float, m_limit: int | None = None) -> float:
     """k-th moment combination of truncated divisor-count differences.
@@ -183,10 +158,12 @@ def moment_identity_check(k: int, n_limit: int, p: int, q: int,
         raise CapacityError("moment check capped at n = 10^5")
     if n_limit < 1 or min(p, q) < 0:
         raise ContractError("need n_limit >= 1 and nonnegative shifts")
+    if not math.isfinite(r_cutoff):
+        raise ContractError("prime cutoff must be finite")
     if m_limit is None:
         m_limit = n_limit
     m_limit = int(m_limit)
-    primes = _primes_by_trial(r_cutoff)
+    primes = [r for r in range(2, math.floor(r_cutoff) + 1) if factorize(r) == [(r, 1)]]
     if not primes:
         return 0.0
 

@@ -29,6 +29,7 @@ from .correlation import MODULUS_SLACK
 from .errors import ContractError
 from .profiles import (CESARO, NBINS, chunks, primes_upto, shared_counts,
                        two_point_profile)
+from .sieve import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -76,33 +77,6 @@ def liouville_spec() -> MultFunSpec:
 
 def unit_spec() -> MultFunSpec:
     return MultFunSpec()
-
-
-def factorize(n: int):
-    """Trial-division factorization [(p, exponent), ...]; plumbing."""
-    n = int(n)
-    if n < 1:
-        raise ContractError("factorization needs n >= 1")
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    d = 5
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 2 if d % 6 == 5 else 4
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,16 @@ reused from the heap instead of being mapped and faulted in afresh.
 Every average of a level table is a profile method, `mean` or
 `pair_mean`: CESARO divides by N, LOGARITHMIC by the harmonic mass.
 
-Caching follows one rule.  The largest multiplicity block sieved or
-adopted so far is the shared block, and smaller ranges are served as views
-of it, so a 1e8 sieve is paid for once per process.  The prime table
-follows the same rule: the largest limit asked for so far (at least 1e5)
-is kept, and smaller limits are prefix views of it.  Profiles computed
-from the shared block are kept in one bounded (N, shift) cache that drops
-its oldest entry when full; `two_point_profiles` fills every missing
-shift of one N in one pass and stores each under its own key.  The cache
-is read and written only when the counts are the shared block:
-counts=None, or an array whose memory starts at the shared block's n = 1
-(checked by identity, never by content).  Any other explicit counts are
-used as given and never cached.
+Counts reach a profile only through the shared block: the largest
+multiplicity block sieved (`shared_counts`) or adopted (`adopt_block`) so
+far, whose smaller ranges are served as views of it, so a 1e8 sieve is
+paid for once per process.  Every quantity here is a function of Omega
+alone, so no caller supplies counts of its own.  The prime table follows
+the same rule: the largest limit asked for so far (at least 1e5) is kept,
+and smaller limits are prefix views of it.  Every profile is read from and
+stored in one bounded (N, shift) cache that drops its oldest entry when
+full; `two_point_profiles` fills every missing shift of one N in one pass
+and stores each under its own key.
 `invalidate_cache` empties the block, the profiles and the prime table.
 """
 
@@ -147,13 +145,6 @@ def shared_counts(hi: int) -> np.ndarray:
     return _cached_block.counts[: hi - 1]
 
 
-def _is_shared(counts: np.ndarray) -> bool:
-    """True when counts is a view of the shared block starting at n = 1."""
-    return (_cached_block is not None and counts.dtype == np.uint8
-            and counts.strides == (1,)
-            and counts.ctypes.data == _cached_block.counts.ctypes.data)
-
-
 def chunks(n_limit: int, weighted: bool = True):
     """Yield (start, stop, inv_n) covering n = start+1 .. stop for n <= N.
 
@@ -194,40 +185,30 @@ def _profile_pass(counts: np.ndarray, n_limit: int, shifts) -> list[TwoPointProf
     return out
 
 
-def two_point_profiles(n_limit: int, shifts,
-                       counts: np.ndarray | None = None) -> list[TwoPointProfile]:
+def two_point_profiles(n_limit: int, shifts) -> list[TwoPointProfile]:
     """Sufficient statistics for two-point averages over n <= N, per shift.
 
-    counts, when given, must hold the multiplicity counts for
-    n = 1 .. N + max(shifts) (index n-1); otherwise the shared cache
-    supplies them.  Every shift missing from the cache is filled by one
-    pass, and the profiles come back in the order of shifts.
+    Every shift missing from the cache is filled by one pass over the
+    shared block, and the profiles come back in the order of shifts.
     """
     n_limit, shifts = int(n_limit), [int(h) for h in shifts]
     if n_limit < 3:
         raise ContractError("profile needs N >= 3")
     if not shifts or min(shifts) < 0:
         raise ContractError("profile needs shifts >= 0")
-    top = max(shifts)
-    if counts is not None and counts.shape[0] < n_limit + top:
-        raise ContractError("counts must cover n = 1 .. N+shift")
-    shared = counts is None or _is_shared(counts)
     found = {h: _profile_cache[(n_limit, h)] for h in shifts
-             if shared and (n_limit, h) in _profile_cache}
+             if (n_limit, h) in _profile_cache}
     missing = [h for h in dict.fromkeys(shifts) if h not in found]
     if missing:
-        if counts is None:
-            counts = shared_counts(n_limit + top + 1)
+        counts = shared_counts(n_limit + max(missing) + 1)
         for profile in _profile_pass(counts, n_limit, missing):
             found[profile.shift] = profile
-            if shared:
-                if len(_profile_cache) >= _CACHE_LIMIT:
-                    del _profile_cache[next(iter(_profile_cache))]
-                _profile_cache[(n_limit, profile.shift)] = profile
+            if len(_profile_cache) >= _CACHE_LIMIT:
+                del _profile_cache[next(iter(_profile_cache))]
+            _profile_cache[(n_limit, profile.shift)] = profile
     return [found[h] for h in shifts]
 
 
-def two_point_profile(n_limit: int, shift: int = 1,
-                      counts: np.ndarray | None = None) -> TwoPointProfile:
-    """The profile of one shift: two_point_profiles(n_limit, [shift], counts)."""
-    return two_point_profiles(n_limit, [shift], counts)[0]
+def two_point_profile(n_limit: int, shift: int = 1) -> TwoPointProfile:
+    """The profile of one shift: two_point_profiles(n_limit, [shift])."""
+    return two_point_profiles(n_limit, [shift])[0]

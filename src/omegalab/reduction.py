@@ -264,13 +264,12 @@ def _class_covariance(counts: np.ndarray, n_limit: int, window: PrimeWindow,
     return cov
 
 
-def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set,
-                      counts: np.ndarray | None = None) -> dict:
+def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
     """Per-frequency terms of the reduced sum.
 
     Each term is the log-weighted mean over n <= N of
     |E over window primes p of e(xi*count(n+p)/|I|) - inner log mean|^2,
-    the inner mean taken over the same counts.  Frequencies must lie in
+    the inner mean taken over n <= N.  Frequencies must lie in
     the symmetric interval for scale N; xi = 0 contributes exactly 0.
     """
     n_limit = int(n_limit)
@@ -281,14 +280,10 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set,
         if xi not in allowed:
             raise ContractError(
                 f"frequency {xi} outside the interval for n_limit={n_limit}")
-    need = n_limit + window.max_prime
-    if counts is None:
-        counts = profiles.shared_counts(need + 1)
-    if counts.shape[0] < need:
-        raise ContractError("counts must cover n = 1 .. N + max window prime")
+    counts = profiles.shared_counts(n_limit + window.max_prime + 1)
 
     size = family.size
-    profile = profiles.two_point_profile(n_limit, 0, counts=counts)
+    profile = profiles.two_point_profile(n_limit, 0)
     pi = np.bincount(np.arange(NBINS) % size, weights=profile.log_hist,
                      minlength=size) / profile.harmonic_mass
     cov = _class_covariance(counts, n_limit, window, size, pi) / profile.harmonic_mass
@@ -300,10 +295,9 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set,
     return terms
 
 
-def reduced_sum(n_limit: int, window: PrimeWindow, xi_set,
-                counts: np.ndarray | None = None) -> float:
+def reduced_sum(n_limit: int, window: PrimeWindow, xi_set) -> float:
     """Total reduced sum over the given frequency set."""
-    return float(sum(reduced_sum_terms(n_limit, window, xi_set, counts).values()))
+    return float(sum(reduced_sum_terms(n_limit, window, xi_set).values()))
 
 
 def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,

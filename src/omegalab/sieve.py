@@ -288,27 +288,39 @@ def liouville(block: FactorCountBlock) -> np.ndarray:
     return (1 - 2 * (block.counts.astype(np.int8) & 1)).astype(np.int8)
 
 
-def omega_oracle(n: int) -> int:
-    """Prime factors of n with multiplicity, by plain trial division.
+def factorize(n: int):
+    """Trial division over the 6k +- 1 wheel: [(p, exponent), ...], p ascending.
 
-    Test / small-range reference only; quadratic-feeling and proud of it.
+    The one factoriser of the package, independent of the segment kernel.
     """
     n = int(n)
     if n < 1:
-        raise ContractError(f"n must be >= 1, got {n}")
-    count = 0
-    while n % 2 == 0:
-        n //= 2
-        count += 1
-    d = 3
+        raise ContractError(f"factorization needs n >= 1, got {n}")
+    out = []
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    d = 5
     while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 2
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 2 if d % 6 == 5 else 4
     if n > 1:
-        count += 1
-    return count
+        out.append((n, 1))
+    return out
+
+
+def omega_oracle(n: int) -> int:
+    """Prime factors of n with multiplicity, by trial division; test reference."""
+    return sum(e for _, e in factorize(n))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
-from .profiles import NBINS, chunks, require_primes, two_point_profile
+from .profiles import NBINS, adopt_block, chunks, require_primes, two_point_profile
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,16 @@ def density_table(n_limit: int, counts_block=None) -> DensityTable:
     """Level-set densities of the multiplicity count over [N].
 
     The ell=0 row (n=1 alone) is kept so the uniform densities partition
-    exactly.  Read off the marginal (N, 0) profile; pass a prepared
-    FactorCountBlock covering [1, N] to reuse a sieve run.
+    exactly.  Read off the marginal (N, 0) profile of the shared block; a
+    prepared multiplicity FactorCountBlock covering [1, N] is checked and
+    adopted as that block, so its sieve run is reused.
     """
     if n_limit < 3:
         raise ContractError("density table needs N >= 3")
-    counts = None if counts_block is None else _block_counts(n_limit, counts_block)
-    profile = two_point_profile(n_limit, 0, counts)
+    if counts_block is not None:
+        _block_counts(n_limit, counts_block)
+        adopt_block(counts_block)
+    profile = two_point_profile(n_limit, 0)
     gauss = gaussian_density(np.arange(NBINS, dtype=np.float64), gaussian_model(n_limit))
     return DensityTable(
         N=int(n_limit),

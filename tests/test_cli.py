@@ -1,6 +1,7 @@
 """Command-line interface run in-process: exit codes, manifests, outputs."""
 
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import cli, profiles
+from omegalab import cli, profiles, sieve
 
 
 def _run(capsys, *argv):
@@ -344,6 +345,52 @@ def test_manifest_key_set_per_command(capsys, tmp_path, command):
     assert manifest["command"] == command
     if _WINDOW <= keys:
         assert (manifest["window"]["lower"], manifest["window"]["upper"]) == (2.0, 30.0)
+
+
+@pytest.mark.parametrize("command", list(_MANIFEST_KEYS))
+def test_echoed_manifest_reproduces_the_run(capsys, tmp_path, command):
+    first = _report(capsys, command, *_MANIFEST_KEYS[command][0])
+    mpath = tmp_path / "echo.json"
+    mpath.write_text(json.dumps(first["manifest"]))
+    again = _report(capsys, command, "--manifest", str(mpath))
+    assert again["results"] == first["results"]
+    assert again["manifest"] == first["manifest"]
+
+
+def test_echo_of_another_run_exits_2_before_any_work(capsys, tmp_path, monkeypatch):
+    echo = _report(capsys, "densities", "--n", "200")["manifest"]
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "densities",
+                        dataclasses.replace(cli.COMMANDS["densities"], run=calls.append))
+    out = tmp_path / "dens.csv"
+    for name, changed, flags, reason in (
+            ("command", {"command": "erdos-kac"}, (), "'erdos-kac'"),
+            ("derived", {"derived": {**echo["derived"], "n": 300}}, (), "derived n"),
+            # a flag that moves N off the echo's
+            ("override", {}, ("--n", "300"), "derived n")):
+        mpath = tmp_path / f"{name}.json"
+        mpath.write_text(json.dumps({**echo, **changed}))
+        code, stdout, err = _run(capsys, "densities", "--manifest", str(mpath),
+                                 *flags, "--out", str(out))
+        assert code == cli.EXIT_CONTRACT
+        assert stdout == ""
+        assert str(mpath) in err and reason in err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_disk_full_while_writing_exits_1_and_leaves_nothing(capsys, tmp_path, monkeypatch):
+    def full_disk(block, path):
+        with open(path, "wb") as fh:
+            fh.write(b"\0" * 64)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+    monkeypatch.setattr(sieve, "write_block", full_disk)
+    out = tmp_path / "counts.bin"
+    code, stdout, err = _run(capsys, "sieve", "--n", "1000", "--out", str(out))
+    assert code == cli.EXIT_IO == 1
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 # Flag values for the fuzz test: every number stays within 10^4 in magnitude,

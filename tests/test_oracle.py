@@ -179,3 +179,6 @@ def test_moment_identity_validation():
         moment_identity_check(2, 10**5 + 1, 3, 5, 30)
     with pytest.raises(ContractError):
         moment_identity_check(1, 0, 3, 5, 30)
+    for cutoff in (math.inf, math.nan):
+        with pytest.raises(ContractError):
+            moment_identity_check(1, 10**3, 3, 5, cutoff)

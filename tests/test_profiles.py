@@ -21,9 +21,9 @@ from omegalab.sieve import BigOmega, SmallOmega, enumerate_primes, factor_counts
 from omegalab.stats import density_table
 
 
-def _direct_profile(n_limit: int, shift: int, mode=BigOmega) -> TwoPointProfile:
+def _direct_profile(n_limit: int, shift: int) -> TwoPointProfile:
     # Same statistics assembled one n at a time, no bincount tricks.
-    counts = factor_counts(1, n_limit + shift + 1, mode).counts
+    counts = factor_counts(1, n_limit + shift + 1).counts
     hist = np.zeros(profiles.NBINS, dtype=np.int64)
     log_hist = np.zeros(profiles.NBINS, dtype=np.float64)
     joint = np.zeros((profiles.NBINS, profiles.NBINS), dtype=np.int64)
@@ -115,9 +115,6 @@ def test_profile_validation():
         two_point_profile(2, 1)
     with pytest.raises(ContractError):
         two_point_profile(100, -1)
-    short = factor_counts(1, 50).counts
-    with pytest.raises(ContractError):
-        two_point_profile(100, 1, counts=short)
 
 
 def _assert_same_profile(got: TwoPointProfile, want: TwoPointProfile):
@@ -127,36 +124,6 @@ def _assert_same_profile(got: TwoPointProfile, want: TwoPointProfile):
     np.testing.assert_allclose(got.log_hist, want.log_hist, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.joint_log, want.joint_log, rtol=0, atol=1e-12)
     assert got.harmonic_mass == pytest.approx(want.harmonic_mass, abs=1e-12)
-
-
-def test_explicit_counts_bypass_cache():
-    profiles.invalidate_cache()
-    counts = factor_counts(1, 102).counts
-    prof = two_point_profile(100, 1, counts=counts)
-    _assert_same_profile(prof, _direct_profile(100, 1))
-    # Nothing was stored: the shared path computes its own result, and a
-    # second explicit call is computed afresh instead of read back.
-    assert profiles._profile_cache == {}
-    shared = two_point_profile(100, 1)
-    assert shared is not prof
-    assert two_point_profile(100, 1, counts=counts) is not shared
-    assert list(profiles._profile_cache) == [(100, 1)]
-
-
-def test_shared_block_view_reads_the_cache():
-    profiles.invalidate_cache()
-    first = two_point_profile(300, 2)
-    assert two_point_profile(300, 2, counts=shared_counts(303)) is first
-    # Equal content in other memory is not the shared block.
-    assert two_point_profile(300, 2, counts=shared_counts(303).copy()) is not first
-
-
-def test_foreign_counts_do_not_poison_the_cache():
-    profiles.invalidate_cache()
-    distinct = factor_counts(1, 1003, SmallOmega).counts
-    poisoned = two_point_profile(1000, 1, counts=distinct)
-    _assert_same_profile(poisoned, _direct_profile(1000, 1, SmallOmega))
-    _assert_same_profile(two_point_profile(1000, 1), _direct_profile(1000, 1))
 
 
 def _assert_identical(got: TwoPointProfile, want: TwoPointProfile):
@@ -171,8 +138,8 @@ def test_multi_shift_pass_matches_single_shift_passes(monkeypatch):
     profiles.invalidate_cache()
     n_limit, shifts = 5000, [0, 1, 7, 13]
     counts = factor_counts(1, n_limit + 14).counts
-    singles = [two_point_profile(n_limit, h, counts) for h in shifts]
-    for together in (two_point_profiles(n_limit, shifts, counts),
+    singles = [profiles._profile_pass(counts, n_limit, [h])[0] for h in shifts]
+    for together in (profiles._profile_pass(counts, n_limit, shifts),
                      two_point_profiles(n_limit, shifts)):
         for got, want in zip(together, singles):
             _assert_identical(got, want)
@@ -185,10 +152,11 @@ def test_multi_shift_pass_matches_single_shift_passes(monkeypatch):
 def test_profile_pass_memory_is_bounded():
     # the pass holds one chunk's 1/n, level and pair arrays at a time, a few
     # MiB whatever N is (2.1 MiB measured), never arrays as long as the block
-    counts = factor_counts(1, 10**7 + 2).counts
+    profiles.invalidate_cache()
+    shared_counts(10**7 + 2)
     tracemalloc.start()
     try:
-        two_point_profile(10**7, 1, counts)
+        two_point_profile(10**7, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -222,29 +190,9 @@ def test_prime_shift_window_beyond_the_cache_limit():
     assert len(profiles._profile_cache) == profiles._CACHE_LIMIT
 
 
-def test_inner_log_mean_follows_the_profile_cache():
-    # A foreign explicit (N, 0) profile must not leak into a later
-    # shared-block reduced sum, whose inner mean reads the (N, 0) profile.
-    profiles.invalidate_cache()
-    two_point_profile(1000, 0, counts=factor_counts(1, 1001, SmallOmega).counts)
-    window = reduction.prime_window(overrides={"lower": 2, "upper": 12})
-    got = reduction.reduced_sum_terms(1000, window, [1])[1]
-    counts = factor_counts(1, 1000 + window.max_prime + 1).counts
-    size = pretentious.frequency_family(1000).size
-    phase = np.exp(2j * np.pi * counts.astype(np.float64) / size)
-    mass = sum(1.0 / n for n in range(1, 1001))
-    inner = sum(phase[m - 1] / m for m in range(1, 1001)) / mass
-    total = 0.0
-    for n in range(1, 1001):
-        avg = sum(phase[n + p - 1] / p for p in window.primes.tolist()) / window.mass
-        total += abs(avg - inner) ** 2 / n
-    assert got == pytest.approx(total / mass, abs=1e-12)
-
-
 # few (N, shift) keys, so that calls in one sequence meet in the cache
-_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "foreign",
-                                           "window", "distance", "require",
-                                           "prime_shift"]),
+_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "window",
+                                           "distance", "require", "prime_shift"]),
                           st.sampled_from([3, 64, 1000, 2000]), st.integers(0, 7)),
                 min_size=1, max_size=12)
 
@@ -264,7 +212,7 @@ def _check_prime_shift(n_limit, shift):
     counts = factor_counts(1, n_limit + window[-1] + 1).counts
     for h in [1, *window]:
         _assert_identical(two_point_profile(n_limit, h),
-                          two_point_profile(n_limit, h, counts))
+                          profiles._profile_pass(counts, n_limit, [h])[0])
 
 
 def _check_prime_read(op, limit):
@@ -298,16 +246,12 @@ def test_results_do_not_depend_on_call_order(ops):
         if op == "prime_shift":
             _check_prime_shift(n_limit, shift)
             continue
-        if op == "foreign":
-            counts = factor_counts(1, n_limit + shift + 1, SmallOmega).counts
-            _assert_same_profile(two_point_profile(n_limit, shift, counts),
-                                 _direct_profile(n_limit, shift, SmallOmega))
-            continue
         if op == "fresh":
             profiles.invalidate_cache()
         if op == "explicit":
-            got = two_point_profile(n_limit, shift,
-                                    factor_counts(1, n_limit + shift + 1).counts)
+            # a pass over newly sieved counts, outside every cache
+            counts = factor_counts(1, n_limit + shift + 1).counts
+            got = profiles._profile_pass(counts, n_limit, [shift])[0]
         else:
             got = two_point_profile(n_limit, shift)
         _assert_same_profile(got, _direct_profile(n_limit, shift))

@@ -32,7 +32,6 @@ from omegalab.reduction import (
     write_alpha_sweep_csv,
     write_xi_sweep_csv,
 )
-from omegalab.sieve import SmallOmega, factor_counts
 
 
 # --- prime windows ---------------------------------------------------------
@@ -276,33 +275,6 @@ def test_reduced_sum_over_the_family_is_the_class_trace():
         hist[np.arange(n_limit), cls[p : p + n_limit]] += weight
     trace = float(((hist - pi) ** 2).sum(axis=1) @ inv_n) / inv_n.sum()
     assert reduced_sum(n_limit, w, fam.members) == pytest.approx(fam.size * trace, rel=1e-12)
-
-
-def test_explicit_counts_give_their_own_reduced_sum():
-    # SmallOmega counts passed in: the inner mean comes from them too, and
-    # no shared block is sieved.
-    n_limit, xi = 400, 2
-    w = prime_window(overrides={"lower": 2, "upper": 12})
-    counts = factor_counts(1, n_limit + w.max_prime + 1, SmallOmega).counts
-    fam_size = frequency_family(n_limit).size
-
-    def phase(m):
-        return cmath.exp(2j * cmath.pi * xi * int(counts[m - 1]) / fam_size)
-
-    mass = sum(1.0 / n for n in range(1, n_limit + 1))
-    inner = sum(phase(m) / m for m in range(1, n_limit + 1)) / mass
-    total = 0.0
-    for n in range(1, n_limit + 1):
-        avg = sum(phase(n + int(p)) / int(p) for p in w.primes) / w.mass
-        total += abs(avg - inner) ** 2 / n
-    want = total / mass
-    assert want == pytest.approx(0.19323, abs=1e-5)
-
-    profiles.invalidate_cache()
-    got = reduced_sum_terms(n_limit, w, [xi], counts=counts)[xi]
-    assert got == pytest.approx(want, rel=1e-12)
-    assert profiles._cached_block is None
-    assert profiles._profile_cache == {}
 
 
 def test_reduced_terms_peak_memory_at_1e6():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab import profiles, sieve
 from omegalab import (ContractError, SmallOmega, density_l1_gap, density_table,
                       enumerate_primes, erdos_kac_ks, factor_counts,
                       gaussian_density, gaussian_model, normal_cdf,
@@ -69,6 +70,28 @@ def test_density_log_column_uses_harmonic_mass():
     # level 0 is n = 1 alone: log weight 1 / H(100)
     expected = 1.0 / sum(1.0 / k for k in range(1, 101))
     assert math.isclose(table.pi_bar_log[0], expected, rel_tol=1e-12)
+
+
+def test_density_table_adopts_a_valid_block_and_refuses_others(monkeypatch):
+    n = 5000
+    profiles.invalidate_cache()
+    profiles.shared_counts(100)
+    before = profiles._cached_block
+    for bad in (factor_counts(1, n + 1, SmallOmega),   # distinct counts
+                factor_counts(5, n + 1),               # not starting at n = 1
+                factor_counts(1, n)):                  # stops short of N
+        with pytest.raises(ContractError):
+            density_table(n, bad)
+        assert profiles._cached_block is before
+    block = factor_counts(1, n + 1)
+
+    def no_second_sieve(*args, **kwargs):
+        raise AssertionError("the adopted block was sieved again")
+    monkeypatch.setattr(sieve, "factor_counts", no_second_sieve)
+    table = density_table(n, block)
+    assert profiles._cached_block is block
+    np.testing.assert_array_equal(table.counts,
+                                  np.bincount(block.counts[:n], minlength=profiles.NBINS))
 
 
 def test_turan_kubilius_frozen_example():
