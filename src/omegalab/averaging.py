@@ -58,10 +58,10 @@ def log_avg(values, indices=None) -> WeightedAverage:
 
 
 def harmonic_mass(n: int) -> float:
-    """Sum of 1/k over 1 <= k <= n, chunk by chunk as every 1/n pass."""
+    """Sum of 1/k over 1 <= k <= n: the fsum of the chunk sums, as every 1/n pass."""
     if n < 1:
         raise EmptyDomainError("harmonic mass needs n >= 1")
-    return sum(float(inv_n.sum()) for _, _, inv_n in profiles.chunks(int(n)))
+    return math.fsum(float(inv_n.sum()) for _, _, inv_n in profiles.chunks(int(n)))
 
 
 def cesaro_to_log_decompose(values, epsilon: float) -> dict:

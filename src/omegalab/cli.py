@@ -256,11 +256,13 @@ _COUNT_MODES = {"big": lambda cutoff: sieve.BigOmega,
 
 
 def _run_sieve(p):
-    hi = p["hi"]
+    n, hi = p["n"], p["hi"]
     if hi is None:
-        if p["n"] is None:
+        if n is None:
             raise ContractError("sieve needs --n or --hi")
-        hi = p["n"] + 1
+        hi = n + 1
+    elif n is not None and hi != n + 1:
+        raise ContractError(f"--n {n} and --hi {hi} disagree: give one of them")
     workers = p["workers"]
     if workers is None:
         workers = _integer(os.environ.get(WORKERS_ENV, 1))

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import stats
 from .errors import CapacityError, ContractError, EmptyDomainError
-from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, chunks,
-                       require_primes, shared_counts, two_point_profile,
-                       two_point_profiles)
+from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, level_histograms,
+                       require_primes, two_point_profile, two_point_profiles)
 
 MODULUS_SLACK = 1e-12
 
@@ -230,10 +229,10 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
     """Joint average of up to four consecutive-shift factors; EXPLORATORY.
 
     Returns the joint average, the product of marginal averages over [N],
-    and their gap.  The joint average contracts the k tables with one
-    histogram of the index sum over i < k of count(n+i) * L^(k-1-i), where
-    L = (N+k).bit_length() bounds every level read, since count(n) <=
-    log2(n).  So it has L^k bins: about 5.3e5 at k = 4 and N = 1e8.
+    and their gap.  The joint average contracts the k tables with the level
+    histogram of the offsets 0 .. k-1 in base L = (N+k).bit_length(), which
+    bounds every level read since count(n) <= log2(n): L^k bins, about 5.3e5
+    at k = 4 and N = 1e8.
     """
     functions = list(functions)
     k = len(functions)
@@ -244,16 +243,8 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
     if n_limit < 10**3:
         raise ContractError("exploration wants N >= 1e3")
     check_weighting(weighting)
-    counts = shared_counts(n_limit + k)
     base = (n_limit + k).bit_length()
-    hist = np.zeros(base**k, dtype=np.int64 if weighting == CESARO else np.float64)
-    for start, stop, inv_n in chunks(n_limit, weighting == LOGARITHMIC):
-        index = counts[start:stop].astype(np.intp)
-        for i in range(1, k):
-            index *= base
-            index += counts[start + i : stop + i]
-        hist += np.bincount(index, weights=inv_n, minlength=hist.size)
-
+    (hist,), = level_histograms(n_limit, [tuple(range(k))], base, (weighting,))[0]
     value = hist.astype(np.complex128)
     for fn in reversed(functions):   # the last factor is the fastest index
         value = value.reshape(-1, base) @ fn.table(base)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .correlation import MODULUS_SLACK
 from .errors import ContractError
-from .profiles import (CESARO, NBINS, chunks, primes_upto, shared_counts,
-                       two_point_profile)
+from .profiles import CESARO, NBINS, primes_upto, sweep, two_point_profile
 from .sieve import factorize
 
 
@@ -468,10 +467,10 @@ def eval_multfun_range(spec: MultFunSpec, n_limit: int) -> np.ndarray:
 
     One complex array of length N: the small-N evaluator and test oracle.
     """
-    counts = shared_counts(n_limit + 1)[:n_limit]
     base = complex(spec.default_prime_value)
     table = np.array([base**k for k in range(NBINS)], dtype=np.complex128)
-    values = table[counts]
+    values = np.concatenate([table[levels]
+                             for _, levels, _ in sweep(n_limit, weighted=False)])
     for p, v in spec.prime_values.items():
         p = int(p)
         if abs(base) == 0.0:
@@ -498,10 +497,10 @@ def mean_over_range(spec: MultFunSpec, n_limit: int) -> complex:
     if abs(base) == 0.0:
         raise ContractError("override fixup needs a nonzero default value")
     ratios = [(int(p), complex(v) / base) for p, v in spec.prime_values.items()]
-    counts = shared_counts(n_limit + 1)
     total = 0.0 + 0.0j
-    for start, stop, _ in chunks(n_limit, weighted=False):
-        values = table[counts[start:stop]]
+    for start, levels, _ in sweep(n_limit, weighted=False):
+        values = table[levels]
+        stop = start + levels.size
         for p, ratio in ratios:
             q = p
             while q <= stop:

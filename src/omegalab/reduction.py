@@ -232,13 +232,14 @@ def parseval_audit(table: FourierTable, b: BoundedFunction) -> dict:
 # Reduced mean-square sums
 
 
-def _class_covariance(counts: np.ndarray, n_limit: int, window: PrimeWindow,
-                      size: int, pi: np.ndarray) -> np.ndarray:
+def _class_covariance(sweep, window: PrimeWindow, size: int,
+                      pi: np.ndarray) -> np.ndarray:
     """M = sum over n <= N of (1/n) (H(n) - pi)(H(n) - pi)^T.
 
-    H_r(n) is the window average of 1[count(n+p) = r mod size].  Rows go in
-    blocks through one batched rfft against the kernel transform; only
-    size - 1 classes are transformed, the last is 1 minus their sum.
+    sweep is a profiles.sweep over n <= N reaching window.max_prime past
+    each chunk.  H_r(n) is the window average of 1[count(n+p) = r mod size].
+    Rows go in blocks through one batched rfft against the kernel transform;
+    only size - 1 classes are transformed, the last is 1 minus their sum.
     """
     top = window.max_prime
     fft_len = max(_BLOCK, 1 << (2 * top).bit_length())
@@ -250,10 +251,10 @@ def _class_covariance(counts: np.ndarray, n_limit: int, window: PrimeWindow,
     classes = np.arange(size - 1, dtype=np.uint8)[:, None]
     gap = np.empty((size, rows), dtype=np.float64)
     cov = np.zeros((size, size), dtype=np.float64)
-    for start, stop, inv_n in profiles.chunks(n_limit):
-        cls = counts[start : stop + top] % size
-        for b in range(0, stop - start, rows):
-            k = min(rows, stop - start - b)
+    for _, levels, inv_n in sweep:
+        cls = levels % size
+        for b in range(0, inv_n.size, rows):
+            k = min(rows, inv_n.size - b)
             spectrum = np.fft.rfft(cls[b : b + k + top] == classes, n=fft_len)
             spectrum *= kernel_hat
             hist = np.fft.irfft(spectrum, n=fft_len)[:, :k]
@@ -280,13 +281,12 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
         if xi not in allowed:
             raise ContractError(
                 f"frequency {xi} outside the interval for n_limit={n_limit}")
-    counts = profiles.shared_counts(n_limit + window.max_prime + 1)
-
     size = family.size
+    sweep = profiles.sweep(n_limit, reach=window.max_prime)   # before the profile: one sieve
     profile = profiles.two_point_profile(n_limit, 0)
     pi = np.bincount(np.arange(NBINS) % size, weights=profile.log_hist,
                      minlength=size) / profile.harmonic_mass
-    cov = _class_covariance(counts, n_limit, window, size, pi) / profile.harmonic_mass
+    cov = _class_covariance(sweep, window, size, pi) / profile.harmonic_mass
     terms: dict = {}
     for xi in xi_list:
         mode = np.exp(2j * np.pi * xi * np.arange(size) / size)
@@ -387,28 +387,27 @@ def omega_truncation_gap(n_limit: int, p: int, q: int, t: float = 1.0,
     if cutoff is None:
         cutoff = shrinking_cutoff
     cutoff = float(cutoff)
-    hi = n_limit + max(p, q) + 1
-    counts = profiles.shared_counts(hi)
-    if cutoff < 2.0:
-        truncated = np.zeros(hi - 1, dtype=counts.dtype)
-    else:
-        truncated = sieve.factor_counts(
-            1, hi, sieve.TruncatedOmega(cutoff)).counts
-    gap = counts[:n_limit].astype(np.int64) - truncated[:n_limit]
-    mean_abs = float(np.abs(gap).mean())
+    mode = sieve.TruncatedOmega(cutoff) if cutoff >= 2.0 else None
+    reach = max(p, q)
+    # count >= truncated: the mean |gap| is an integer sum; each exponential mean
+    # contracts a histogram of count(n+p) - count(n+q), which lies in (-NBINS, NBINS)
+    excess = 0
+    pair_diffs = np.zeros((2, 2 * NBINS - 1), dtype=np.int64)
+    for start, levels, _ in profiles.sweep(n_limit, reach, weighted=False):
+        m = levels.size - reach
+        truncated = (np.zeros_like(levels) if mode is None else
+                     sieve.factor_counts(start + 1, start + 1 + levels.size, mode).counts)
+        excess += int(levels[:m].sum(dtype=np.int64)) - int(truncated[:m].sum(dtype=np.int64))
+        for hist, arr in zip(pair_diffs, (levels, truncated)):
+            d = arr[p : p + m].astype(np.intp) - arr[q : q + m] + (NBINS - 1)
+            hist += np.bincount(d, minlength=hist.size)
 
     scale = math.sqrt(math.log(math.log(n_limit)))
-    # Pair differences live in (-NBINS, NBINS); a phase table covers them.
     diffs = np.arange(-(NBINS - 1), NBINS, dtype=np.float64)
     phases = np.exp(2j * np.pi * t * diffs / scale)
-
-    def exp_mean(arr: np.ndarray) -> complex:
-        d = arr[p : p + n_limit].astype(np.int64) - arr[q : q + n_limit]
-        return complex(phases[d + (NBINS - 1)].mean())
-
-    exp_gap = abs(exp_mean(counts) - exp_mean(truncated))
+    exp_gap = abs(complex((pair_diffs[0] - pair_diffs[1]) @ phases)) / n_limit
     return {
-        "mean_abs_gap": mean_abs,
+        "mean_abs_gap": excess / n_limit,
         "exp_gap": float(exp_gap),
         "cutoff": cutoff,
         "formula_cutoff": shrinking_cutoff,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
-from .profiles import NBINS, adopt_block, chunks, require_primes, two_point_profile
+from .profiles import NBINS, adopt_block, require_primes, two_point_profile
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,8 @@ def turan_kubilius_check(n_limit: int, prime_set) -> dict:
     for p in p_arr:
         indicator_sum[p - 1 :: p] += 1
     expected = float(np.sum(1.0 / p_arr.astype(np.float64)))
-    lhs = 0.0
-    for start, stop, _ in chunks(n_limit, weighted=False):
-        chunk = indicator_sum[start:stop].astype(np.float64)
-        lhs += float(np.sum(np.abs(chunk - expected)))
-    lhs /= n_limit
+    hist = np.bincount(indicator_sum)
+    lhs = float(hist @ np.abs(np.arange(hist.size) - expected)) / n_limit
     rhs = 2.0 * math.sqrt(expected)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs)}
 

@@ -379,6 +379,24 @@ def test_echo_of_another_run_exits_2_before_any_work(capsys, tmp_path, monkeypat
     assert not out.exists()
 
 
+def test_sieve_n_and_hi_that_disagree_exit_2_before_sieving(capsys, tmp_path, monkeypatch):
+    # an echo carries hi = n + 1; a new --n beside it must not lose to hi
+    echo = _report(capsys, "sieve", "--n", "200")["manifest"]
+    assert (echo["n"], echo["hi"]) == (200, 201)
+    mpath = tmp_path / "echo.json"
+    mpath.write_text(json.dumps(echo))
+    calls = []
+    monkeypatch.setattr(sieve, "factor_counts", lambda *args, **kwargs: calls.append(args))
+    for argv in (("--manifest", str(mpath), "--n", "300"), ("--n", "200", "--hi", "300")):
+        code, stdout, err = _run(capsys, "sieve", *argv)
+        assert code == cli.EXIT_CONTRACT
+        assert stdout == "" and "--n" in err and "--hi" in err
+    assert calls == []
+    monkeypatch.undo()
+    rep = _report(capsys, "sieve", "--n", "200", "--hi", "201")
+    assert rep["results"]["count"] == 200
+
+
 def test_disk_full_while_writing_exits_1_and_leaves_nothing(capsys, tmp_path, monkeypatch):
     def full_disk(block, path):
         with open(path, "wb") as fh:

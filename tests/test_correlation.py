@@ -278,8 +278,9 @@ def test_k_point_explore_capacity_and_validation():
 def test_unknown_weighting_is_refused_before_any_pass(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("counts were read before the weighting was checked")
-    for name in ("two_point_profile", "shared_counts", "chunks"):
-        monkeypatch.setattr(correlation, name, reached)
+    for module, name in ((correlation, "two_point_profile"),
+                         (correlation, "level_histograms"), (profiles, "sweep")):
+        monkeypatch.setattr(module, name, reached)
     par = parity_function()
     with pytest.raises(ContractError, match="bogus"):
         two_point_lhs(par, par, 5000, 1, "bogus")

@@ -1,8 +1,10 @@
 """Two-point profile construction against direct per-n loops."""
 
+import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegalab import correlation, pretentious, profiles, reduction
+from omegalab.averaging import harmonic_mass
 from omegalab.errors import ContractError
 from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, primes_upto,
                                require_primes, shared_counts, two_point_profile,
@@ -133,20 +136,87 @@ def _assert_identical(got: TwoPointProfile, want: TwoPointProfile):
     assert got.harmonic_mass == want.harmonic_mass
 
 
+def _kernel_profiles(n_limit: int, shifts) -> list[TwoPointProfile]:
+    # one level_histograms pass over the shared block, outside the profile cache
+    hists, mass = profiles.level_histograms(n_limit, [(0, h) for h in shifts],
+                                            profiles.NBINS, (CESARO, LOGARITHMIC))
+    out = []
+    for h, (joint, joint_log) in zip(shifts, hists):
+        joint = joint.reshape(profiles.NBINS, profiles.NBINS)
+        joint_log = joint_log.reshape(profiles.NBINS, profiles.NBINS)
+        out.append(TwoPointProfile(n_limit, h, joint.sum(axis=1), joint_log.sum(axis=1),
+                                   joint, joint_log, mass))
+    return out
+
+
 def test_multi_shift_pass_matches_single_shift_passes(monkeypatch):
     monkeypatch.setattr(profiles, "CHUNK", 997)
     profiles.invalidate_cache()
     n_limit, shifts = 5000, [0, 1, 7, 13]
-    counts = factor_counts(1, n_limit + 14).counts
-    singles = [profiles._profile_pass(counts, n_limit, [h])[0] for h in shifts]
-    for together in (profiles._profile_pass(counts, n_limit, shifts),
-                     two_point_profiles(n_limit, shifts)):
+    singles = [_kernel_profiles(n_limit, [h])[0] for h in shifts]
+    for together in (_kernel_profiles(n_limit, shifts), two_point_profiles(n_limit, shifts)):
         for got, want in zip(together, singles):
             _assert_identical(got, want)
     # the shared pass stored each profile under its own key
     assert list(profiles._profile_cache) == [(n_limit, h) for h in shifts]
     assert all(two_point_profile(n_limit, h) is p for h, p in zip(shifts, together))
     _assert_same_profile(singles[2], _direct_profile(n_limit, 7))
+
+
+def test_level_histograms_match_direct_bincounts(monkeypatch):
+    # tuples that share leading offsets and tuples that do not, over chunk edges
+    monkeypatch.setattr(profiles, "CHUNK", 997)
+    n_limit, base = 5000, 13          # count(n) <= 12 for n < 2^13
+    offsets = [(0, 2), (3,), (0, 5), (1, 0, 4), (1, 0, 2)]
+    counts = factor_counts(1, n_limit + 6).counts.astype(np.int64)
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    hists, mass = profiles.level_histograms(n_limit, offsets, base, (LOGARITHMIC, CESARO))
+    for offs, (log_hist, hist) in zip(offsets, hists):
+        index = sum(counts[o : o + n_limit] * base ** (len(offs) - 1 - i)
+                    for i, o in enumerate(offs))
+        bins = base ** len(offs)
+        np.testing.assert_array_equal(hist, np.bincount(index, minlength=bins))
+        np.testing.assert_allclose(log_hist, np.bincount(index, weights=inv_n, minlength=bins),
+                                   rtol=0, atol=1e-12)
+    assert mass == harmonic_mass(n_limit)
+    assert profiles.level_histograms(n_limit, offsets, base, (CESARO,))[1] is None
+
+
+@pytest.mark.parametrize("chunk", [997, 1 << 16, 1 << 20])
+def test_harmonic_mass_is_within_an_ulp_whatever_the_chunk(monkeypatch, chunk):
+    # chunk sums of 1/n added by fsum: the profile mass is harmonic_mass(N)
+    # bit for bit and at most 1 ulp from the fsum of all N terms
+    monkeypatch.setattr(profiles, "CHUNK", chunk)
+    n_limit = 10**6
+    profiles.invalidate_cache()
+    try:
+        mass = two_point_profile(n_limit, 0).harmonic_mass
+    finally:
+        profiles.invalidate_cache()   # no profile of a patched CHUNK outlives the test
+    assert mass == harmonic_mass(n_limit)
+    exact = math.fsum(1.0 / np.arange(1, n_limit + 1, dtype=np.float64))
+    assert abs(mass - exact) <= math.ulp(exact)
+
+
+def _names(tree, skip=None) -> set:
+    """Every identifier a module names in code, outside the subtree skip."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return {getattr(node, fields[type(node)]) for node in ast.walk(tree)
+            if type(node) in fields and id(node) not in skipped}
+
+
+def test_only_profiles_reads_the_shared_block():
+    # every other module reads counts through sweep, level_histograms or a
+    # profile; averaging.harmonic_mass walks chunks for 1/n alone
+    for path in sorted(pathlib.Path(profiles.__file__).parent.glob("*.py")):
+        if path.stem == "profiles":
+            continue
+        tree = ast.parse(path.read_text())
+        skip = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "harmonic_mass"), None)
+        assert not {"shared_counts", "_cached_block"} & _names(tree), path.name
+        assert "chunks" not in _names(tree, skip), path.name
 
 
 def test_profile_pass_memory_is_bounded():
@@ -191,7 +261,7 @@ def test_prime_shift_window_beyond_the_cache_limit():
 
 
 # few (N, shift) keys, so that calls in one sequence meet in the cache
-_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "explicit", "window",
+_OPS = st.lists(st.tuples(st.sampled_from(["cached", "fresh", "kernel", "window",
                                            "distance", "require", "prime_shift"]),
                           st.sampled_from([3, 64, 1000, 2000]), st.integers(0, 7)),
                 min_size=1, max_size=12)
@@ -209,10 +279,8 @@ def _check_prime_shift(n_limit, shift):
     assert out["lhs"] == pytest.approx(lhs, abs=1e-13)
     assert out["rhs"] == pytest.approx(rhs, abs=1e-13)
     # what the multi-shift pass cached is what a single-shift pass gives
-    counts = factor_counts(1, n_limit + window[-1] + 1).counts
     for h in [1, *window]:
-        _assert_identical(two_point_profile(n_limit, h),
-                          profiles._profile_pass(counts, n_limit, [h])[0])
+        _assert_identical(two_point_profile(n_limit, h), _kernel_profiles(n_limit, [h])[0])
 
 
 def _check_prime_read(op, limit):
@@ -235,7 +303,7 @@ def _check_prime_read(op, limit):
 @settings(max_examples=40)
 @given(ops=_OPS)
 @example(ops=[("prime_shift", 1000, 1), ("cached", 1000, 1), ("fresh", 1000, 1),
-              ("explicit", 1000, 3), ("prime_shift", 1000, 2), ("cached", 1000, 5)])
+              ("kernel", 1000, 3), ("prime_shift", 1000, 2), ("cached", 1000, 5)])
 def test_results_do_not_depend_on_call_order(ops):
     profiles.invalidate_cache()
     for op, n_limit, shift in ops:
@@ -248,14 +316,13 @@ def test_results_do_not_depend_on_call_order(ops):
             continue
         if op == "fresh":
             profiles.invalidate_cache()
-        if op == "explicit":
-            # a pass over newly sieved counts, outside every cache
-            counts = factor_counts(1, n_limit + shift + 1).counts
-            got = profiles._profile_pass(counts, n_limit, [shift])[0]
+        if op == "kernel":
+            # a kernel pass, outside the profile cache
+            got = _kernel_profiles(n_limit, [shift])[0]
         else:
             got = two_point_profile(n_limit, shift)
         _assert_same_profile(got, _direct_profile(n_limit, shift))
-        # cached, fresh and explicit results come from the same pass
+        # cached, fresh and kernel results come from the same pass
         _assert_identical(got, two_point_profile(n_limit, shift))
     n_limit = ops[-1][1]
     block = factor_counts(1, n_limit + 1)

@@ -291,6 +291,18 @@ def test_reduced_terms_peak_memory_at_1e6():
     assert peak < 100 * 2**20
 
 
+def test_reduced_terms_sieve_the_block_once(monkeypatch):
+    # the covariance reaches past N: its block is sieved before the profile's
+    profiles.invalidate_cache()
+    sieved = []
+    factor_counts = reduction.sieve.factor_counts
+    monkeypatch.setattr(reduction.sieve, "factor_counts",
+                        lambda lo, hi, *args: sieved.append(hi) or factor_counts(lo, hi, *args))
+    w = prime_window(10**5)
+    reduced_sum_terms(10**5, w, [1])
+    assert sieved == [10**5 + w.max_prime + 1]
+
+
 def test_reduced_sum_rejects_foreign_frequencies():
     w = prime_window(overrides={"lower": 2, "upper": 10})
     fam = frequency_family(10**3)
@@ -368,6 +380,26 @@ def test_truncation_gap_formula_cutoff_is_degenerate_at_desk_scale():
     # no primes below the cutoff: the truncated count is identically zero,
     # so the gap is the full multiplicity mean
     assert out["mean_abs_gap"] == pytest.approx(3.1985, abs=1e-12)
+
+
+def test_truncation_gap_frozen_values_across_chunk_edges(monkeypatch):
+    # chunks of 997 entries put n + 3 and n + 5 on both sides of a chunk edge
+    monkeypatch.setattr(profiles, "CHUNK", 997)
+    test_truncation_gap_full_cutoff_counts_repeated_factors()
+    test_truncation_gap_formula_cutoff_is_degenerate_at_desk_scale()
+
+
+def test_truncation_gap_memory_is_bounded():
+    # one chunk of truncated counts and pair differences at a time, never an
+    # array as long as the range
+    shared_counts(10**7 + 6)
+    tracemalloc.start()
+    try:
+        omega_truncation_gap(10**7, 3, 5, cutoff=1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_truncation_gap_interpolates_with_cutoff():

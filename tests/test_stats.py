@@ -101,6 +101,15 @@ def test_turan_kubilius_frozen_example():
     assert out["holds"] is True
 
 
+def test_turan_kubilius_matches_direct_float_sum():
+    n = 10 ** 4
+    primes = [int(p) for p in enumerate_primes(n).primes if p <= 100 or p > 9000]
+    expected = sum(1.0 / p for p in primes)
+    direct = sum(abs(sum(1 for p in primes if k % p == 0) - expected)
+                 for k in range(1, n + 1)) / n
+    assert turan_kubilius_check(n, primes)["lhs"] == pytest.approx(direct, rel=0, abs=1e-12)
+
+
 def test_turan_kubilius_rejects_composites():
     with pytest.raises(ContractError):
         turan_kubilius_check(100, np.array([4]))
