@@ -300,8 +300,10 @@ def _run_correlate(p):
 
 
 def _run_theorem_c(p):
-    values = {str(n): corr.theorem_c_sum(resolve_preset(p["a"], n), n) for n in p["n"]}
-    return {}, {"values": values}
+    # largest N first: its block is sieved once and the smaller N read views of it
+    values = {n: corr.theorem_c_sum(resolve_preset(p["a"], n), n)
+              for n in sorted(p["n"], reverse=True)}
+    return {}, {"values": {str(n): values[n] for n in p["n"]}}
 
 
 def _run_distance(p):

@@ -46,8 +46,9 @@ NBINS = 64
 # pages and faulted them in again.  One shift-1 pass at N = 10^8 on a 2-core
 # x86 box: 2^22, 2.3 s and 25 000-38 000 minor faults; 2^20, 1.6 s and 2 700;
 # 2^18, 0.95 s and 1 500; 2^16, 0.90 s and 250.  2^16 was also the fastest
-# for the multi-shift pass and the k = 3 histogram of k_point_explore; only
-# its k = 4 histogram ran faster at 2^18 (1.4 s against 2.0 s).
+# for the multi-shift pass and the k = 3 histogram of k_point_explore; its
+# k = 4 histogram, which ran faster at 2^18 (1.4 s against 2.0 s), now
+# gathers chunks per bincount instead (1.36 s logarithmic at 2^16).
 CHUNK = 1 << 16
 _CACHE_LIMIT = 64
 
@@ -165,7 +166,8 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
     Per offset tuple (o_0, .., o_{k-1}), a list of base^k-bin histograms in
     the order of weightings: int64 counts (CESARO), sums of 1/n (LOGARITHMIC).
     Counts must lie below base.  Tuples share their leading offsets' index,
-    so each costs one add and a bincount per weighting a chunk.  Also returns
+    so each costs one add a chunk and a bincount per weighting for every
+    ceil(base^k / CHUNK) chunks, k the longest tuple's length.  Also returns
     the harmonic mass, None unless LOGARITHMIC is among the weightings.
     """
     weighted = LOGARITHMIC in weightings
@@ -173,12 +175,27 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
               for w in weightings] for offs in offsets]
     chunk_masses = []
     reach = max(max(offs) for offs in offsets)
-    for _, levels, inv_n in sweep(n_limit, reach, weighted):
+    # With more bins than CHUNK, zero-filling and adding a histogram per chunk
+    # outweighs the elements (k = 4 at N = 10^8: 531 441 bins), so the index
+    # and 1/n of enough chunks to outnumber the bins are gathered first.
+    gather = -(-max(h[0].size for h in hists) // CHUNK)
+    size = gather * CHUNK
+    # an index row per tuple while chunks gather, else one row they all reuse
+    rows = ([np.empty(size, np.intp) for _ in offsets] if gather > 1
+            else [np.empty(size, np.intp)] * len(offsets))
+    gathered = np.empty(size) if weighted and gather > 1 else None
+    fill = 0
+    for start, levels, inv_n in sweep(n_limit, reach, weighted):
         m = levels.size - reach
         if weighted:
             chunk_masses.append(float(inv_n.sum()))
-        heads, index = {(): 0}, np.empty(m, dtype=np.intp)
-        for offs, out in zip(offsets, hists):
+        end = fill + m
+        flush = start + m == n_limit or end + CHUNK > size
+        if gathered is not None:
+            gathered[fill:end] = inv_n
+            inv_n = gathered[:end]
+        heads = {(): 0}
+        for offs, out, row in zip(offsets, hists, rows):
             lead = offs[:-1]
             if lead not in heads:   # in place: a temporary per step ran k = 4 ~10% slower
                 head = heads[lead] = levels[lead[0] : lead[0] + m].astype(np.intp)
@@ -186,10 +203,12 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
                     head *= base
                     head += levels[o : o + m]
                 head *= base
-            np.add(heads[lead], levels[offs[-1] : offs[-1] + m], out=index)
-            for hist, w in zip(out, weightings):
-                hist += np.bincount(index, weights=inv_n if w == LOGARITHMIC else None,
-                                    minlength=hist.size)
+            np.add(heads[lead], levels[offs[-1] : offs[-1] + m], out=row[fill:end])
+            if flush:
+                for hist, w in zip(out, weightings):
+                    hist += np.bincount(row[:end], weights=inv_n if w == LOGARITHMIC else None,
+                                        minlength=hist.size)
+        fill = 0 if flush else end
     return hists, math.fsum(chunk_masses) if weighted else None
 
 

@@ -9,19 +9,24 @@ segment and each segment writes only its own slice of the output.
 
 Each segment strips every base prime up to its square root, with all of
 its powers q = p, p**2, ... that divide some n in the segment (summing the
-indicators of q | n gives the exact exponent of p).  The base primes take
-one of two paths:
+indicators of q | n gives the exact exponent of p).  The segment starts
+from a pattern of period 5040 = 2**4 * 3**2 * 5 * 7 (pre-sieving, as in
+Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014)): each n starts
+at the count of the powers of 2, 3, 5 and 7 that divide gcd(n, 5040),
+with that gcd as its smooth part, copied once at the offset lo mod 5040
+and then doubled in place.  The other base primes, and the powers of the
+tile primes past the tile (32, 27, 25, 49, ...), take one of two paths:
 
 - small primes, p <= (segment length) / 128: one strided pass out[s::q]
   per prime power;
 - large primes, which hit a segment at most 128 times: one vectorised
   pass per power round expands the hits of a batch of primes and adds
-  them with np.add.at (the bucket idea of Oliveira e Silva, Herzog and
-  Pardi, Math. Comp. 83 (2014)).
+  them with np.add.at (the bucket idea of the same paper).
 
 The factor of n above the root is found exactly in integers: smooth
 collects the product of the prime powers found, so it divides n and
-n // smooth is 1 or the single prime factor of n above the root.  Big and
+n // smooth is 1 or the single prime factor of n above the root; it is
+uint32 on a segment that ends at or below 2**32, int64 above.  Big and
 small counts add one where n != smooth; a truncated count whose cutoff
 reaches past the root adds one where 1 < n // smooth <= cutoff, and one
 below the root needs no smooth part at all.
@@ -52,6 +57,15 @@ MAX_RANGE_END = 2**63
 _STRIDED_SHIFT = 7
 _HIT_BATCH = 1 << 16       # hits expanded at once on the bucketed pass
 _RESIDUAL_BLOCK = 1 << 16  # integers compared with their smooth part at once
+
+# Every segment starts from a pattern of period _TILE, which holds the
+# powers of the primes 2, 3, 5, 7 up to their exponents in _TILE.  A
+# 720720 period (adding 11 and 13) and a 151200 one (2**5 * 3**3 * 5**2 * 7)
+# were no faster at N = 10^8 on a 2-core x86 box.
+_TILE_POWERS = {2: 16, 3: 9, 5: 5, 7: 7}   # each tile prime's power in _TILE
+_TILE = math.prod(_TILE_POWERS.values())   # 5040
+# a smooth part divides n < hi, so below 2**32 it fits in 32 bits
+_SMOOTH32_END = 2**32
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,11 @@ class SieveConfig:
     # largest mmap threshold, so every segment mapped and faulted in fresh
     # pages (a process sieving [1, 10**8 + 16) took 25 554 minor faults at
     # 2**22, 9 288 at 2**20).  perfbench stats_1e8 set-up_s, medians of 8
-    # alternated fresh processes on a 2-core x86 box: 2**22, 4.42 s;
-    # 2**20, 2.91 s; 2**18, 2.97 s.
+    # alternated fresh processes on a 2-core x86 box, before the tile:
+    # 2**22, 4.42 s; 2**20, 2.91 s; 2**18, 2.97 s.  With the tile and the
+    # 32-bit smooth part, factor_counts(1, 10**8 + 16), medians of 5
+    # alternated fresh processes on the same box: 2**19, 2.58 s; 2**20,
+    # 1.67 s; 2**21, 1.59 s, inside the spread of 2**20 (1.53-1.80 s).
     segment_length: int = 1 << 20
     worker_count: int = 1
 
@@ -168,9 +185,12 @@ def _base_primes(hi: int) -> np.ndarray:
 
 
 def _strided(lo, hi, primes, out, smooth, distinct):
-    """Small base primes: one strided pass per prime power that hits [lo, hi)."""
+    """Small base primes: one strided pass per prime power that hits [lo, hi).
+
+    A tile prime starts at its first power past the tile.
+    """
     for p in primes.tolist():
-        q = p
+        q = p * _TILE_POWERS.get(p, 1)   # a tile prime resumes past the tile
         while q < hi:
             s = (-lo) % q   # lo >= 1, so the first multiple >= lo is >= q
             if s >= hi - lo:
@@ -219,28 +239,70 @@ def _bucketed(lo, hi, primes, out, smooth, distinct):
             count = not distinct
 
 
-def _fill_segment(lo, hi, base, out, mode):
-    """Counts on one segment [lo, hi) into out, which starts zeroed.
+def _tiles(mode):
+    """Tile patterns over two periods, for the first k tile primes, k = 0 .. 4.
+
+    Entry k is (counts, smooth): at r, the count of the tile prime powers
+    (big mode) or tile primes (distinct modes) among the first k dividing
+    gcd(r, _TILE), and the part of that gcd they make up.  Read-only, so
+    the worker threads of one call share them.
+    """
+    counts, smooth = np.zeros(2 * _TILE, np.uint8), np.ones(2 * _TILE, np.uint32)
+    tiles = [(counts, smooth)]
+    for p, power in _TILE_POWERS.items():
+        counts, smooth = counts.copy(), smooth.copy()
+        q = p
+        while q <= power:   # q divides the period, so r = 0 starts every stride
+            if q == p or mode.kind == "big":
+                counts[::q] += 1
+            smooth[::q] *= p
+            q *= p
+        tiles.append((counts, smooth))
+    for pattern in (a for tile in tiles for a in tile):
+        pattern.flags.writeable = False
+    return tiles
+
+
+def _tile_fill(pattern, lo, out):
+    """out[i] = pattern[(lo + i) % _TILE]: one offset copy, then doubling copies."""
+    start, filled = lo % _TILE, min(out.size, _TILE)
+    out[:filled] = pattern[start : start + filled]
+    while filled < out.size:   # filled is a multiple of the period
+        step = min(filled, out.size - filled)
+        out[filled : filled + step] = out[:step]
+        filled += step
+
+
+def _fill_segment(lo, hi, base, out, mode, tiles):
+    """Counts on one segment [lo, hi) into out.
 
     Every base prime up to the segment root (or up to the cutoff when that
-    is lower) is counted exactly; smooth collects the prime powers found,
-    so n // smooth is 1 or the one prime factor above the root.
+    is lower) is counted exactly.  out and smooth start from the tile of
+    the tile primes among them; smooth collects the prime powers found, so
+    n // smooth is 1 or the one prime factor above the root.
     """
     root = isqrt(hi - 1)
     truncated = mode.kind == "truncated"
     cutoff = math.floor(mode.cutoff) if truncated else 0
     residual = not truncated or cutoff > root
     primes = base[: np.searchsorted(base, root if residual else cutoff, side="right")]
-    smooth = np.ones(hi - lo, dtype=np.int64) if residual else None
+    # the tile primes in play
+    tiled = int(np.searchsorted(primes, max(_TILE_POWERS), side="right"))
+    _tile_fill(tiles[tiled][0], lo, out)
+    smooth = None
+    if residual:
+        smooth = np.empty(hi - lo, np.uint32 if hi <= _SMOOTH32_END else np.int64)
+        _tile_fill(tiles[tiled][1], lo, smooth)
     distinct = mode.kind != "big"
-    split = np.searchsorted(primes, (hi - lo) >> _STRIDED_SHIFT, side="right")
+    # tile primes always take the strided pass, from their first power past the tile
+    split = max(tiled, np.searchsorted(primes, (hi - lo) >> _STRIDED_SHIFT, side="right"))
     _strided(lo, hi, primes[:split], out, smooth, distinct)
     _bucketed(lo, hi, primes[split:], out, smooth, distinct)
     if not residual:
         return
-    # smooth divides n, so both stay below 2**63; compared a block at a time
+    # smooth divides n, so both fit in smooth's dtype; compared a block at a time
     for a in range(0, hi - lo, _RESIDUAL_BLOCK):
-        n = np.arange(lo + a, min(lo + a + _RESIDUAL_BLOCK, hi), dtype=np.int64)
+        n = np.arange(lo + a, min(lo + a + _RESIDUAL_BLOCK, hi), dtype=smooth.dtype)
         part = smooth[a : a + n.size]
         if truncated:
             rest = n // part
@@ -263,11 +325,12 @@ def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
     if config is None:
         config = SieveConfig()
     base = _base_primes(hi)
-    out = np.zeros(hi - lo, dtype=np.uint8)
+    tiles = _tiles(mode)
+    out = np.empty(hi - lo, dtype=np.uint8)
 
     def run_segment(seg_lo):
         seg_hi = min(seg_lo + config.segment_length, hi)
-        _fill_segment(seg_lo, seg_hi, base, out[seg_lo - lo : seg_hi - lo], mode)
+        _fill_segment(seg_lo, seg_hi, base, out[seg_lo - lo : seg_hi - lo], mode, tiles)
 
     seg_starts = range(lo, hi, config.segment_length)
     if config.worker_count == 1:

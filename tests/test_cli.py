@@ -1,7 +1,9 @@
 """Command-line interface run in-process: exit codes, manifests, outputs."""
 
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import os
 import subprocess
@@ -219,6 +221,23 @@ def test_theorem_c_multiple_n(capsys):
     rep = _report(capsys, "theorem-c", "--n", "1000,2000", "--a", "parity")
     vals = rep["results"]["values"]
     assert set(vals) == {"1000", "2000"} or len(vals) == 2
+
+
+def test_theorem_c_sieves_once_and_keeps_the_order_given(capsys, monkeypatch):
+    profiles.invalidate_cache()
+    sieved = []
+    factor_counts = sieve.factor_counts
+    monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, *args:
+                        sieved.append((lo, hi)) or factor_counts(lo, hi, *args))
+    vals = _report(capsys, "theorem-c", "--n", "5e4,1e5", "--a", "parity")["results"]["values"]
+    assert sieved == [(1, 10**5 + 2)]
+    # the report sorts its keys; the handler keeps the order given
+    _, results = cli._run_theorem_c({"n": [50000, 100000], "a": "parity"})
+    assert list(results["values"]) == ["50000", "100000"]
+    assert results["values"] == vals
+    profiles.invalidate_cache()
+    alone = _report(capsys, "theorem-c", "--n", "5e4", "--a", "parity")["results"]["values"]
+    assert alone["50000"] == vals["50000"]
 
 
 def test_distance_reports_folded_frequency(capsys):
@@ -463,3 +482,28 @@ def test_fuzzed_invocations_exit_with_a_documented_code(data):
             argv += ["--manifest", mpath]
         assert cli.main(argv) in (0, 2, 3, 4, 5), argv
         assert not [f for f in os.listdir(tmp) if f.endswith(".tmp")], argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_echoed_manifests_exit_with_a_documented_code(data):
+    name = data.draw(st.sampled_from(list(_MANIFEST_KEYS)))
+    flags = cli.COMMANDS[name].flags
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [name, *_MANIFEST_KEYS[name][0]]
+        if any(flag.name == "out" for flag in flags):
+            argv += ["--out", os.path.join(tmp, "out.dat")]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli.main(argv) == 0, argv
+        manifest = json.loads(stdout.getvalue())["manifest"]
+        key = data.draw(st.sampled_from(sorted(manifest)))
+        if key == "out":   # a file inside the temporary directory, or none
+            manifest[key] = data.draw(st.sampled_from([None, os.path.join(tmp, "other.dat")]))
+        else:
+            manifest[key] = data.draw(_WORKERS if key == "workers" else _JSON_VALUES)
+        mpath = os.path.join(tmp, "echo.json")
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([name, "--manifest", mpath]) in (0, 2, 3, 4, 5), manifest
+        assert not [f for f in os.listdir(tmp) if f.endswith(".tmp")], manifest

@@ -182,6 +182,24 @@ def test_level_histograms_match_direct_bincounts(monkeypatch):
     assert profiles.level_histograms(n_limit, offsets, base, (CESARO,))[1] is None
 
 
+def test_histograms_with_more_bins_than_a_chunk_gather_chunks(monkeypatch):
+    # 17^4 = 83 521 bins gather 84 chunks of 997, so 10^5 entries take two
+    # bincounts, the second one short
+    n_limit, base, offsets = 10**5, 17, [(0, 1, 2, 3)]
+    counts = factor_counts(1, n_limit + 4).counts.astype(np.int64)
+    index = sum(counts[o : o + n_limit] * base ** (3 - o) for o in offsets[0])
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    for chunk in (997, 1 << 20):
+        monkeypatch.setattr(profiles, "CHUNK", chunk)
+        ((hist, log_hist),), mass = profiles.level_histograms(n_limit, offsets, base,
+                                                              (CESARO, LOGARITHMIC))
+        np.testing.assert_array_equal(hist, np.bincount(index, minlength=base ** 4))
+        np.testing.assert_allclose(log_hist,
+                                   np.bincount(index, weights=inv_n, minlength=base ** 4),
+                                   rtol=1e-14, atol=0)
+        assert mass == harmonic_mass(n_limit)
+
+
 @pytest.mark.parametrize("chunk", [997, 1 << 16, 1 << 20])
 def test_harmonic_mass_is_within_an_ulp_whatever_the_chunk(monkeypatch, chunk):
     # chunk sums of 1/n added by fsum: the profile mass is harmonic_mass(N)

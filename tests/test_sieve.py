@@ -203,6 +203,75 @@ def test_far_window_independent_of_workers_and_segments(mode):
         assert np.array_equal(factor_counts(lo, hi, mode, config).counts, base.counts)
 
 
+# --- the tile of the primes 2, 3, 5, 7 -----------------------------------
+
+_TILE = 5040   # 2**4 * 3**2 * 5 * 7, the period every segment starts from
+
+
+def _modes_and_references(cutoff):
+    return ((BigOmega, {}), (SmallOmega, {"distinct": True}),
+            (TruncatedOmega(cutoff), {"distinct": True, "cutoff": cutoff}))
+
+
+def test_tiny_ranges_whose_root_shrinks_the_tile():
+    # roots below 7 hold only part of the tile primes, or none of them
+    for mode, kwargs in _modes_and_references(5):
+        for hi in range(2, 61):
+            expected = _trial_counts(1, hi, **kwargs)
+            for lo in range(1, hi):
+                block = factor_counts(lo, hi, mode)
+                assert list(block.counts) == expected[lo - 1 :], (mode, lo, hi)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 5, 6, 7, 8])
+def test_truncated_cutoffs_among_the_tile_primes(cutoff):
+    kwargs = {"distinct": True, "cutoff": cutoff}
+    for config in (None, SieveConfig(segment_length=64)):
+        block = factor_counts(1, 5000, TruncatedOmega(cutoff), config)
+        assert list(block.counts) == _trial_counts(1, 5000, **kwargs)
+    lo, hi = 10 ** 12 - 256, 10 ** 12 + 256
+    block = factor_counts(lo, hi, TruncatedOmega(cutoff))
+    assert np.array_equal(block.counts, _numpy_trial_counts(range(lo, hi), hi, cutoff)[:, 2])
+
+
+def test_segments_on_both_sides_of_the_32_bit_smooth_part():
+    lo, hi = 2 ** 32 - 2 ** 14, 2 ** 32 + 2 ** 14
+    modes = (BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF))
+    config = SieveConfig(segment_length=1 << 12)
+    blocks = [factor_counts(lo, hi, mode, config) for mode in modes]
+    for mode, block in zip(modes, blocks):
+        assert np.array_equal(block.counts, factor_counts(lo, hi, mode).counts)
+    # both ends of every segment, and a sample between them
+    rng = np.random.default_rng(2 ** 32 % 1000003)
+    edges = [s + d for s in range(lo, hi, 1 << 12) for d in (0, (1 << 12) - 1)]
+    ns = sorted({*edges, *(lo + int(k) for k in rng.integers(0, hi - lo, 200))})
+    sieved = np.array([[int(b.counts[n - lo]) for b in blocks] for n in ns])
+    assert np.array_equal(sieved, _numpy_trial_counts(ns, hi, _FAR_CUTOFF))
+
+
+def test_segments_shorter_than_the_tile_period():
+    lo = 3 * _TILE - 1
+    hi = lo + _TILE + 200
+    for mode, kwargs in _modes_and_references(50):
+        block = factor_counts(lo, hi, mode, SieveConfig(segment_length=64))
+        assert list(block.counts) == _trial_counts(lo, hi, **kwargs)
+
+
+# sha256 of factor_counts(1, 10**6 + 1) per mode, computed by the kernel that
+# struck 2, 3, 5 and 7 one strided pass at a time
+_DENSE_DIGESTS = {
+    "big": "2979fdde5562a8a414cb695bae4d79099a12ff2092e2b96233123c9922c554dc",
+    "small": "1f6d7068237713ccbc32e791d3f7cbe52ebd33f0751b0cb607713aa17a358797",
+    "truncated": "ba61ecb35dbf10308a447125f492f005d2d7e793ac1db200707878df8623a8df",
+}
+
+
+@pytest.mark.parametrize("mode", [BigOmega, SmallOmega, TruncatedOmega(5000)])
+def test_dense_block_matches_pinned_digest(mode):
+    counts = factor_counts(1, 10 ** 6 + 1, mode).counts
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == _DENSE_DIGESTS[mode.kind]
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
