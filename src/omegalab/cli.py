@@ -270,9 +270,14 @@ def _run_sieve(p):
     block = sieve.factor_counts(p["lo"], hi, mode, sieve.SieveConfig(worker_count=workers))
     save = {"bin": lambda path, _: _atomic_write(path, partial(sieve.write_block, block)),
             "csv": _csv(partial(sieve.write_block_csv, block))}[p["format"]]
+    # the digest reads the counts in place and bincount casts only a chunk
+    # at a time to intp, so no copy of the block is made
+    histogram = np.zeros(256, dtype=np.int64)
+    for a in range(0, block.counts.size, profiles.CHUNK):
+        histogram += np.bincount(block.counts[a : a + profiles.CHUNK], minlength=256)
     results = {"count": hi - p["lo"],
-               "digest": hashlib.sha256(block.counts.tobytes()).hexdigest(),
-               "histogram": np.bincount(block.counts, minlength=1)}
+               "digest": hashlib.sha256(block.counts).hexdigest(),
+               "histogram": histogram[: np.flatnonzero(histogram)[-1] + 1]}
     return {"hi": hi, "workers": workers}, results, save
 
 

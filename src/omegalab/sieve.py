@@ -9,32 +9,42 @@ segment and each segment writes only its own slice of the output.
 
 Each segment strips every base prime up to its square root, with all of
 its powers q = p, p**2, ... that divide some n in the segment (summing the
-indicators of q | n gives the exact exponent of p).  The segment starts
-from a pattern of period 5040 = 2**4 * 3**2 * 5 * 7 (pre-sieving, as in
-Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014)): each n starts
-at the count of the powers of 2, 3, 5 and 7 that divide gcd(n, 5040),
-with that gcd as its smooth part, copied once at the offset lo mod 5040
-and then doubled in place.  The other base primes, and the powers of the
-tile primes past the tile (32, 27, 25, 49, ...), take one of two paths:
+indicators of q | n gives the exact exponent of p).  A segment keeps one
+packed uint16 word per n: the count in the top c bits, and in the low
+16 - c bits the log units of the prime powers found, the sum of
+floor(S log2 p) over them (the packed word and its scale S are fixed per
+call, see _layout).  Each prime power adds one increment to the word,
+(1 << (16 - c)) + floor(S log2 p) where it counts and floor(S log2 p)
+where it does not (a power past p in the distinct modes).
 
-- small primes, p <= (segment length) / 128: one strided pass out[s::q]
-  per prime power;
+The segment starts from a pattern of period 5040 = 2**4 * 3**2 * 5 * 7
+(pre-sieving, as in Oliveira e Silva, Herzog and Pardi, Math. Comp. 83
+(2014)): each n starts at the word of the powers of 2, 3, 5 and 7 that
+divide gcd(n, 5040), copied once at the offset lo mod 5040 and then
+doubled in place.  The other base primes, and the powers of the tile
+primes past the tile (32, 27, 25, 49, ...), take one of two paths:
+
+- small primes, p <= (segment length) / 128: one strided pass
+  word[s::q] += increment per prime power;
 - large primes, which hit a segment at most 128 times: one vectorised
   pass per power round expands the hits of a batch of primes and adds
-  them with np.add.at (the bucket idea of the same paper).
+  their increments with np.add.at (the bucket idea of the same paper).
 
-The factor of n above the root is found exactly in integers: smooth
-collects the product of the prime powers found, so it divides n and
-n // smooth is 1 or the single prime factor of n above the root; it is
-uint32 on a segment that ends at or below 2**32, int64 above.  Big and
-small counts add one where n != smooth; a truncated count whose cutoff
-reaches past the root adds one where 1 < n // smooth <= cutoff, and one
-below the root needs no smooth part at all.
+After the strip, n is the product of the prime powers found times a rest
+that is 1 or the one prime factor of n above the root.  Big and small
+counts add one where the rest is a prime, which the log units decide
+exactly (the approximate-log test of sieving, made exact by a proven
+margin; see _residual_threshold).  A truncated count whose cutoff reaches
+past the root must decide 1 < rest <= cutoff, which no fixed-point log
+decides, so that mode alone also keeps the exact product of the prime
+powers found, its smooth part (uint32 on a segment that ends at or below
+2**32, int64 above), and divides; a cutoff below the root needs neither.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,7 +66,10 @@ MAX_RANGE_END = 2**63
 # all strided.
 _STRIDED_SHIFT = 7
 _HIT_BATCH = 1 << 16       # hits expanded at once on the bucketed pass
-_RESIDUAL_BLOCK = 1 << 16  # integers compared with their smooth part at once
+_RESIDUAL_BLOCK = 1 << 16  # integers whose rest is decided at once
+# Log units any float rounding can move a bound of _residual_threshold by;
+# the rounding itself stays below 2**-25 units (see there).
+_ROUNDING = 2.0 ** -16
 
 # Every segment starts from a pattern of period _TILE, which holds the
 # powers of the primes 2, 3, 5, 7 up to their exponents in _TILE.  A
@@ -64,7 +77,7 @@ _RESIDUAL_BLOCK = 1 << 16  # integers compared with their smooth part at once
 # were no faster at N = 10^8 on a 2-core x86 box.
 _TILE_POWERS = {2: 16, 3: 9, 5: 5, 7: 7}   # each tile prime's power in _TILE
 _TILE = math.prod(_TILE_POWERS.values())   # 5040
-# a smooth part divides n < hi, so below 2**32 it fits in 32 bits
+# a truncated mode's smooth part divides n < hi, so below 2**32 it fits in 32 bits
 _SMOOTH32_END = 2**32
 
 
@@ -101,15 +114,14 @@ def TruncatedOmega(cutoff) -> CountMode:  # noqa: N802 - reads as a constructor
 
 @dataclass(frozen=True)
 class SieveConfig:
-    # At 2**22 entries a segment's int64 smooth part is 32 MiB, glibc's
-    # largest mmap threshold, so every segment mapped and faulted in fresh
-    # pages (a process sieving [1, 10**8 + 16) took 25 554 minor faults at
-    # 2**22, 9 288 at 2**20).  perfbench stats_1e8 set-up_s, medians of 8
-    # alternated fresh processes on a 2-core x86 box, before the tile:
-    # 2**22, 4.42 s; 2**20, 2.91 s; 2**18, 2.97 s.  With the tile and the
-    # 32-bit smooth part, factor_counts(1, 10**8 + 16), medians of 5
-    # alternated fresh processes on the same box: 2**19, 2.58 s; 2**20,
-    # 1.67 s; 2**21, 1.59 s, inside the spread of 2**20 (1.53-1.80 s).
+    # A segment's working array is its uint16 word, 2 MiB at 2**20 (a truncated
+    # mode past the root adds its smooth part).  factor_counts(1, 10**8 + 16)
+    # with the packed word, medians [quartiles] of 7 alternated fresh
+    # processes on a 2-core x86 box: 2**19, 0.93 s [0.84, 1.02]; 2**20,
+    # 0.75 s [0.73, 0.81]; 2**21, 0.73 s [0.70, 0.75], inside the spread of
+    # 2**20.  Earlier kernels: at 2**22 the int64 smooth part was 32 MiB,
+    # glibc's largest mmap threshold, and every segment faulted in fresh
+    # pages (stats_1e8 set-up 4.42 s against 2.91 s at 2**20).
     segment_length: int = 1 << 20
     worker_count: int = 1
 
@@ -184,40 +196,139 @@ def _base_primes(hi: int) -> np.ndarray:
     return enumerate_primes(root).primes
 
 
-def _strided(lo, hi, primes, out, smooth, distinct):
+@dataclass(frozen=True)
+class _Layout:
+    """The packed uint16 word of one factor_counts call.
+
+    The count sits above bit shift, the log units below it; a prime power
+    of p adds floor(scale * log2 p) log units.  Truncated mode has scale 0:
+    its word holds the count alone.
+    """
+
+    shift: int
+    scale: int
+
+
+def _layout(hi, mode) -> _Layout:
+    """The word for a call ending at hi: as many log units as fit.
+
+    With top = max(hi, 2 * _TILE), a count of at most floor(log2(top - 1))
+    needs c = bit_length(floor(log2(top - 1))) bits: 4 up to 2**16, 5 up to
+    2**32, 6 above.  The scale is the largest S with S log2 top + _ROUNDING
+    <= 2**(16 - c), so the log units of every n < hi, at most S log2 n plus
+    the rounding of _residual_threshold, stay below 2**(16 - c); so do those
+    of every tile entry, whose gcd divides 5040 < top / 2.
+    """
+    top = max(hi, 2 * _TILE)
+    shift = 16 - ((top - 1).bit_length() - 1).bit_length()
+    if mode.kind == "truncated":
+        return _Layout(shift, 0)
+    return _Layout(shift, math.floor(((1 << shift) - _ROUNDING) / math.log2(top)))
+
+
+def _log_units(primes, scale) -> np.ndarray:
+    """floor(scale * log2 p) for each prime, as uint16 (all 0 at scale 0)."""
+    if not scale:
+        return np.zeros(primes.size, np.uint16)
+    return np.floor(scale * np.log2(primes)).astype(np.uint16)
+
+
+def _residual_threshold(a, b, root, layout):
+    """T with: n in [a, b) has a prime factor above root iff its log units < T.
+
+    None when log2(b / a) leaves no room for one threshold.  Let S be the
+    scale, U(n) the log units of n (the sum of floor(S log2 p) over the m
+    prime powers found, m <= floor(log2(b - 1))) and D(n) = S log2 n - U(n)
+    its deficit.  Each floor loses less than one unit, so
+
+    - rest 1 (n is the product of the powers found): 0 <= D(n) < m, so
+      U(n) > S log2 a - m;
+    - rest a prime P > root: D(n) >= S log2 P >= S log2(root + 1), so
+      U(n) <= S log2(b - 1) - S log2(root + 1).
+
+    Float rounding: each floor(S log2 p) is taken of S log2 p computed to
+    within 2**-32 units (S log2 p < 2**12, numpy's log2 within a few ulp),
+    so it may be one unit off the true floor only where S log2 p lies
+    within 2**-32 of an integer, and then still within 2**-32 of the true
+    value; the m <= 63 terms and the float bounds below add up to less
+    than 2**-25 units, far inside _ROUNDING.  With above and below the two
+    bounds widened by _ROUNDING, T = floor(above) + 1 separates the cases
+    when floor(above) <= floor(below).  The gap is S log2(root + 1) - m -
+    S log2((b - 1) / a), a hundred units or more on every block but the
+    first of a range from 1 (tests/test_sieve.py checks these margins for
+    range ends of every bit length).
+    """
+    scale, m = layout.scale, (b - 1).bit_length() - 1
+    above = scale * math.log2(b - 1) - scale * math.log2(root + 1) + _ROUNDING
+    below = scale * math.log2(a) - m - _ROUNDING
+    if math.floor(above) > math.floor(below):
+        return None
+    # T <= 0 adds to no n, T = 2**shift to every n; both clamp exactly
+    return min(max(math.floor(above) + 1, 0), 1 << layout.shift)
+
+
+def _add_residual(a, root, word, out, layout):
+    """out = count of word, plus one where n = a + i has a factor above root.
+
+    Decided against one threshold where _residual_threshold gives one, so
+    ((word ^ mask) + T) >> shift carries one into the count exactly where
+    the log units are below T; else, per n, where the deficit D(n) reaches
+    S log2(root + 1) less the rounding (rest 1 keeps D(n) below m, which
+    is more than a unit less on every segment).
+    """
+    mask = (1 << layout.shift) - 1
+    threshold = _residual_threshold(a, a + word.size, root, layout)
+    if threshold is not None:
+        word ^= mask
+        word += threshold
+        np.right_shift(word, layout.shift, out=out, casting="unsafe")
+        return
+    n = np.arange(a, a + word.size, dtype=np.float64)
+    deficit = layout.scale * np.log2(n) - (word & mask)
+    np.right_shift(word, layout.shift, out=out, casting="unsafe")
+    out += deficit >= layout.scale * math.log2(root + 1) - _ROUNDING
+
+
+def _strided(lo, hi, primes, word, smooth, layout, distinct, powers):
     """Small base primes: one strided pass per prime power that hits [lo, hi).
 
-    A tile prime starts at its first power past the tile.
+    A tile prime starts at its first power past the tile.  Without powers
+    each prime takes its first pass only.
     """
-    for p in primes.tolist():
+    one = 1 << layout.shift
+    for p, units in zip(primes.tolist(), _log_units(primes, layout.scale).tolist()):
         q = p * _TILE_POWERS.get(p, 1)   # a tile prime resumes past the tile
         while q < hi:
             s = (-lo) % q   # lo >= 1, so the first multiple >= lo is >= q
             if s >= hi - lo:
                 break
-            if q == p or not distinct:
-                out[s::q] += 1
-            if smooth is None:
+            increment = units + (one if q == p or not distinct else 0)
+            if increment:
+                word[s::q] += increment
+            if smooth is not None:
+                smooth[s::q] *= p
+            if not powers:
                 break
-            smooth[s::q] *= p
             q *= p
 
 
-def _bucketed(lo, hi, primes, out, smooth, distinct):
+def _bucketed(lo, hi, primes, word, smooth, layout, distinct, powers):
     """Large base primes: the hits of many primes expanded in one pass.
 
     A prime p hits the segment about (hi - lo) / p times, so each round
     takes the first offset (-lo) mod q of every prime power q in play,
-    expands the hits with a repeat and a ragged arange, and adds them by
-    np.add.at.  Primes go in chunks whose hits are at most _HIT_BATCH.
+    expands the hits with a repeat and a ragged arange, and adds their
+    increments by np.add.at.  Primes go in chunks whose hits are at most
+    _HIT_BATCH.
     """
     length = hi - lo
-    one = np.uint8(1)
+    one = np.uint16(1 << layout.shift)
     i = 0
     while i < primes.size:
         per_prime = length // int(primes[i]) + 1   # primes ascend: the most hits
         j = min(primes.size, i + max(1, _HIT_BATCH // per_prime))
         p = q = primes[i:j]
+        units = _log_units(p, layout.scale)
         i = j
         count = True   # powers past p count with multiplicity only
         while p.size:
@@ -227,38 +338,48 @@ def _bucketed(lo, hi, primes, out, smooth, distinct):
             hits = (length - 1 - first) // step + 1
             rank = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
             offsets = np.repeat(first, hits) + rank * np.repeat(step, hits)
-            if count:
-                np.add.at(out, offsets, one)
-            if smooth is None:
+            if layout.scale:
+                increment = units[hit] + one if count else units[hit]
+                np.add.at(word, offsets, np.repeat(increment, hits))
+            elif count:
+                np.add.at(word, offsets, one)
+            if smooth is not None:
+                np.multiply.at(smooth, offsets, np.repeat(p[hit], hits))
+            if not powers:
                 break
-            np.multiply.at(smooth, offsets, np.repeat(p[hit], hits))
+            # a power that misses the segment takes its multiples q * p along;
             # q * p <= hi - 1 < 2**63 for every prime kept, so no overflow
-            keep = q <= (hi - 1) // p
-            p = p[keep]
+            keep = hit & (q <= (hi - 1) // p)
+            p, units = p[keep], units[keep]
             q = q[keep] * p
             count = not distinct
 
 
-def _tiles(mode):
+def _tiles(mode, layout):
     """Tile patterns over two periods, for the first k tile primes, k = 0 .. 4.
 
-    Entry k is (counts, smooth): at r, the count of the tile prime powers
-    (big mode) or tile primes (distinct modes) among the first k dividing
-    gcd(r, _TILE), and the part of that gcd they make up.  Read-only, so
-    the worker threads of one call share them.
+    Entry k is (word, smooth): at r, the packed word of the tile prime
+    powers among the first k that divide gcd(r, _TILE), and in truncated
+    mode the part of that gcd they make up (None in the other modes).
+    Read-only, so the worker threads of one call share them.
     """
-    counts, smooth = np.zeros(2 * _TILE, np.uint8), np.ones(2 * _TILE, np.uint32)
-    tiles = [(counts, smooth)]
-    for p, power in _TILE_POWERS.items():
-        counts, smooth = counts.copy(), smooth.copy()
+    truncated = mode.kind == "truncated"
+    word = np.zeros(2 * _TILE, np.uint16)
+    smooth = np.ones(2 * _TILE, np.uint32) if truncated else None
+    tiles = [(word, smooth)]
+    units = _log_units(np.array(list(_TILE_POWERS)), layout.scale).tolist()
+    for (p, power), p_units in zip(_TILE_POWERS.items(), units):
+        word = word.copy()
+        smooth = smooth.copy() if truncated else None
         q = p
         while q <= power:   # q divides the period, so r = 0 starts every stride
-            if q == p or mode.kind == "big":
-                counts[::q] += 1
-            smooth[::q] *= p
+            counted = q == p or mode.kind == "big"
+            word[::q] += (counted << layout.shift) + p_units
+            if truncated:
+                smooth[::q] *= p
             q *= p
-        tiles.append((counts, smooth))
-    for pattern in (a for tile in tiles for a in tile):
+        tiles.append((word, smooth))
+    for pattern in (a for tile in tiles for a in tile if a is not None):
         pattern.flags.writeable = False
     return tiles
 
@@ -273,13 +394,14 @@ def _tile_fill(pattern, lo, out):
         filled += step
 
 
-def _fill_segment(lo, hi, base, out, mode, tiles):
+def _fill_segment(lo, hi, base, out, mode, layout, tiles):
     """Counts on one segment [lo, hi) into out.
 
     Every base prime up to the segment root (or up to the cutoff when that
-    is lower) is counted exactly.  out and smooth start from the tile of
-    the tile primes among them; smooth collects the prime powers found, so
-    n // smooth is 1 or the one prime factor above the root.
+    is lower) is counted exactly.  The word (and in truncated mode the
+    smooth part) starts from the tile of the tile primes among them.  When
+    a factor above the root may count, every power of every base prime is
+    found, so the rest of n is 1 or that one factor.
     """
     root = isqrt(hi - 1)
     truncated = mode.kind == "truncated"
@@ -288,27 +410,31 @@ def _fill_segment(lo, hi, base, out, mode, tiles):
     primes = base[: np.searchsorted(base, root if residual else cutoff, side="right")]
     # the tile primes in play
     tiled = int(np.searchsorted(primes, max(_TILE_POWERS), side="right"))
-    _tile_fill(tiles[tiled][0], lo, out)
+    tile_word, tile_smooth = tiles[tiled]
+    word = np.empty(hi - lo, np.uint16)
+    _tile_fill(tile_word, lo, word)
     smooth = None
-    if residual:
+    if truncated and residual:
         smooth = np.empty(hi - lo, np.uint32 if hi <= _SMOOTH32_END else np.int64)
-        _tile_fill(tiles[tiled][1], lo, smooth)
+        _tile_fill(tile_smooth, lo, smooth)
     distinct = mode.kind != "big"
     # tile primes always take the strided pass, from their first power past the tile
     split = max(tiled, np.searchsorted(primes, (hi - lo) >> _STRIDED_SHIFT, side="right"))
-    _strided(lo, hi, primes[:split], out, smooth, distinct)
-    _bucketed(lo, hi, primes[split:], out, smooth, distinct)
+    _strided(lo, hi, primes[:split], word, smooth, layout, distinct, residual)
+    _bucketed(lo, hi, primes[split:], word, smooth, layout, distinct, residual)
     if not residual:
+        np.right_shift(word, layout.shift, out=out, casting="unsafe")
         return
-    # smooth divides n, so both fit in smooth's dtype; compared a block at a time
     for a in range(0, hi - lo, _RESIDUAL_BLOCK):
-        n = np.arange(lo + a, min(lo + a + _RESIDUAL_BLOCK, hi), dtype=smooth.dtype)
-        part = smooth[a : a + n.size]
-        if truncated:
-            rest = n // part
-            out[a : a + n.size] += (rest > 1) & (rest <= cutoff)
-        else:
-            out[a : a + n.size] += n != part
+        block = slice(a, a + _RESIDUAL_BLOCK)
+        if smooth is None:
+            _add_residual(lo + a, root, word[block], out[block], layout)
+            continue
+        # smooth divides n, so both fit in smooth's dtype
+        part = smooth[block]
+        rest = np.arange(lo + a, lo + a + part.size, dtype=part.dtype) // part
+        np.right_shift(word[block], layout.shift, out=out[block], casting="unsafe")
+        out[block] += (rest > 1) & (rest <= cutoff)
 
 
 def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
@@ -325,12 +451,13 @@ def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
     if config is None:
         config = SieveConfig()
     base = _base_primes(hi)
-    tiles = _tiles(mode)
+    layout = _layout(hi, mode)
+    tiles = _tiles(mode, layout)
     out = np.empty(hi - lo, dtype=np.uint8)
 
     def run_segment(seg_lo):
         seg_hi = min(seg_lo + config.segment_length, hi)
-        _fill_segment(seg_lo, seg_hi, base, out[seg_lo - lo : seg_hi - lo], mode, tiles)
+        _fill_segment(seg_lo, seg_hi, base, out[seg_lo - lo : seg_hi - lo], mode, layout, tiles)
 
     seg_starts = range(lo, hi, config.segment_length)
     if config.worker_count == 1:
@@ -400,10 +527,15 @@ def write_block(block: FactorCountBlock, path) -> None:
     cutoff = block.mode.cutoff if block.mode.kind == "truncated" else 0.0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(block.lo, block.hi, _MODE_CODE[block.mode.kind], cutoff))
-        fh.write(block.counts.tobytes())
+        fh.write(np.ascontiguousarray(block.counts).data)   # the buffer itself, no copy
 
 
 def read_block(path) -> FactorCountBlock:
+    """The block write_block wrote to the regular file at path.
+
+    The body is read into the block's own array, after its length is
+    checked against the header from the file size.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -415,16 +547,18 @@ def read_block(path) -> FactorCountBlock:
         if not 1 <= lo < hi:
             raise ContractError(
                 f"block header in {path}: need 1 <= lo < hi, got [{lo}, {hi})")
-        body = fh.read()
-    if code not in _CODE_MODE:
-        raise ContractError(f"unknown mode code {code} in {path}")
-    if len(body) != hi - lo:
-        raise ContractError(
-            f"block body has {len(body)} bytes, header promises {hi - lo}"
-        )
+        if code not in _CODE_MODE:
+            raise ContractError(f"unknown mode code {code} in {path}")
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body != hi - lo:
+            raise ContractError(
+                f"block body has {body} bytes, header promises {hi - lo}"
+            )
+        counts = np.empty(hi - lo, dtype=np.uint8)
+        if fh.readinto(counts) != counts.size or fh.read(1):
+            raise ContractError(f"block body of {path} changed while it was read")
     kind = _CODE_MODE[code]
     mode = CountMode(kind, cutoff) if kind == "truncated" else CountMode(kind)
-    counts = np.frombuffer(body, dtype=np.uint8).copy()
     return FactorCountBlock(lo=int(lo), hi=int(hi), mode=mode, counts=counts)
 
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from omegalab import (BigOmega, CapacityError, ContractError, CountMode,
                       EmptyDomainError, SieveConfig, SmallOmega,
-                      TruncatedOmega, enumerate_primes, factor_counts,
-                      liouville, omega_oracle, read_block, truncation_cutoff,
-                      write_block, write_block_csv)
+                      TruncatedOmega, cli, enumerate_primes, factor_counts,
+                      liouville, omega_oracle, read_block, sieve,
+                      truncation_cutoff, write_block, write_block_csv)
 
 
 def _trial_counts(lo, hi, *, distinct=False, cutoff=None):
@@ -287,6 +287,112 @@ def test_memory_peaks_of_far_window_and_dense_sieve():
     assert far <= 25 * 2 ** 20
     dense = _traced_peak(factor_counts, 1, 10 ** 7 + 1)
     assert dense <= 73.5 * 2 ** 20
+
+
+# --- the packed word: count bits above, log units below --------------------
+
+def _range_ends():
+    """Range ends of every bit length 2 .. 63 (both extremes), the tile floor and 2**63."""
+    ends = {2 * _TILE, 2 ** 63}
+    for bits in range(2, 64):
+        ends |= {1 << (bits - 1), (1 << bits) - 1}
+    return sorted(ends)
+
+
+def test_packed_word_margins_for_every_range_end():
+    # arithmetic only: for each layout the count and the log units fit, the
+    # per-n deficit test has a gap, and every block past the first of a
+    # range from 1 gets one integer threshold
+    budget = 2 * sieve._ROUNDING   # float rounding, once on each side
+    block = sieve._RESIDUAL_BLOCK
+    for hi in _range_ends():
+        layout = sieve._layout(hi, BigOmega)
+        scale, shift = layout.scale, layout.shift
+        top = max(hi, 2 * _TILE)
+        assert (top - 1).bit_length() - 1 < 1 << (16 - shift), hi   # the largest count
+        assert scale * math.log2(top) + sieve._ROUNDING <= 1 << shift, hi   # the log units
+        assert sieve._layout(hi, TruncatedOmega(7)) == sieve._Layout(shift, 0)
+        # a segment ending at hi: rest 1 leaves a deficit below m, rest P at least S log2(root + 1)
+        root, m = math.isqrt(hi - 1), (hi - 1).bit_length() - 1
+        assert scale * math.log2(root + 1) >= m + budget + 1, hi
+        blocks = [(block + 1, 2 * block + 1)]   # the second block of a range from 1
+        if hi > 2 * block:
+            blocks.append((hi - block, hi))
+        for a, b in blocks:
+            root = math.isqrt(b - 1)   # the smallest root a segment holding [a, b) has
+            m = (b - 1).bit_length() - 1
+            slack = scale * math.log2((b - 1) / a)
+            assert scale * math.log2(root + 1) >= m + budget + slack + 1, (hi, a)
+            threshold = sieve._residual_threshold(a, b, root, layout)
+            # above every rest-P total of log units, at or below every rest-1 total
+            assert threshold > scale * math.log2(b - 1) - scale * math.log2(root + 1), (hi, a)
+            assert threshold <= scale * math.log2(a) - m + 1, (hi, a)
+
+
+def test_windows_near_2_44_in_the_6_count_bit_layout():
+    lo, hi = 2 ** 44 - 2 ** 11, 2 ** 44 + 2 ** 11
+    assert sieve._layout(hi, BigOmega).shift == 10
+    expected = _numpy_trial_counts(range(lo, hi), hi, 0)
+    for config in (None, SieveConfig(segment_length=1 << 9)):
+        for column, mode in enumerate((BigOmega, SmallOmega)):
+            counts = factor_counts(lo, hi, mode, config).counts
+            assert np.array_equal(counts, expected[:, column]), (mode, config)
+
+
+def test_ranges_from_small_lo_take_the_per_n_fallback():
+    # the first block of a range from 1 has no single threshold; its deficit
+    # is taken per n, and the tile copies start at lo mod 5040 = lo
+    hi, cutoff = 2 ** 17, 1000   # the cutoff lies above the root of every segment but the first
+    expected = _numpy_trial_counts(range(1, hi), hi, cutoff)
+    modes = (BigOmega, SmallOmega, TruncatedOmega(cutoff))
+    for segment_length in (64, 1 << 12, 1 << 20):
+        config = SieveConfig(segment_length=segment_length)
+        for lo in range(1, 9):
+            for column, mode in enumerate(modes):
+                counts = factor_counts(lo, hi, mode, config).counts
+                assert np.array_equal(counts, expected[lo - 1 :, column]), (segment_length, lo, mode)
+
+
+def test_counts_agree_across_the_32_bit_layouts():
+    below = (2 ** 32 - 2 ** 13, 2 ** 32)
+    above = (2 ** 32 - 2 ** 13, 2 ** 32 + 2 ** 13)
+    assert sieve._layout(below[1], BigOmega).shift == 11
+    assert sieve._layout(above[1], BigOmega).shift == 10
+    for mode in (BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF)):
+        short = factor_counts(*below, mode).counts
+        long = factor_counts(*above, mode).counts
+        assert np.array_equal(short, long[: short.size]), mode
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_fermat_products_sit_on_the_threshold_edge(k):
+    # n = 2**k * P with P = 2**k + 1 prime ends its segment, whose root is
+    # 2**k: its rest P = root + 1 leaves it exactly S log2(n / P) log units,
+    # the most a rest-P n can have, one below the threshold
+    n = (1 << k) * ((1 << k) + 1)
+    for length in (2, 64):
+        lo = max(1, n + 1 - length)
+        config = SieveConfig(segment_length=length)
+        assert factor_counts(lo, n + 1, BigOmega, config).count_at(n) == k + 1
+        assert factor_counts(lo, n + 1, SmallOmega, config).count_at(n) == 2
+
+
+def test_block_io_and_cli_digest_make_no_copy_of_the_body(tmp_path, monkeypatch):
+    body = 1 << 22
+    rng = np.random.default_rng(22)
+    block = sieve.FactorCountBlock(1, body + 1, BigOmega,
+                                   rng.integers(0, 27, body, dtype=np.uint8))
+    path = tmp_path / "block.bin"
+    assert _traced_peak(write_block, block, path) < 1.25 * body
+    assert _traced_peak(read_block, path) < 1.25 * body
+    assert np.array_equal(read_block(path).counts, block.counts)
+    monkeypatch.setattr(sieve, "factor_counts", lambda *args: block)
+    params = {"n": body, "hi": None, "lo": 1, "workers": 1, "mode": "big",
+              "cutoff": None, "format": "bin"}
+    assert _traced_peak(cli._run_sieve, params) < 1.25 * body
+    _, results, _ = cli._run_sieve(params)
+    assert results["digest"] == hashlib.sha256(block.counts.tobytes()).hexdigest()
+    assert np.array_equal(results["histogram"], np.bincount(block.counts))
 
 
 # --- configuration and determinism ----------------------------------------
