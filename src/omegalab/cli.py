@@ -14,19 +14,17 @@ derived N are checked against the run, its other echoes are recomputed.
 Exit codes: 0 success, 1 I/O failure after the pre-checks (a disk that
 fills while an --out file is written), 2 contract violation or bad
 usage, 3 unknown function preset, 4 degenerate prime window, 5 capacity
-overflow.
+overflow or memory the machine cannot allocate.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import hashlib
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -53,10 +51,10 @@ EXIT_PRESET = 3
 EXIT_WINDOW = 4
 EXIT_CAPACITY = 5
 
-# most specific first: all but OSError are ContractErrors
+# most specific first: all but OSError and MemoryError are ContractErrors
 _EXIT_CODES = ((UnknownPresetError, EXIT_PRESET), (DegenerateWindowError, EXIT_WINDOW),
-               (CapacityError, EXIT_CAPACITY), (ContractError, EXIT_CONTRACT),
-               (OSError, EXIT_IO))
+               (CapacityError, EXIT_CAPACITY), (MemoryError, EXIT_CAPACITY),
+               (ContractError, EXIT_CONTRACT), (OSError, EXIT_IO))
 
 WORKERS_ENV = "OMEGALAB_WORKERS"
 
@@ -196,17 +194,6 @@ def _derived_block(n_limit: int | None) -> dict:
     return out
 
 
-@contextlib.contextmanager
-def _temp_beside(path: str, suffix: str = ".tmp"):
-    """A scratch file name next to path, removed on the way out."""
-    tmp = path + suffix
-    try:
-        yield tmp
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _check_writable(path: str) -> None:
     """Refuse an --out path that cannot take the file, before any work."""
     if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
@@ -214,24 +201,26 @@ def _check_writable(path: str) -> None:
 
 
 def _atomic_write(path: str, write) -> None:
-    """write(tmp) to a temp file, then rename it over path."""
-    with _temp_beside(path) as tmp:
+    """write(tmp) to a temp file beside path, then rename it over path."""
+    tmp = path + ".tmp"
+    try:
         write(tmp)
         os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):   # the write failed
+            os.remove(tmp)
 
 
 def _atomic_csv(path: str, manifest: dict, write_body) -> None:
-    """Write a CSV atomically, timestamp and manifest comment lines first."""
+    """Write a CSV atomically: comment lines, then write_body(handle) on the same file."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     header = (f"# timestamp {stamp}\n# manifest "
               + json.dumps(_jsonify(manifest), sort_keys=True) + "\n")
 
     def write(tmp):
-        with _temp_beside(path, ".body.tmp") as body:
-            write_body(body)
-            with open(tmp, "w", newline="") as out, open(body) as src:
-                out.write(header)
-                shutil.copyfileobj(src, out)
+        with open(tmp, "w", newline="") as handle:
+            handle.write(header)
+            write_body(handle)
     _atomic_write(path, write)
 
 
@@ -348,7 +337,7 @@ def _run_reduce(p):
     results = {"terms": {str(k): v for k, v in sorted(terms.items())},
                "total": total, "sqrt_total": math.sqrt(total)}
     return ({"xi": xi_set, "window": block}, results,
-            _csv(lambda path: reduction.write_xi_sweep_csv(path, terms)))
+            _csv(lambda fh: reduction.write_xi_sweep_csv(fh, terms)))
 
 
 def _run_circle(p):
@@ -365,7 +354,7 @@ def _run_circle(p):
                "audit_product": measure * p["epsilon"] ** 4 * window.max_prime}
 
     return ({"resolution": resolution, "window": block}, results,
-            _csv(lambda path: reduction.write_alpha_sweep_csv(path, window, resolution)))
+            _csv(lambda fh: reduction.write_alpha_sweep_csv(fh, window, resolution)))
 
 
 def _run_explore_k(p):
@@ -523,8 +512,9 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ContractError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ContractError, OSError, MemoryError) as exc:
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

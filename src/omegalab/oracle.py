@@ -2,10 +2,10 @@
 
 Everything here recomputes from first principles: trial division for
 factor counts and for the primes, direct loops for averages, full
-enumeration for moment combinations.  The one helper shared with the fast
-modules is the trial-division factoriser `sieve.factorize`; the sieve's
-segment kernel is never touched, so agreement between the two is
-evidence, not tautology.
+enumeration for moment combinations.  The helpers shared with the fast
+modules are the trial-division factoriser `sieve.factorize` and its
+exponent sum `sieve.omega_oracle`; the sieve's segment kernel is never
+touched, so agreement between the two is evidence, not tautology.
 
 Single-threaded by design; determinism over speed.  Nothing here is
 meant to scale past n = 10^6.
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ContractError
-from .sieve import factorize
+from .sieve import factorize, omega_oracle
 
 __all__ = [
     "PeriodicTerm",
     "PeriodicCombo",
     "indicator_combo",
-    "count_with_multiplicity",
     "brute_correlation",
     "periodic_independence_check",
     "moment_identity_check",
@@ -83,11 +82,6 @@ def indicator_combo(modulus: int, residue: int = 0) -> PeriodicCombo:
     return PeriodicCombo(terms=(PeriodicTerm(1.0 + 0.0j, modulus, residue),))
 
 
-def count_with_multiplicity(n: int) -> int:
-    """Trial-division count of prime factors with multiplicity."""
-    return sum(e for _, e in factorize(n))
-
-
 def brute_correlation(a, b, n_limit: int, shift: int,
                       weighting: str = "cesaro") -> complex:
     """Two-point correlation by direct loop, the slow way.
@@ -107,8 +101,7 @@ def brute_correlation(a, b, n_limit: int, shift: int,
     mass = 0.0
     for n in range(1, n_limit + 1):
         w = 1.0 if weighting == "cesaro" else 1.0 / n
-        total += w * a(count_with_multiplicity(n)) \
-            * b(count_with_multiplicity(n + shift))
+        total += w * a(omega_oracle(n)) * b(omega_oracle(n + shift))
         mass += w
     return complex(total / mass)
 

@@ -20,14 +20,17 @@ folded exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .correlation import MODULUS_SLACK
 from .errors import ContractError
-from .profiles import CESARO, NBINS, primes_upto, sweep, two_point_profile
+from .profiles import (CESARO, NBINS, primes_upto, require_primes, sweep,
+                       two_point_profile)
 from .sieve import factorize
 
 
@@ -40,7 +43,8 @@ class MultFunSpec:
 
     Primes not listed in prime_values take default_prime_value; the two
     workhorse specs (Liouville-like and the frequency modes) are constant
-    on primes, which downstream code exploits.
+    on primes, which downstream code exploits.  Every override key must be
+    an integer >= 2, and a prime when it is at most the N of a computation.
     """
 
     default_prime_value: complex = 1.0 + 0.0j
@@ -56,13 +60,24 @@ class MultFunSpec:
     def value_at_prime(self, p: int) -> complex:
         return complex(self.prime_values.get(int(p), self.default_prime_value))
 
-    def values_on(self, primes: np.ndarray) -> np.ndarray:
+    def overrides_upto(self, n_limit: int) -> list:
+        """(p, f(p)) for the override keys p <= N, after checking every key;
+        keys above N divide no n <= N and are not looked up in the prime table."""
+        for p in self.prime_values:
+            if not isinstance(p, numbers.Integral) or p < 2:
+                raise ContractError(f"override key {p!r} is not an integer >= 2")
+        keys = [int(p) for p in self.prime_values if p <= n_limit]
+        require_primes(np.array(keys, dtype=np.int64), "override keys")
+        return [(p, complex(self.prime_values[p])) for p in keys]
+
+    def values_on(self, n_limit: int) -> np.ndarray:
+        """f(p) for the primes p <= N, in the order of primes_upto(N)."""
+        overrides = self.overrides_upto(n_limit)
+        primes = primes_upto(n_limit)
         out = np.full(primes.size, complex(self.default_prime_value),
                       dtype=np.complex128)
-        for p, v in self.prime_values.items():
-            idx = np.searchsorted(primes, p)
-            if idx < primes.size and primes[idx] == p:
-                out[idx] = v
+        for p, v in overrides:
+            out[np.searchsorted(primes, p)] = v
         return out
 
     def constant_prime_value(self):
@@ -127,27 +142,28 @@ def _prime_columns(n_limit: int):
     return primes, np.log(as_float), 1.0 / as_float
 
 
+def _distance_sq(f: MultFunSpec, n_limit: int, g_on) -> float:
+    """sum_{p<=N} (1 - Re f(p) conj(g(p)))/p, with g(p) = g_on(primes, log p)."""
+    primes, logs, invp = _prime_columns(n_limit)
+    fp, gp = f.values_on(n_limit), g_on(primes, logs)
+    return float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
+
+
 def distance(f: MultFunSpec, g: MultFunSpec, n_limit: int) -> float:
     """Pretentious distance between two completely multiplicative specs."""
     if n_limit < 2:
         raise ContractError("distance needs N >= 2")
-    primes, _, invp = _prime_columns(n_limit)
-    fp = f.values_on(primes)
-    gp = g.values_on(primes)
-    total = float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
+    total = _distance_sq(f, n_limit, lambda primes, logs: g.values_on(n_limit))
     return math.sqrt(max(total, 0.0))
 
 
 def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float,
                          chi_table=None) -> float:
     """D(f, n -> chi(n) n^{it}; N)^2 for one t (chi optional)."""
-    primes, logs, invp = _prime_columns(n_limit)
-    fp = f.values_on(primes)
-    gp = np.exp(1j * t * logs)
-    if chi_table is not None:
-        q = len(chi_table)
-        gp = gp * np.asarray(chi_table)[primes % q]
-    return float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
+    def twist(primes, logs):
+        gp = np.exp(1j * t * logs)
+        return gp if chi_table is None else gp * np.asarray(chi_table)[primes % len(chi_table)]
+    return _distance_sq(f, n_limit, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +228,7 @@ def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums
     starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
     centres = math.log(2.0) + (cell[starts] + 0.5) * width
     scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / half
-    weights = f.values_on(primes) * invp
+    weights = f.values_on(n_limit) * invp
 
     x = t_max * half * float(np.abs(scaled).max(initial=0.0))
     if x > 1.0:
@@ -321,9 +337,9 @@ def dist_formula_residual(xi: float, n_limit: int, t: float) -> float:
     family = frequency_family(n_limit)
     if not math.isfinite(xi):
         raise ContractError("xi must be finite")
-    theta = 2.0 * math.pi * family.fold(xi) / family.size
-    spec = MultFunSpec(default_prime_value=complex(math.cos(theta), math.sin(theta)))
-    measured = distance_sq_to_twist(spec, n_limit, t)
+    folded = family.fold(xi)
+    theta = 2.0 * math.pi * folded / family.size
+    measured = distance_sq_to_twist(mode_spec(family, folded), n_limit, t)
     loglog = math.log(math.log(n_limit))
     formula = ((1.0 - math.cos(theta)) * loglog
                + math.cos(theta) * math.log(1.0 + abs(t) * math.log(n_limit)))
@@ -382,23 +398,10 @@ def _component_generators(p: int, e: int):
 
 
 def _component_logs(pe: int, gens):
-    """Map unit -> exponent tuple over the generator list."""
-    logs = {1 % pe: tuple(0 for _ in gens)}
-    if not gens:
-        return logs
-    # enumerate the direct product of the cyclic factors
-    reps = [1]
-    exps = [()]
-    for g, order in gens:
-        new_reps, new_exps = [], []
-        power = 1
-        for k in range(order):
-            for r, ex in zip(reps, exps):
-                new_reps.append(r * power % pe)
-                new_exps.append(ex + (k,))
-            power = power * g % pe
-        reps, exps = new_reps, new_exps
-    return dict(zip(reps, exps))
+    """Map unit -> exponent tuple over the generator list (the direct product
+    of the cyclic factors)."""
+    return {math.prod(pow(g, k, pe) for (g, _), k in zip(gens, exps)) % pe: exps
+            for exps in itertools.product(*(range(order) for _, order in gens))}
 
 
 def dirichlet_characters(q: int) -> list:
@@ -421,9 +424,7 @@ def dirichlet_characters(q: int) -> list:
     orders = [tuple(order for _, order in gens) for _, gens in components]
 
     # character index = one exponent tuple per component's generator list
-    choices = [()]
-    for ords in orders:
-        choices = local_product(choices, ords)
+    choices = itertools.product(*(itertools.product(*map(range, ords)) for ords in orders))
 
     out = []
     for choice in choices:
@@ -441,14 +442,6 @@ def dirichlet_characters(q: int) -> list:
         out.append(TwistSpec(q, tuple(table.tolist()), principal=principal))
     out.sort(key=lambda ts: not ts.principal)
     return out
-
-
-def local_product(prefixes, orders):
-    """Extend index prefixes by one component's generator index tuples."""
-    local = [()]
-    for m in orders:
-        local = [ex + (j,) for ex in local for j in range(m)]
-    return [prefix + (loc,) for prefix in prefixes for loc in local]
 
 
 def twisted_distance(f: MultFunSpec, chi: TwistSpec, n_limit: int) -> float:
@@ -469,13 +462,13 @@ def eval_multfun_range(spec: MultFunSpec, n_limit: int) -> np.ndarray:
     """
     base = complex(spec.default_prime_value)
     table = np.array([base**k for k in range(NBINS)], dtype=np.complex128)
+    overrides = spec.overrides_upto(n_limit)
+    if spec.prime_values and abs(base) == 0.0:
+        raise ContractError("override fixup needs a nonzero default value")
     values = np.concatenate([table[levels]
                              for _, levels, _ in sweep(n_limit, weighted=False)])
-    for p, v in spec.prime_values.items():
-        p = int(p)
-        if abs(base) == 0.0:
-            raise ContractError("override fixup needs a nonzero default value")
-        ratio = complex(v) / base
+    for p, v in overrides:
+        ratio = v / base
         q = p
         while q <= n_limit:
             values[q - 1 :: q] *= ratio
@@ -496,7 +489,7 @@ def mean_over_range(spec: MultFunSpec, n_limit: int) -> complex:
         return two_point_profile(n_limit, 0).mean(table, CESARO)
     if abs(base) == 0.0:
         raise ContractError("override fixup needs a nonzero default value")
-    ratios = [(int(p), complex(v) / base) for p, v in spec.prime_values.items()]
+    ratios = [(p, v / base) for p, v in spec.overrides_upto(n_limit)]
     total = 0.0 + 0.0j
     for start, levels, _ in sweep(n_limit, weighted=False):
         values = table[levels]

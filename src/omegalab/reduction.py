@@ -492,24 +492,22 @@ def major_arc_measure(window: PrimeWindow, epsilon: float,
 # CSV sweeps
 
 
-def write_xi_sweep_csv(path, terms: dict) -> None:
-    """Write frequency/term rows, frequencies sorted ascending."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["xi", "term"])
-        for xi in sorted(terms):
-            writer.writerow([xi, format(terms[xi], ".17g")])
+def write_xi_sweep_csv(handle, terms: dict) -> None:
+    """Write frequency/term rows to an open file, frequencies ascending."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["xi", "term"])
+    for xi in sorted(terms):
+        writer.writerow([xi, format(terms[xi], ".17g")])
 
 
-def write_alpha_sweep_csv(path, window: PrimeWindow, resolution: int) -> None:
-    """Write alpha/abs_sum rows for the window exponential sum at alpha = j/R."""
+def write_alpha_sweep_csv(handle, window: PrimeWindow, resolution: int) -> None:
+    """Write alpha/abs_sum rows of the window exponential sum at j/R to an open file."""
     resolution = int(resolution)
     if resolution < 1:
         raise ContractError("resolution must be positive")
     alphas = np.arange(resolution, dtype=np.float64) / resolution
     magnitudes = _abs_sum_grid(window, resolution)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["alpha", "abs_sum"])
-        for alpha, mag in zip(alphas, magnitudes):
-            writer.writerow([format(alpha, ".17g"), format(mag, ".17g")])
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["alpha", "abs_sum"])
+    for alpha, mag in zip(alphas, magnitudes):
+        writer.writerow([format(alpha, ".17g"), format(mag, ".17g")])

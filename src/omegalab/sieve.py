@@ -562,11 +562,10 @@ def read_block(path) -> FactorCountBlock:
     return FactorCountBlock(lo=int(lo), hi=int(hi), mode=mode, counts=counts)
 
 
-def write_block_csv(block: FactorCountBlock, path) -> None:
-    """CSV export with one `n,count` row per integer in the block."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,count\n")
-        for a in range(0, block.counts.size, _CSV_ROWS):
-            values = block.counts[a : a + _CSV_ROWS].tolist()
-            ns = range(block.lo + a, block.lo + a + len(values))
-            fh.write("".join([f"{n},{v}\n" for n, v in zip(ns, values)]))
+def write_block_csv(block: FactorCountBlock, handle) -> None:
+    """CSV export to an open file, one `n,count` row per integer in the block."""
+    handle.write("n,count\n")
+    for a in range(0, block.counts.size, _CSV_ROWS):
+        values = block.counts[a : a + _CSV_ROWS].tolist()
+        ns = range(block.lo + a, block.lo + a + len(values))
+        handle.write("".join([f"{n},{v}\n" for n, v in zip(ns, values)]))

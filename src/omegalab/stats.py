@@ -209,14 +209,13 @@ def density_l1_gap(n_limit: int, counts_block=None) -> float:
     return float(np.sum(np.abs(table.pi_bar - table.pi_bar_log)))
 
 
-def write_density_csv(table: DensityTable, path) -> None:
-    """CSV export `ell,pi_bar,pi_bar_log,gaussian,ratio` (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("ell,pi_bar,pi_bar_log,gaussian,ratio\n")
-        for ell in range(NBINS):
-            if table.counts[ell] == 0 and table.gaussian[ell] < 1e-300:
-                continue
-            ratio = table.pi_bar[ell] / table.gaussian[ell]
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (
-                ell, table.pi_bar[ell], table.pi_bar_log[ell],
-                table.gaussian[ell], ratio))
+def write_density_csv(table: DensityTable, handle) -> None:
+    """CSV rows `ell,pi_bar,pi_bar_log,gaussian,ratio` (17 digits) to an open file."""
+    handle.write("ell,pi_bar,pi_bar_log,gaussian,ratio\n")
+    for ell in range(NBINS):
+        if table.counts[ell] == 0 and table.gaussian[ell] < 1e-300:
+            continue
+        ratio = table.pi_bar[ell] / table.gaussian[ell]
+        handle.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (
+            ell, table.pi_bar[ell], table.pi_bar_log[ell],
+            table.gaussian[ell], ratio))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import cli, profiles, sieve
+from omegalab import cli, profiles, reduction, sieve, stats
 
 
 def _run(capsys, *argv):
@@ -421,13 +421,52 @@ def test_disk_full_while_writing_exits_1_and_leaves_nothing(capsys, tmp_path, mo
         with open(path, "wb") as fh:
             fh.write(b"\0" * 64)
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    def full_disk_csv(block, handle):
+        handle.write("n,count\n" * 64)
+        handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
     monkeypatch.setattr(sieve, "write_block", full_disk)
-    out = tmp_path / "counts.bin"
-    code, stdout, err = _run(capsys, "sieve", "--n", "1000", "--out", str(out))
-    assert code == cli.EXIT_IO == 1
+    monkeypatch.setattr(sieve, "write_block_csv", full_disk_csv)
+    for fmt in ("bin", "csv"):
+        out = tmp_path / f"counts.{fmt}"
+        code, stdout, err = _run(capsys, "sieve", "--n", "1000", "--format", fmt,
+                                 "--out", str(out))
+        assert code == cli.EXIT_IO == 1
+        assert stdout == ""
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_body_is_written_into_the_one_temp_file(capsys, tmp_path, monkeypatch):
+    # each CSV writer, mid-write, sees only <out>.tmp beside the output
+    writers = {"sieve": (sieve, "write_block_csv", ("--n", "1000", "--format", "csv")),
+               "densities": (stats, "write_density_csv", ("--n", "1000")),
+               "reduce": (reduction, "write_xi_sweep_csv", ("--n", "10000", "--xi", "1")),
+               "circle": (reduction, "write_alpha_sweep_csv", ("--n", "10000"))}
+    for command, (module, name, flags) in writers.items():
+        seen = []
+        real = getattr(module, name)
+
+        def listing(*args, real=real, seen=seen, **kwargs):
+            seen.append(sorted(os.listdir(tmp_path)))
+            real(*args, **kwargs)
+        monkeypatch.setattr(module, name, listing)
+        out = tmp_path / f"{command}.csv"
+        _report(capsys, command, *flags, "--out", str(out))
+        assert seen == [[f"{command}.csv.tmp"]], command
+        assert sorted(os.listdir(tmp_path)) == [f"{command}.csv"], command
+        out.unlink()
+
+
+def test_memory_the_machine_cannot_allocate_exits_5(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 909. TiB for an array")
+    monkeypatch.setattr(sieve, "factor_counts", no_memory)
+    code, stdout, err = _run(capsys, "correlate", "--n", "1000", "--shift", "1e15")
+    assert code == cli.EXIT_CAPACITY == 5
     assert stdout == ""
-    assert err.startswith("error:")
-    assert list(tmp_path.iterdir()) == []
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # Flag values for the fuzz test: every number stays within 10^4 in magnitude,

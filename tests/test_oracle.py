@@ -20,28 +20,27 @@ from omegalab.oracle import (
     PeriodicCombo,
     PeriodicTerm,
     brute_correlation,
-    count_with_multiplicity,
     indicator_combo,
     moment_identity_check,
     periodic_independence_check,
 )
-from omegalab.sieve import factor_counts
+from omegalab.sieve import factor_counts, omega_oracle
 
 
 def test_count_with_multiplicity_examples():
-    assert count_with_multiplicity(1) == 0
-    assert count_with_multiplicity(2) == 1
-    assert count_with_multiplicity(360) == 6       # 2^3 * 3^2 * 5
-    assert count_with_multiplicity(2**20) == 20
-    assert count_with_multiplicity(9699690) == 8   # primorial of 19
+    assert omega_oracle(1) == 0
+    assert omega_oracle(2) == 1
+    assert omega_oracle(360) == 6       # 2^3 * 3^2 * 5
+    assert omega_oracle(2**20) == 20
+    assert omega_oracle(9699690) == 8   # primorial of 19
     with pytest.raises(ContractError):
-        count_with_multiplicity(0)
+        omega_oracle(0)
 
 
 def test_count_matches_sieve_on_a_block():
     counts = factor_counts(1, 2001).counts
     for n in range(1, 2001):
-        assert count_with_multiplicity(n) == counts[n - 1]
+        assert omega_oracle(n) == counts[n - 1]
 
 
 def test_brute_correlation_constants_give_one():

@@ -1,6 +1,7 @@
 """Distance machinery, Dirichlet characters, and mean-value audits."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from omegalab.pretentious import (
     twisted_distance,
     unit_spec,
 )
-from omegalab import profiles
+from omegalab import pretentious, profiles
 from omegalab.sieve import enumerate_primes, factor_counts
 
 
@@ -225,6 +226,53 @@ def test_twisted_distance_frozen_mod5():
             for ts in dirichlet_characters(5)]
     assert vals[0] == pytest.approx(2.1831444969280254, abs=1e-12)
     assert min(vals) == pytest.approx(1.2150914508503938, abs=1e-12)
+
+
+# sha256 over (principal flag, table rounded to 12 decimals) per character, in
+# the order dirichlet_characters returns them; computed from the hand-written
+# direct-product loops this construction replaced.
+_CHARACTER_DIGESTS = {
+    8: "93f4b97ed961156f85a1d3d8efdaa297f585b6a1b632d16666bff39642e5e849",
+    12: "b17437f9e70168f52f99a7507b470f6137ea9827c5d337408c856316a3de16e9",
+    16: "1a8c0b45298ce3022252a2e08344fc4c8890f7e0481cd023bc973f3c4515de58",
+    24: "a0d25b06c204f403a16579f7143147acfc2c0153af3ccd5a6ef990656781fa1d",
+    45: "25b91cc984f1651bc57bc93eeca28a77a900294a4c0390e4772d2e39d45c43db",
+}
+
+
+def test_character_tables_and_order_pinned_for_composite_moduli():
+    for q, want in _CHARACTER_DIGESTS.items():
+        digest = hashlib.sha256()
+        for chi in dirichlet_characters(q):
+            digest.update(bytes([chi.principal]))
+            digest.update((np.round(np.asarray(chi.character), 12) + 0j).tobytes())
+        assert digest.hexdigest() == want, q
+
+
+def test_override_keys_that_are_not_primes_raise_before_any_pass(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass over n <= N started")
+    monkeypatch.setattr(pretentious, "sweep", no_pass)
+    # key 1 never advanced p^k, key 0 divided by zero, and key 4 counted as a
+    # prime in the mean while the distance skipped it
+    for key in (1, 0, 4):
+        spec = MultFunSpec(default_prime_value=-1.0, prime_values={key: 1j})
+        for walk in (mean_over_range, eval_multfun_range):
+            with pytest.raises(ContractError):
+                walk(spec, 1000)
+        with pytest.raises(ContractError):
+            distance(spec, liouville_spec(), 1000)
+        with pytest.raises(ContractError):
+            distance(liouville_spec(), spec, 1000)
+    # a zero default value cannot carry an override ratio
+    for walk in (mean_over_range, eval_multfun_range):
+        with pytest.raises(ContractError):
+            walk(MultFunSpec(default_prime_value=0.0, prime_values={2: 1j}), 1000)
+    monkeypatch.undo()
+    # a key above N divides no n <= N: it is not looked up in the prime table
+    above = MultFunSpec(default_prime_value=-1.0, prime_values={10**6: 1j})
+    assert distance(above, liouville_spec(), 1000) == 0.0
+    assert mean_over_range(above, 1000) == mean_over_range(liouville_spec(), 1000)
 
 
 def test_eval_multfun_range_matches_pointwise_products():

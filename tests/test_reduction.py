@@ -471,12 +471,13 @@ def test_major_arc_measure_matches_loop_oracle(monkeypatch, edges):
 def test_alpha_sweep_csv_rows_match_loop_oracle(tmp_path):
     w = prime_window(overrides={"lower": 2, "upper": 30})
     path = tmp_path / "alpha.csv"
-    write_alpha_sweep_csv(path, w, 290)
+    with open(path, "w", newline="") as fh:
+        write_alpha_sweep_csv(fh, w, 290)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(rows[:, 0], np.arange(290) / 290)
     np.testing.assert_allclose(rows[:, 1], _loop_abs_sums(w, rows[:, 0]), rtol=0, atol=1e-12)
-    with pytest.raises(ContractError):
-        write_alpha_sweep_csv(tmp_path / "empty.csv", w, 0)
+    with open(tmp_path / "empty.csv", "w", newline="") as fh, pytest.raises(ContractError):
+        write_alpha_sweep_csv(fh, w, 0)
 
 
 def test_major_arc_measure_limits():
@@ -516,7 +517,8 @@ def test_major_arc_measure_validation():
 
 def test_xi_sweep_csv(tmp_path):
     path = tmp_path / "sweep.csv"
-    write_xi_sweep_csv(path, {2: 0.5, -1: 0.25, 0: 0.0})
+    with open(path, "w", newline="") as fh:
+        write_xi_sweep_csv(fh, {2: 0.5, -1: 0.25, 0: 0.0})
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "xi,term"
     assert lines[1].startswith("-1,")
@@ -527,7 +529,8 @@ def test_xi_sweep_csv(tmp_path):
 def test_alpha_sweep_csv(tmp_path):
     w = prime_window(overrides={"lower": 2, "upper": 3})
     path = tmp_path / "alpha.csv"
-    write_alpha_sweep_csv(path, w, 3)
+    with open(path, "w", newline="") as fh:
+        write_alpha_sweep_csv(fh, w, 3)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "alpha,abs_sum"
     assert lines[1].split(",")[1] == "1"          # alpha = 0 gives |sum| = 1

@@ -501,7 +501,8 @@ def test_csv_bytes_match_row_by_row_format(tmp_path):
     lo = 10 ** 6 + 7
     block = factor_counts(lo, lo + (1 << 16) + 100)   # crosses chunk boundaries
     path = tmp_path / "block.csv"
-    write_block_csv(block, path)
+    with open(path, "w", newline="") as fh:
+        write_block_csv(block, fh)
     rows = "".join(f"{lo + i},{int(v)}\n" for i, v in enumerate(block.counts))
     assert path.read_bytes() == ("n,count\n" + rows).encode()
 
@@ -509,7 +510,8 @@ def test_csv_bytes_match_row_by_row_format(tmp_path):
 def test_csv_export(tmp_path):
     block = factor_counts(1, 13)
     path = tmp_path / "block.csv"
-    write_block_csv(block, path)
+    with open(path, "w", newline="") as fh:
+        write_block_csv(block, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,count"
     assert lines[1] == "1,0"

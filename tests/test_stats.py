@@ -182,7 +182,8 @@ def test_density_l1_gap_small():
 def test_density_csv(tmp_path):
     table = density_table(1000)
     path = tmp_path / "density.csv"
-    write_density_csv(table, path)
+    with open(path, "w", newline="") as fh:
+        write_density_csv(table, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "ell,pi_bar,pi_bar_log,gaussian,ratio"
     first = lines[1].split(",")
