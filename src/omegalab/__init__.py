@@ -10,10 +10,10 @@ prime windows, and distance-based mean-value bounds.
 
 from .errors import (CapacityError, ContractError, DegenerateWindowError,
                      EmptyDomainError, UnknownPresetError)
-from .sieve import (BigOmega, CountMode, FactorCountBlock, PrimeTable,
-                    SieveConfig, SmallOmega, TruncatedOmega, enumerate_primes,
-                    factor_counts, liouville, omega_oracle, read_block,
-                    truncation_cutoff, write_block, write_block_csv)
+from .sieve import (BigOmega, CountMode, FactorCountBlock, SieveConfig,
+                    SmallOmega, TruncatedOmega, enumerate_primes, factor_counts,
+                    liouville, omega_oracle, read_block, truncation_cutoff,
+                    write_block, write_block_csv)
 from .averaging import (CESARO, LOGARITHMIC, WeightedAverage, cesaro_avg,
                         cesaro_to_log_decompose, harmonic_mass, log_avg)
 from .stats import (DensityTable, GaussianModel, TypicalRange, density_table,

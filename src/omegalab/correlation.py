@@ -19,7 +19,8 @@ import numpy as np
 from . import stats
 from .errors import CapacityError, ContractError, EmptyDomainError
 from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, level_histograms,
-                       require_primes, two_point_profile, two_point_profiles)
+                       two_point_profile, two_point_profiles)
+from .sieve import require_primes
 
 MODULUS_SLACK = 1e-12
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from .correlation import MODULUS_SLACK
 from .errors import ContractError
-from .profiles import (CESARO, NBINS, primes_upto, require_primes, sweep,
-                       two_point_profile)
-from .sieve import factorize
+from .profiles import CESARO, NBINS, sweep, two_point_profile
+from .sieve import enumerate_primes, factorize, require_primes
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ class MultFunSpec:
 
     def overrides_upto(self, n_limit: int) -> list:
         """(p, f(p)) for the override keys p <= N, after checking every key;
-        keys above N divide no n <= N and are not looked up in the prime table."""
+        keys above N divide no n <= N and are not tested for primality."""
         for p in self.prime_values:
             if not isinstance(p, numbers.Integral) or p < 2:
                 raise ContractError(f"override key {p!r} is not an integer >= 2")
@@ -70,13 +69,11 @@ class MultFunSpec:
         require_primes(np.array(keys, dtype=np.int64), "override keys")
         return [(p, complex(self.prime_values[p])) for p in keys]
 
-    def values_on(self, n_limit: int) -> np.ndarray:
-        """f(p) for the primes p <= N, in the order of primes_upto(N)."""
-        overrides = self.overrides_upto(n_limit)
-        primes = primes_upto(n_limit)
+    def values_on(self, n_limit: int, primes: np.ndarray) -> np.ndarray:
+        """f(p) for primes, the ascending primes p <= N."""
         out = np.full(primes.size, complex(self.default_prime_value),
                       dtype=np.complex128)
-        for p, v in overrides:
+        for p, v in self.overrides_upto(n_limit):
             out[np.searchsorted(primes, p)] = v
         return out
 
@@ -135,25 +132,20 @@ def mode_spec(family: FrequencyFamily, xi: float) -> MultFunSpec:
 # ---------------------------------------------------------------------------
 # prime sums and distances
 
-def _prime_columns(n_limit: int):
-    """(primes, log p, 1/p) for p <= N, the primes read from the profiles table."""
-    primes = primes_upto(n_limit)
-    as_float = primes.astype(np.float64)
-    return primes, np.log(as_float), 1.0 / as_float
-
-
 def _distance_sq(f: MultFunSpec, n_limit: int, g_on) -> float:
     """sum_{p<=N} (1 - Re f(p) conj(g(p)))/p, with g(p) = g_on(primes, log p)."""
-    primes, logs, invp = _prime_columns(n_limit)
-    fp, gp = f.values_on(n_limit), g_on(primes, logs)
+    primes = enumerate_primes(n_limit)
+    as_float = primes.astype(np.float64)
+    # g first, so log p is freed before f's complex column is built
+    gp = g_on(primes, np.log(as_float))
+    fp = f.values_on(n_limit, primes)
+    invp = np.divide(1.0, as_float, out=as_float)
     return float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
 
 
 def distance(f: MultFunSpec, g: MultFunSpec, n_limit: int) -> float:
     """Pretentious distance between two completely multiplicative specs."""
-    if n_limit < 2:
-        raise ContractError("distance needs N >= 2")
-    total = _distance_sq(f, n_limit, lambda primes, logs: g.values_on(n_limit))
+    total = _distance_sq(f, n_limit, lambda primes, logs: g.values_on(n_limit, primes))
     return math.sqrt(max(total, 0.0))
 
 
@@ -221,14 +213,17 @@ def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ContractError("t range must be finite")
-    primes, logs, invp = _prime_columns(n_limit)
+    primes = enumerate_primes(n_limit)
+    as_float = primes.astype(np.float64)
+    logs = np.log(as_float)
+    invp = np.divide(1.0, as_float, out=as_float)   # in place: one float column less
     width = min(_BIN_WIDTH, 1.0 / t_max) if t_max > 0.0 else _BIN_WIDTH
     half = width / 2.0
     cell = np.floor((logs - math.log(2.0)) / width)
     starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
     centres = math.log(2.0) + (cell[starts] + 0.5) * width
     scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / half
-    weights = f.values_on(n_limit) * invp
+    weights = f.values_on(n_limit, primes) * invp
 
     x = t_max * half * float(np.abs(scaled).max(initial=0.0))
     if x > 1.0:
@@ -270,7 +265,9 @@ def log_t_grid(t_max: float, points: int = 10**4, t_min: float = 1e-6) -> np.nda
     """Symmetric grid on [-t_max, t_max]: 0 plus log-spaced magnitudes."""
     if not t_max > 0:
         raise ContractError("t_max must be positive")
-    half = max(points // 2, 1)
+    if points < 3:
+        raise ContractError("t grid needs points >= 3")
+    half = points // 2
     mags = np.geomspace(t_min, t_max, half)
     return np.concatenate((-mags[::-1], [0.0], mags))
 
@@ -289,8 +286,6 @@ def m0(f: MultFunSpec, n_limit: int, t_grid) -> dict:
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ContractError("empty t grid")
-    if n_limit < 2:
-        raise ContractError("distance needs N >= 2")
     sums = prime_trig_sums(f, n_limit, np.abs(t_grid).max())
     lo, hi = float(t_grid.min()), float(t_grid.max())
     steps = math.ceil(2.0 * math.log(n_limit) * (hi - lo))
@@ -446,8 +441,6 @@ def dirichlet_characters(q: int) -> list:
 
 def twisted_distance(f: MultFunSpec, chi: TwistSpec, n_limit: int) -> float:
     """D(f, n -> chi(n) n^{it}; N); p | q terms contribute (1 - 0)/p."""
-    if n_limit < 2:
-        raise ContractError("distance needs N >= 2")
     value = distance_sq_to_twist(f, n_limit, chi.t, chi_table=chi.character)
     return math.sqrt(max(value, 0.0))
 

@@ -23,9 +23,8 @@ into one (N, shift) cache that drops its oldest entry when full.
 
 The shared block is the largest multiplicity block sieved (`shared_counts`)
 or adopted (`adopt_block`) so far; smaller ranges are views of it, so a
-1e8 sieve is paid for once per process.  The prime table keeps the largest
-limit asked for (at least 1e5) and serves prefix views.  `invalidate_cache`
-empties the block, the profiles and the prime table.
+1e8 sieve is paid for once per process.  `invalidate_cache` empties the
+block and the profiles.
 """
 
 from __future__ import annotations
@@ -92,32 +91,12 @@ class TwoPointProfile:
 
 _cached_block: sieve.FactorCountBlock | None = None
 _profile_cache: dict = {}
-_prime_table: sieve.PrimeTable | None = None
 
 
 def invalidate_cache() -> None:
-    global _cached_block, _prime_table
+    global _cached_block
     _cached_block = None
     _profile_cache.clear()
-    _prime_table = None
-
-
-def primes_upto(limit: int) -> np.ndarray:
-    """The primes p <= limit, ascending int64, a prefix view of the table."""
-    global _prime_table
-    limit = int(limit)
-    if _prime_table is None or _prime_table.limit < limit:
-        _prime_table = sieve.enumerate_primes(max(limit, 10**5))
-        _prime_table.primes.flags.writeable = False   # callers hold views of it
-    primes = _prime_table.primes
-    return primes[: int(np.searchsorted(primes, limit, side="right"))]
-
-
-def require_primes(values: np.ndarray, what: str) -> None:
-    """Raise ContractError unless every entry of values is a prime."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and np.setdiff1d(values, primes_upto(int(values.max()))).size:
-        raise ContractError(f"{what} contains a number that is not prime")
 
 
 def adopt_block(block: sieve.FactorCountBlock) -> None:

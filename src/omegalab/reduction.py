@@ -148,7 +148,7 @@ def prime_window(n_limit: int | None = None,
     DegenerateWindowError carrying the offending edges.
     """
     lower, upper, formula_lower, formula_upper = window_edges(n_limit, overrides)
-    primes = profiles.primes_upto(math.floor(upper))
+    primes = sieve.enumerate_primes(math.floor(upper))
     primes = primes[primes >= lower]
     if primes.size == 0:
         raise DegenerateWindowError(

@@ -133,12 +133,6 @@ class SieveConfig:
 
 
 @dataclass(frozen=True)
-class PrimeTable:
-    limit: int
-    primes: np.ndarray  # ascending int64
-
-
-@dataclass(frozen=True)
 class FactorCountBlock:
     lo: int
     hi: int  # exclusive
@@ -151,8 +145,8 @@ class FactorCountBlock:
         return int(self.counts[n - self.lo])
 
 
-def enumerate_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, ascending, by a boolean sieve of the odd numbers."""
+def enumerate_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending int64, by a boolean sieve of the odd numbers."""
     limit = int(limit)
     if limit < 2:
         raise EmptyDomainError(f"no primes below 2 (limit={limit})")
@@ -170,7 +164,7 @@ def enumerate_primes(limit: int) -> PrimeTable:
     primes[0] = 2
     np.multiply(index, 2, out=primes[1:])
     primes[1:] += 1
-    return PrimeTable(limit=limit, primes=primes)
+    return primes
 
 
 def truncation_cutoff(n_limit: int, exponent: float = 8.0) -> float:
@@ -193,7 +187,7 @@ def _base_primes(hi: int) -> np.ndarray:
     root = isqrt(hi - 1)
     if root < 2:
         return np.empty(0, dtype=np.int64)
-    return enumerate_primes(root).primes
+    return enumerate_primes(root)
 
 
 @dataclass(frozen=True)
@@ -506,6 +500,20 @@ def factorize(n: int):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def require_primes(values, what: str) -> None:
+    """Raise ContractError unless every entry of values is a prime.
+
+    Each value is looked up by binary search in the primes up to the
+    largest one, so no hash of those primes is built.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if values.size:
+        primes = enumerate_primes(max(int(values.max()), 2))
+        at = np.minimum(np.searchsorted(primes, values), primes.size - 1)
+        if np.any(primes[at] != values):
+            raise ContractError(f"{what} contains a number that is not prime")
 
 
 def omega_oracle(n: int) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
-from .profiles import NBINS, adopt_block, require_primes, two_point_profile
+from .profiles import NBINS, adopt_block, two_point_profile
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def turan_kubilius_check(n_limit: int, prime_set) -> dict:
     p_arr = np.unique(p_arr)
     if p_arr[0] < 2 or p_arr[-1] > n_limit:
         raise ContractError("prime set must lie inside [2, N]")
-    require_primes(p_arr, "prime set")
+    sieve.require_primes(p_arr, "prime set")
     indicator_sum = np.zeros(n_limit, dtype=np.uint8)   # index = n - 1
     for p in p_arr:
         indicator_sum[p - 1 :: p] += 1

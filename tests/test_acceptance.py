@@ -118,7 +118,7 @@ def test_criterion_01_sieve_matches_trial_division_to_1e6():
 def test_criterion_02_turan_kubilius_exact_on_grid():
     for n in (10**4, 10**5, 10**6):
         for limit in (math.isqrt(n), n):
-            prime_set = enumerate_primes(limit).primes
+            prime_set = enumerate_primes(limit)
             out = turan_kubilius_check(n, prime_set)
             assert out["holds"] is True, (n, limit, out)
             assert out["lhs"] <= out["rhs"]

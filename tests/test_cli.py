@@ -254,6 +254,14 @@ def test_halasz_parity_preset(capsys):
     assert rep["results"]["ratio"] <= 10.0
 
 
+@pytest.mark.parametrize("points", ["-3", "0", "1", "2"])
+def test_halasz_refuses_fewer_than_three_points(capsys, points):
+    code, out, err = _run(capsys, "halasz", "--n", "1e4", "--points", points)
+    assert code == cli.EXIT_CONTRACT
+    assert out == ""
+    assert "points >= 3" in err
+
+
 def test_halasz_reports_the_tail_bound_and_distance_none(capsys):
     rep = _report(capsys, "halasz", "--n", "10000", "--points", "2001")
     assert 0.0 < rep["results"]["m0"]["tail_bound"] <= 1e-13
@@ -274,7 +282,7 @@ def test_circle_refuses_low_resolution_before_sieving(capsys, monkeypatch):
     # that edge is refused before the primes up to the upper edge are sieved
     def unreachable(limit):
         raise AssertionError(f"primes sieved up to {limit}")
-    monkeypatch.setattr(profiles, "primes_upto", unreachable)
+    monkeypatch.setattr(sieve, "enumerate_primes", unreachable)
     code, out, err = _run(capsys, "circle", "--window-lower", "99999000",
                           "--window-upper", "1e8", "--resolution", "10")
     assert code == cli.EXIT_CONTRACT

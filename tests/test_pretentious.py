@@ -157,6 +157,14 @@ def test_log_t_grid_contains_zero_and_is_symmetric():
         log_t_grid(0.0)
 
 
+def test_log_t_grid_refuses_fewer_than_three_points():
+    # below 3 points there is no room for 0 and a magnitude on each side
+    for points in (-3, 0, 1, 2):
+        with pytest.raises(ContractError):
+            log_t_grid(5.0, points=points)
+    assert log_t_grid(5.0, points=3).size == 3
+
+
 def test_m0_finds_the_grid_minimum_or_better():
     grid = log_t_grid(math.log(10**4), points=201)
     out = m0(liouville_spec(), 10**4, grid)
@@ -269,7 +277,7 @@ def test_override_keys_that_are_not_primes_raise_before_any_pass(monkeypatch):
         with pytest.raises(ContractError):
             walk(MultFunSpec(default_prime_value=0.0, prime_values={2: 1j}), 1000)
     monkeypatch.undo()
-    # a key above N divides no n <= N: it is not looked up in the prime table
+    # a key above N divides no n <= N: it is not tested for primality
     above = MultFunSpec(default_prime_value=-1.0, prime_values={10**6: 1j})
     assert distance(above, liouville_spec(), 1000) == 0.0
     assert mean_over_range(above, 1000) == mean_over_range(liouville_spec(), 1000)
@@ -341,7 +349,7 @@ def test_halasz_audit_unit_spec_mean_near_one():
 
 def _exact_profile(spec, n_limit, grid):
     # Oracle: one full pass over the primes per t, no binning.
-    primes = enumerate_primes(n_limit).primes
+    primes = enumerate_primes(n_limit)
     logs = np.log(primes.astype(np.float64))
     invp = 1.0 / primes.astype(np.float64)
     fp = np.array([spec.value_at_prime(p) for p in primes.tolist()])

@@ -1,0 +1,124 @@
+"""Prime sums: bit-identical values, one N < 2 contract, nothing kept after a call."""
+
+import dataclasses
+import hashlib
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import omegalab
+from omegalab.errors import ContractError
+from omegalab.pretentious import (MultFunSpec, dirichlet_characters, dist_formula_residual,
+                                  distance, distance_sq_profile, distance_sq_to_twist,
+                                  frequency_family, halasz_audit, liouville_spec,
+                                  log_t_grid, m0, mode_spec, prime_trig_sums,
+                                  twisted_distance, unit_spec)
+from omegalab.reduction import prime_window
+from omegalab.sieve import require_primes
+
+
+def _feed(digest, value):
+    """Hash a value by the exact bits of its floats (float.hex)."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            digest.update(key.encode())
+            _feed(digest, value[key])
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, (complex, np.complexfloating)):
+        _feed(digest, value.real)
+        _feed(digest, value.imag)
+    elif isinstance(value, (float, np.floating)):
+        digest.update(float(value).hex().encode())
+    else:
+        digest.update(str(int(value)).encode())
+
+
+def _prime_sum_values(n_limit):
+    """Every prime sum of the package at one N, in a fixed order."""
+    override = MultFunSpec(default_prime_value=-1.0, prime_values={3: 1j, 7: 0.6 - 0.8j})
+    specs = [liouville_spec(), override, mode_spec(frequency_family(n_limit), 2.0)]
+    grid = log_t_grid(math.log(n_limit), points=101)
+    values = []
+    for f in specs:
+        values.append(distance(f, unit_spec(), n_limit))
+        values.append([distance_sq_to_twist(f, n_limit, t) for t in (0.0, 0.5, -3.0)])
+        values.append([twisted_distance(f, dataclasses.replace(chi, t=0.3), n_limit)
+                       for chi in dirichlet_characters(12)])
+        values.append(m0(f, n_limit, grid))
+        values.append(distance_sq_profile(f, n_limit, grid))
+        sums = prime_trig_sums(f, n_limit, 7.0)
+        values.append([sums.centres, sums.moments, sums.harmonic, sums.tail_bound])
+        if n_limit >= 10**4:
+            values.append(halasz_audit(f, n_limit, grid))
+    values.append([dist_formula_residual(xi, n_limit, t)
+                   for xi in (0.0, 1.5, -4.0) for t in (0.0, 2.0)])
+    window = (prime_window(n_limit) if n_limit >= 10**4
+              else prime_window(overrides={"lower": 10, "upper": 200}))
+    values.append([window.primes, window.mass])
+    return values
+
+
+# sha256 of the float.hex bits of _prime_sum_values at each N.  A change of
+# summation order (dividing by p in place of multiplying by 1/p, say) moves
+# last bits that the tolerance checks elsewhere let through.
+_PRIME_SUM_DIGESTS = {
+    10**3: "7c66ebb0c1fe314c9ac2532e3abe9f474456dc9d05efdd28c6605ab7292fadbb",
+    10**5: "29d42477760bda42ac172cc5a48869f896999e765c0af4a8b6d08fcc47638f92",
+    10**6: "67df0ad6afbd18e7f3bc8a9384311e8da0a0e3c0b9088d58d27ce0b5ed907891",
+}
+
+
+@pytest.mark.parametrize("n_limit", sorted(_PRIME_SUM_DIGESTS))
+def test_prime_sums_bit_identical(n_limit):
+    digest = hashlib.sha256()
+    _feed(digest, _prime_sum_values(n_limit))
+    assert digest.hexdigest() == _PRIME_SUM_DIGESTS[n_limit]
+
+
+@pytest.mark.parametrize("n_limit", [1, 0])
+def test_every_prime_sum_refuses_n_below_two(n_limit):
+    f, grid = liouville_spec(), log_t_grid(5.0, points=11)
+    calls = [lambda: distance(f, unit_spec(), n_limit),
+             lambda: distance_sq_to_twist(f, n_limit, 0.5),
+             lambda: twisted_distance(f, dirichlet_characters(5)[1], n_limit),
+             lambda: m0(f, n_limit, grid),
+             lambda: distance_sq_profile(f, n_limit, grid),
+             lambda: prime_trig_sums(f, n_limit, 5.0)]
+    for call in calls:
+        with pytest.raises(ContractError):
+            call()
+
+
+_OUTLIVE_PROBE = """
+import tracemalloc
+from omegalab.pretentious import distance_sq_to_twist, liouville_spec
+from omegalab.reduction import prime_window
+from omegalab.sieve import require_primes
+
+# warm-up: first-call allocations are not what is measured
+distance_sq_to_twist(liouville_spec(), 10**3, 0.5)
+prime_window(10**4)
+require_primes([97], "primes")
+tracemalloc.start()
+distance_sq_to_twist(liouville_spec(), 10**7, 0.5)
+prime_window(10**7)
+require_primes([9999991], "primes")
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_nothing_about_primes_outlives_a_call():
+    # A fresh process, so that no earlier test's allocations are counted:
+    # what the three calls leave allocated is what outlives them.
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _OUTLIVE_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 1 << 20

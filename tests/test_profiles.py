@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from omegalab import correlation, pretentious, profiles, reduction
 from omegalab.averaging import harmonic_mass
 from omegalab.errors import ContractError
-from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, primes_upto,
-                               require_primes, shared_counts, two_point_profile,
-                               two_point_profiles)
-from omegalab.sieve import BigOmega, SmallOmega, enumerate_primes, factor_counts
+from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, shared_counts,
+                               two_point_profile, two_point_profiles)
+from omegalab.sieve import (BigOmega, SmallOmega, enumerate_primes, factor_counts,
+                            require_primes)
 from omegalab.stats import density_table
 
 
@@ -268,7 +268,7 @@ def _prime_shift_oracle(a, b, n_limit, window):
 
 def test_prime_shift_window_beyond_the_cache_limit():
     profiles.invalidate_cache()
-    window = primes_upto(400)
+    window = enumerate_primes(400)
     assert window.size > profiles._CACHE_LIMIT
     a, b = correlation.random_bounded_function(1), correlation.random_bounded_function(2)
     out = correlation.prime_shift_identity(a, b, 4000, window)
@@ -302,8 +302,8 @@ def _check_prime_shift(n_limit, shift):
 
 
 def _check_prime_read(op, limit):
-    # the sieve itself keeps no table: it is the oracle for the cached one
-    want = enumerate_primes(limit).primes
+    # enumerate_primes at the limit is the oracle for each prime read
+    want = enumerate_primes(limit)
     if op == "window":
         window = reduction.prime_window(overrides={"lower": 2, "upper": limit})
         np.testing.assert_array_equal(window.primes, want)
@@ -326,7 +326,7 @@ def test_results_do_not_depend_on_call_order(ops):
     profiles.invalidate_cache()
     for op, n_limit, shift in ops:
         if op in ("window", "distance", "require"):
-            # limits below and above the table's 10^5 floor, so it grows
+            # limits from 300 to 200 007, each read enumerating its own primes
             _check_prime_read(op, 100 * n_limit + shift)
             continue
         if op == "prime_shift":

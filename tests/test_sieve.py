@@ -439,14 +439,31 @@ def test_config_validation():
 
 def test_enumerate_primes():
     table = enumerate_primes(10 ** 6)
-    assert table.primes.size == 78498
-    assert table.primes[0] == 2 and table.primes[-1] == 999983
+    assert table.size == 78498
+    assert table[0] == 2 and table[-1] == 999983
     for limit in [*range(2, 130), 10 ** 5 + 3]:
-        primes = enumerate_primes(limit).primes
+        primes = enumerate_primes(limit)
         assert primes.dtype == np.int64
         assert np.array_equal(primes, _reference_primes(limit))
     with pytest.raises(EmptyDomainError):
         enumerate_primes(1)
+
+
+def test_require_primes_searches_without_hashing_the_primes():
+    # a binary search holds the primes up to 9 999 991 and their odd mask,
+    # about 10 MiB, and builds no set of them
+    tracemalloc.start()
+    try:
+        sieve.require_primes([9999991], "primes")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    sieve.require_primes([2, 3, 2, 97, 9999991], "primes")
+    sieve.require_primes([], "primes")
+    for bad in ([1], [0], [-3], [4], [9999991, 39999964]):
+        with pytest.raises(ContractError, match="keys contains a number that is not prime"):
+            sieve.require_primes(bad, "keys")
 
 
 def test_truncation_cutoff_degenerates_at_desk_scale():

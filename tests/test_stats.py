@@ -103,7 +103,7 @@ def test_turan_kubilius_frozen_example():
 
 def test_turan_kubilius_matches_direct_float_sum():
     n = 10 ** 4
-    primes = [int(p) for p in enumerate_primes(n).primes if p <= 100 or p > 9000]
+    primes = [int(p) for p in enumerate_primes(n) if p <= 100 or p > 9000]
     expected = sum(1.0 / p for p in primes)
     direct = sum(abs(sum(1 for p in primes if k % p == 0) - expected)
                  for k in range(1, n + 1)) / n
@@ -125,7 +125,7 @@ def test_turan_kubilius_empty_set():
 @settings(max_examples=50)
 def test_turan_kubilius_exact_inequality_random_sets(n, mask):
     # Any subset of the first 25 primes that fits below N: exact inequality.
-    first = enumerate_primes(100).primes
+    first = enumerate_primes(100)
     subset = first[[i for i in range(25) if mask >> i & 1]]
     subset = subset[subset <= n]
     out = turan_kubilius_check(n, subset)
