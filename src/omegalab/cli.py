@@ -14,7 +14,8 @@ derived N are checked against the run, its other echoes are recomputed.
 Exit codes: 0 success, 1 I/O failure after the pre-checks (a disk that
 fills while an --out file is written), 2 contract violation or bad
 usage, 3 unknown function preset, 4 degenerate prime window, 5 capacity
-overflow or memory the machine cannot allocate.
+overflow, window work past reduction.WINDOW_BYTE_LIMIT (refused before any
+prime is sieved) or memory the machine cannot allocate.
 """
 
 from __future__ import annotations
@@ -329,8 +330,11 @@ def _window(p):
 
 def _run_reduce(p):
     n = p["n"]
-    window, block = _window(p)
     members = pretentious.frequency_family(n).members
+    # the sieve and the covariance block are costed before any prime is sieved
+    upper = reduction.window_edges(n, _window_overrides(p))[1]
+    reduction.require_window_bytes(upper, size=len(members))
+    window, block = _window(p)
     xi_set = list(members if p["xi"] is None else p["xi"])
     terms = reduction.reduced_sum_terms(n, window, xi_set)
     total = float(sum(terms.values()))
@@ -342,10 +346,13 @@ def _run_reduce(p):
 
 def _run_circle(p):
     resolution = p["resolution"]
+    lower, upper = reduction.window_edges(p["n"], _window_overrides(p))[:2]
+    # every window prime lies in [lower, upper]: the grid is checked and
+    # costed before any prime is sieved
     if resolution is not None:
-        # every window prime is at least the lower edge: refuse before sieving
-        lower = reduction.window_edges(p["n"], _window_overrides(p))[0]
         reduction.require_grid_resolution(resolution, lower)
+    reduction.require_window_bytes(
+        upper, resolution=10 * math.floor(upper) if resolution is None else resolution)
     window, block = _window(p)
     if resolution is None:
         resolution = 10 * int(window.max_prime)

@@ -268,7 +268,8 @@ def log_t_grid(t_max: float, points: int = 10**4, t_min: float = 1e-6) -> np.nda
     if points < 3:
         raise ContractError("t grid needs points >= 3")
     half = points // 2
-    mags = np.geomspace(t_min, t_max, half)
+    # geomspace of one point is [t_min]: every grid reaches +-t_max
+    mags = np.geomspace(t_min, t_max, half) if half > 1 else np.array([float(t_max)])
     return np.concatenate((-mags[::-1], [0.0], mags))
 
 

@@ -3,11 +3,14 @@
 This module turns a two-point correlation question about bounded level
 functions into frequency-space quantities that can be measured directly:
 
+* prime windows from the shrinking-window formulas or explicit edges,
+  their work costed from the edges before any prime is sieved,
 * discrete Fourier expansion of a bounded function over a symmetric
   integer interval, with a Parseval audit,
 * the reduced mean-square sum that controls the correlation error, one
   term per frequency, averaged over shifts by primes from a window; each
   term contracts one |I| x |I| class covariance built in a streamed pass,
+  the common count classes by a batched FFT, the rare ones scattered,
 * Taylor truncation of the complex exponential with its factorial tail
   bound,
 * the gap introduced by truncating the multiplicity count at a cutoff,
@@ -20,12 +23,13 @@ Throughout, e(x) means exp(2*pi*i*x).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DegenerateWindowError
+from .errors import CapacityError, ContractError, DegenerateWindowError
 from . import profiles
 from . import pretentious
 from . import sieve
@@ -53,8 +57,33 @@ __all__ = [
 AUDIT_CONSTANT = 2.0
 
 # Least FFT length of a reduced-sum row block (more than twice the largest
-# window prime): of 2^11 .. 2^16 the fastest at 10^7 on a 2-core x86 box.
+# window prime).  reduced_sum_terms at 10^7 with the rare classes scattered,
+# 5 runs each on a 2-core x86 box: 2^11 2.06-2.74 s, 2^12 2.08-2.39 s,
+# 2^13 2.46-2.59 s, 2^14 2.90-3.27 s.  With every class transformed, 2^12
+# was also the fastest of 2^11 .. 2^16.
 _BLOCK = 1 << 12
+# A count class whose share of n <= N times the number |P| of window primes
+# is below this is scattered, not transformed: its row then costs about
+# share * |P| * fft_len bincount entries, where a transformed row costs an
+# rfft and an irfft (at fft_len 2^12 on a 2-core x86 box, 45-60 us a row in
+# the batch against 35-40 us for 2^12 scattered entries).  Covariance of
+# 2 * 10^6 rows at n ~ 5 * 10^7 (|P| = 85): 0.65-0.74 s with every class
+# transformed, 0.55-0.58 s at 1, 0.54-0.64 s at 2, 0.48-0.63 s at 3,
+# 0.53-0.60 s at 4.  reduced_sum_terms at 10^7 (|P| = 66): 2.6-2.8 s with
+# every class transformed, 1.8-2.5 s at 2 and at 4, 2.5-2.8 s at 6,
+# 3.5-4.1 s at 16.
+_SCATTER_SHARE = 3.0
+# Most scattered entries per bincount, in units of fft_len.  An entry holds
+# an intp target and a float64 weight, so 8 * fft_len entries take 128 bytes
+# per FFT point, against about 41 for each row the FFT transforms.  At 10^7
+# the scattered classes make about 5.4 * fft_len entries a block, at 10^8
+# about 3.9: one bincount each.  At 10^7, a bound of 2 took 2.5-2.7 s, and
+# 4, 8 and 16 took 2.0-2.5 s.
+_SCATTER_ENTRIES = 8
+# The most bytes one window may ask for before any work is done: its prime
+# sieve, the covariance block of a reduced sum over it, or a circle grid
+# (window_bytes).  A request past it is refused with CapacityError.
+WINDOW_BYTE_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -138,6 +167,43 @@ def window_edges(n_limit: int | None = None,
     return lower, upper, formula_lower, formula_upper
 
 
+def _fft_len(top: int) -> int:
+    """FFT length of the reduced-sum blocks for a window's largest prime top."""
+    return max(_BLOCK, 1 << (2 * top).bit_length())
+
+
+def window_bytes(upper: float, size: int | None = None,
+                 resolution: int | None = None) -> dict:
+    """Upper bounds, in bytes, of the work of a window with this upper edge.
+
+    "sieve": prime_window's odd mask of the numbers up to upper and 24 bytes
+    a prime (int64 index and primes, the window and its weights), for at
+    most 1.25506 x / log x primes up to x (Rosser-Schoenfeld).  "covariance",
+    given size classes: a reduced-sum block, 41 bytes a class and FFT point
+    (indicator, float64 cast, half spectrum, irfft output, gap row and its
+    1/n-weighted copy) and the scatter's index and weight arrays.  "grid",
+    given a resolution: circle's alpha grid, 64 bytes a point (alphas,
+    folded weights, their spectrum and magnitudes, and boolean masks).
+    """
+    top = max(2, math.floor(upper))
+    costs = {"sieve": (top + 1) // 2 + 24 * math.ceil(1.25506 * top / math.log(top))}
+    if size is not None:
+        costs["covariance"] = _fft_len(top) * (41 * size + 16 * _SCATTER_ENTRIES)
+    if resolution is not None:
+        costs["grid"] = 64 * resolution
+    return costs
+
+
+def require_window_bytes(upper: float, size: int | None = None,
+                         resolution: int | None = None) -> None:
+    """Refuse a window whose work passes WINDOW_BYTE_LIMIT, before any of it."""
+    for what, cost in window_bytes(upper, size, resolution).items():
+        if cost > WINDOW_BYTE_LIMIT:
+            raise CapacityError(
+                f"window upper edge {upper!r} needs {cost} bytes for its {what}, "
+                f"past the limit of {WINDOW_BYTE_LIMIT}")
+
+
 def prime_window(n_limit: int | None = None,
                  overrides: dict | None = None) -> PrimeWindow:
     """Prime window for shift averaging, by formula or explicit bounds.
@@ -145,9 +211,11 @@ def prime_window(n_limit: int | None = None,
     overrides, when given, is a mapping with keys "lower" and "upper"
     that replaces the formula edges; the formula values are still
     recorded when n_limit is supplied.  An empty window raises
-    DegenerateWindowError carrying the offending edges.
+    DegenerateWindowError carrying the offending edges, and a sieve past
+    WINDOW_BYTE_LIMIT a CapacityError before any prime is sieved.
     """
     lower, upper, formula_lower, formula_upper = window_edges(n_limit, overrides)
+    require_window_bytes(upper)
     primes = sieve.enumerate_primes(math.floor(upper))
     primes = primes[primes >= lower]
     if primes.size == 0:
@@ -232,37 +300,68 @@ def parseval_audit(table: FourierTable, b: BoundedFunction) -> dict:
 # Reduced mean-square sums
 
 
-def _class_covariance(sweep, window: PrimeWindow, size: int,
-                      pi: np.ndarray) -> np.ndarray:
+def _class_covariance(sweep, window: PrimeWindow, size: int, pi: np.ndarray,
+                      share: np.ndarray) -> np.ndarray:
     """M = sum over n <= N of (1/n) (H(n) - pi)(H(n) - pi)^T.
 
     sweep is a profiles.sweep over n <= N reaching window.max_prime past
-    each chunk.  H_r(n) is the window average of 1[count(n+p) = r mod size].
-    Rows go in blocks through one batched rfft against the kernel transform;
-    only size - 1 classes are transformed, the last is 1 minus their sum.
+    each chunk.  H_r(n) is the window average of 1[count(n+p) = r mod size],
+    and share[r] the share of n <= N in class r.  The most common class is
+    1 minus the others.  A class with share * |P| below _SCATTER_SHARE is
+    scattered: each of its occurrences at block offset m adds kappa_p to
+    H_r(m - p) for every window prime p, by bincount.  The other classes go
+    in blocks through one batched rfft against the kernel transform.
     """
     top = window.max_prime
-    fft_len = max(_BLOCK, 1 << (2 * top).bit_length())
+    fft_len = _fft_len(top)
     rows = fft_len - top   # a block's rows n read counts up to n + top: no wrap-around
+    kappa = window.weights / window.mass
+    derived = int(np.argmax(share))
+    rest = [r for r in range(size) if r != derived]
+    scattered = [r for r in rest if share[r] * window.primes.size < _SCATTER_SHARE]
+    transformed = [r for r in rest if r not in scattered]
+    order = transformed + scattered + [derived]   # the rows of M as accumulated
     kernel = np.zeros(top + 1, dtype=np.float64)
-    kernel[window.primes] = window.weights / window.mass
+    kernel[window.primes] = kappa
     # conjugate: correlation, out[j] = sum over p of kernel[p] * x[j + p]
     kernel_hat = np.conj(np.fft.rfft(kernel, n=fft_len))
-    classes = np.arange(size - 1, dtype=np.uint8)[:, None]
+    classes = np.array(transformed, dtype=np.uint8)[:, None]
+    # a scattered occurrence's target n = m - p, padded by top on both sides
+    stride = rows + 2 * top
+    slot = np.full(size, -1, dtype=np.intp)
+    slot[scattered] = np.arange(len(scattered)) * stride + top
+    rare = slot >= 0
+    per_call = _SCATTER_ENTRIES * fft_len // window.primes.size
+    t = len(transformed)
+    pi = pi[order]
     gap = np.empty((size, rows), dtype=np.float64)
     cov = np.zeros((size, size), dtype=np.float64)
     for _, levels, inv_n in sweep:
         cls = levels % size
         for b in range(0, inv_n.size, rows):
             k = min(rows, inv_n.size - b)
-            spectrum = np.fft.rfft(cls[b : b + k + top] == classes, n=fft_len)
-            spectrum *= kernel_hat
-            hist = np.fft.irfft(spectrum, n=fft_len)[:, :k]
+            span = cls[b : b + k + top]
             d = gap[:, :k]
-            np.subtract(hist, pi[:-1, None], out=d[:-1])
-            np.subtract(1.0 - pi[-1], hist.sum(axis=0), out=d[-1])
+            if t:
+                spectrum = np.fft.rfft(span == classes, n=fft_len)
+                spectrum *= kernel_hat
+                d[:t] = np.fft.irfft(spectrum, n=fft_len)[:, :k]
+            if scattered:
+                # occurrence m of class r adds kappa_p at slot[r] + m - p,
+                # per_call occurrences (|P| entries each) at most a bincount
+                at = np.flatnonzero(rare[span])
+                base = slot[span[at]] + at
+                hist = functools.reduce(np.add, (
+                    np.bincount(np.subtract.outer(part, window.primes).ravel(),
+                                np.tile(kappa, part.size), len(scattered) * stride)
+                    for part in np.split(base, range(per_call, base.size, per_call))))
+                d[t:-1] = hist.reshape(-1, stride)[:, top : top + k]
+            np.subtract(1.0 - pi[-1], d[:-1].sum(axis=0), out=d[-1])
+            d[:-1] -= pi[:-1, None]
             cov += (d * inv_n[b : b + k]) @ d.T
-    return cov
+    out = np.empty_like(cov)
+    out[np.ix_(order, order)] = cov
+    return out
 
 
 def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
@@ -286,7 +385,9 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
     profile = profiles.two_point_profile(n_limit, 0)
     pi = np.bincount(np.arange(NBINS) % size, weights=profile.log_hist,
                      minlength=size) / profile.harmonic_mass
-    cov = _class_covariance(sweep, window, size, pi) / profile.harmonic_mass
+    share = np.bincount(np.arange(NBINS) % size, weights=profile.hist,
+                        minlength=size) / n_limit
+    cov = _class_covariance(sweep, window, size, pi, share) / profile.harmonic_mass
     terms: dict = {}
     for xi in xi_list:
         mode = np.exp(2j * np.pi * xi * np.arange(size) / size)

@@ -290,6 +290,38 @@ def test_circle_refuses_low_resolution_before_sieving(capsys, monkeypatch):
     assert "grid_resolution must be at least 10 * max window prime" in err
 
 
+@pytest.mark.parametrize("argv,what", [
+    (("reduce", "--n", "10000", "--window-upper", "1e10"), "sieve"),
+    (("circle", "--window-lower", "2", "--window-upper", "1e10"), "sieve"),
+    # a cheap sieve, but FFT blocks of 2^23 points
+    (("reduce", "--n", "10000", "--window-lower", "2e6", "--window-upper", "2.1e6"),
+     "covariance"),
+    (("circle", "--window-lower", "2", "--window-upper", "30", "--resolution", "1e9"),
+     "grid"),
+    # the default grid has 10 points a unit of the largest window prime
+    (("circle", "--window-lower", "2e7", "--window-upper", "2.1e7"), "grid"),
+])
+def test_window_work_past_the_limit_exits_5_before_sieving(capsys, monkeypatch, argv, what):
+    def unreachable(*args):
+        raise AssertionError(f"sieved {args}")
+    monkeypatch.setattr(sieve, "enumerate_primes", unreachable)
+    monkeypatch.setattr(sieve, "factor_counts", unreachable)
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_CAPACITY
+    assert out == ""
+    assert f"bytes for its {what}" in err
+
+
+def test_halasz_three_points_reach_t_max(capsys):
+    # the 3-point grid is [-log N, 0, log N]: its audit finds the dip the
+    # 4-point grid finds, not one at |t| <= 10^-6
+    rep3, rep4 = (_report(capsys, "halasz", "--n", "1e4", "--points", points)["results"]
+                  for points in ("3", "4"))
+    assert rep3 == rep4
+    assert rep3["m0"]["value"] == pytest.approx(1.9802, abs=1e-4)
+    assert rep3["m0"]["argmin_t"] == pytest.approx(-3.27, abs=0.01)
+
+
 def test_reduce_writes_sweep_csv(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     rep = _report(capsys, "reduce", "--n", "10000", "--out", str(path))

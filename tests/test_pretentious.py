@@ -165,6 +165,17 @@ def test_log_t_grid_refuses_fewer_than_three_points():
     assert log_t_grid(5.0, points=3).size == 3
 
 
+def test_log_t_grid_reaches_t_max_at_every_size():
+    assert log_t_grid(5.0, points=3).tolist() == [-5.0, 0.0, 5.0]
+    # from 4 points on, the grid is the log-spaced one, bit for bit
+    for t_max, points in [(5.0, 4), (5.0, 5), (5.0, 101), (math.log(10**7), 201),
+                          (math.log(10**7), 2001)]:
+        mags = np.geomspace(1e-6, t_max, points // 2)
+        np.testing.assert_array_equal(log_t_grid(t_max, points),
+                                      np.concatenate((-mags[::-1], [0.0], mags)))
+        assert log_t_grid(t_max, points).max() == t_max
+
+
 def test_m0_finds_the_grid_minimum_or_better():
     grid = log_t_grid(math.log(10**4), points=201)
     out = m0(liouville_spec(), 10**4, grid)

@@ -14,7 +14,7 @@ from omegalab.correlation import (
     parity_function,
     random_bounded_function,
 )
-from omegalab.errors import ContractError, DegenerateWindowError
+from omegalab.errors import CapacityError, ContractError, DegenerateWindowError
 from omegalab.pretentious import frequency_family
 from omegalab.profiles import NBINS, shared_counts
 from omegalab.reduction import (
@@ -241,15 +241,50 @@ def _gather_terms(n_limit, window, xi_list, counts):
     return terms
 
 
+def _scattered_classes(n_limit, window):
+    # the classes _class_covariance scatters: share * |P| below the rule's
+    # constant, the most common class (1 minus the others) excepted
+    size = frequency_family(n_limit).size
+    cls = shared_counts(n_limit + 1) % size
+    share = np.bincount(cls, minlength=size) / n_limit
+    rare = share * window.primes.size < reduction._SCATTER_SHARE
+    rare[np.argmax(share)] = False
+    return np.flatnonzero(rare)
+
+
+def _block_edges(n_limit, window):
+    # first rows of the covariance blocks: each sweep chunk starts a block
+    rows = reduction._fft_len(window.max_prime) - window.max_prime
+    return [c + b for c in range(0, n_limit, profiles.CHUNK)
+            for b in range(0, min(profiles.CHUNK, n_limit - c), rows)]
+
+
 @pytest.mark.parametrize("window", [
     "formula",
     {"lower": 2, "upper": 100},          # 25 primes
     {"lower": 39000, "upper": 40000},    # max prime past half a block: longer FFT
+    {"lower": 2, "upper": 2.5},          # one prime: every class scattered
+    {"lower": 2, "upper": 2000},         # 303 primes, blocks of 2097 rows
+    {"lower": 2, "upper": 40},           # 12 primes: a block's scatter takes two bincounts
 ])
 def test_reduced_terms_match_gather_oracle_across_blocks(window):
     n_limit = 200_000
     assert n_limit > 2 * reduction._BLOCK     # at least three row blocks
     w = prime_window(n_limit) if window == "formula" else prime_window(overrides=window)
+    scattered = _scattered_classes(n_limit, w)
+    if w.primes.size == 1:
+        assert scattered.size == frequency_family(n_limit).size - 1
+    if w.primes.size == 12:
+        # scattered entries per FFT point, |P| per occurrence, past one bincount's bound
+        cls = shared_counts(n_limit + 1) % frequency_family(n_limit).size
+        assert np.isin(cls, scattered).mean() * w.primes.size > reduction._SCATTER_ENTRIES
+    if window == {"lower": 2, "upper": 2000}:
+        # a scattered class within the largest prime of a block edge, on both sides
+        cls = shared_counts(n_limit + w.max_prime + 1) % frequency_family(n_limit).size
+        top = w.max_prime
+        assert any(np.isin(cls[e - top : e], scattered).any()
+                   and np.isin(cls[e : e + top], scattered).any()
+                   for e in _block_edges(n_limit, w)[1:])
     xi_list = [5, 0, -6, 1, -2]
     assert set(xi_list) < set(frequency_family(n_limit).members)
     got = reduced_sum_terms(n_limit, w, xi_list)
@@ -275,6 +310,76 @@ def test_reduced_sum_over_the_family_is_the_class_trace():
         hist[np.arange(n_limit), cls[p : p + n_limit]] += weight
     trace = float(((hist - pi) ** 2).sum(axis=1) @ inv_n) / inv_n.sum()
     assert reduced_sum(n_limit, w, fam.members) == pytest.approx(fam.size * trace, rel=1e-12)
+
+
+def test_reduced_terms_do_not_depend_on_the_cache():
+    # the scattered classes come from (N, window) alone: a cold cache, a
+    # warm one and a wider block give the same terms, bit for bit
+    n_limit = 50_000
+    w = prime_window(n_limit)
+    members = frequency_family(n_limit).members
+    assert _scattered_classes(n_limit, w).size > 0
+    profiles.invalidate_cache()
+    cold = reduced_sum_terms(n_limit, w, members)
+    warm = reduced_sum_terms(n_limit, w, members)
+    profiles.invalidate_cache()
+    shared_counts(4 * n_limit)
+    profiles.two_point_profiles(n_limit, [0, 1])
+    wide = reduced_sum_terms(n_limit, w, members)
+    profiles.invalidate_cache()
+    again = reduced_sum_terms(n_limit, w, members)
+    assert cold == warm == wide == again
+
+
+@pytest.mark.parametrize("upper", [10**5, 10**6])
+def test_window_sieve_cost_bounds_its_traced_peak(upper):
+    tracemalloc.start()
+    try:
+        prime_window(overrides={"lower": 2, "upper": upper})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reduction.window_bytes(upper)["sieve"]
+
+
+@pytest.mark.parametrize("window", [
+    {"lower": 2, "upper": 2.5},
+    {"lower": 2, "upper": 2000},
+    {"lower": 39000, "upper": 40000},
+])
+def test_covariance_cost_bounds_its_traced_peak(window):
+    n_limit = 200_000
+    w = prime_window(overrides=window)
+    size = frequency_family(n_limit).size
+    shared_counts(n_limit + w.max_prime + 1)       # block and profile outside the trace
+    profiles.two_point_profile(n_limit, 0)
+    tracemalloc.start()
+    try:
+        reduced_sum_terms(n_limit, w, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reduction.window_bytes(window["upper"], size=size)["covariance"]
+
+
+def test_grid_cost_bounds_its_traced_peak():
+    w = prime_window(overrides={"lower": 2, "upper": 1000})
+    resolution = 10**6
+    tracemalloc.start()
+    try:
+        major_arc_measure(w, 0.5, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reduction.window_bytes(1000, resolution=resolution)["grid"]
+
+
+def test_window_sieve_past_the_limit_is_refused_before_sieving(monkeypatch):
+    def unreachable(limit):
+        raise AssertionError(f"primes sieved up to {limit}")
+    monkeypatch.setattr(reduction.sieve, "enumerate_primes", unreachable)
+    with pytest.raises(CapacityError):
+        prime_window(overrides={"lower": 2, "upper": 1e10})
 
 
 def test_reduced_terms_peak_memory_at_1e6():
