@@ -21,7 +21,8 @@ from .stats import (DensityTable, GaussianModel, TypicalRange, density_table,
                     gaussian_model, normal_cdf, sathe_selberg_ratio_check,
                     tail_densities, turan_kubilius_check, typical_range,
                     write_density_csv)
-from .profiles import TwoPointProfile, adopt_block, two_point_profile
+from .profiles import (TwoPointProfile, adopt_block, invalidate_cache,
+                       two_point_profile)
 from .correlation import (BoundedFunction, CorrelationReport, constant_function,
                           fourier_mode_function, indicator_function,
                           k_point_explore, parity_function, prime_shift_identity,

@@ -260,14 +260,10 @@ def _run_sieve(p):
     block = sieve.factor_counts(p["lo"], hi, mode, sieve.SieveConfig(worker_count=workers))
     save = {"bin": lambda path, _: _atomic_write(path, partial(sieve.write_block, block)),
             "csv": _csv(partial(sieve.write_block_csv, block))}[p["format"]]
-    # the digest reads the counts in place and bincount casts only a chunk
-    # at a time to intp, so no copy of the block is made
-    histogram = np.zeros(256, dtype=np.int64)
-    for a in range(0, block.counts.size, profiles.CHUNK):
-        histogram += np.bincount(block.counts[a : a + profiles.CHUNK], minlength=256)
+    # the digest and the histogram read the counts in place: no copy of the block
     results = {"count": hi - p["lo"],
                "digest": hashlib.sha256(block.counts).hexdigest(),
-               "histogram": histogram[: np.flatnonzero(histogram)[-1] + 1]}
+               "histogram": stats.count_histogram(block.counts)}
     return {"hi": hi, "workers": workers}, results, save
 
 
@@ -288,7 +284,8 @@ def _run_correlate(p):
     n = p["n"]
     a, b = resolve_preset(p["a"], n), resolve_preset(p["b"], n)
     lhs = complex(corr.two_point_lhs(a, b, n, p["shift"], p["weighting"]))
-    profile = profiles.two_point_profile(n, 0)
+    # the (N, shift) profile just filled: its hist is the marginal of count(n)
+    profile = profiles.two_point_profile(n, p["shift"])
     prediction = (profile.mean(a.table(), profiles.CESARO)
                   * profile.mean(b.table(), profiles.CESARO))
     return {}, {"lhs": lhs, "prediction": prediction, "error": abs(lhs - prediction)}

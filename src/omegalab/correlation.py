@@ -233,7 +233,8 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
     and their gap.  The joint average contracts the k tables with the level
     histogram of the offsets 0 .. k-1 in base L = (N+k).bit_length(), which
     bounds every level read since count(n) <= log2(n): L^k bins, about 5.3e5
-    at k = 4 and N = 1e8.
+    at k = 4 and N = 1e8.  The marginal of count(n) is that histogram summed
+    over its trailing offsets, so one pass serves both.
     """
     functions = list(functions)
     k = len(functions)
@@ -245,13 +246,16 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
         raise ContractError("exploration wants N >= 1e3")
     check_weighting(weighting)
     base = (n_limit + k).bit_length()
-    (hist,), = level_histograms(n_limit, [tuple(range(k))], base, (weighting,))[0]
+    ((hist,),), mass = level_histograms(n_limit, [tuple(range(k))], base, (weighting,))
+    total = n_limit if weighting == CESARO else mass
+    # padded to NBINS levels, so a Cesaro mean is profile.mean's dot bit for bit
+    marginal = np.zeros(NBINS, np.complex128)
+    marginal[:base] = hist.reshape(base, -1).sum(axis=1)
     value = hist.astype(np.complex128)
     for fn in reversed(functions):   # the last factor is the fastest index
         value = value.reshape(-1, base) @ fn.table(base)
-    profile = two_point_profile(n_limit, 0)
-    joint = complex(value[0]) / (n_limit if weighting == CESARO else profile.harmonic_mass)
-    product = complex(np.prod([profile.mean(fn.table(), weighting) for fn in functions]))
+    joint = complex(value[0]) / total
+    product = complex(np.prod([complex(fn.table() @ marginal) / total for fn in functions]))
     return {
         "label": "EXPLORATORY",
         "k": k,

@@ -449,27 +449,6 @@ def twisted_distance(f: MultFunSpec, chi: TwistSpec, n_limit: int) -> float:
 # ---------------------------------------------------------------------------
 # mean values and the Halasz audit
 
-def eval_multfun_range(spec: MultFunSpec, n_limit: int) -> np.ndarray:
-    """f(n) for n = 1..N (index n-1) via count lookup plus override fixups.
-
-    One complex array of length N: the small-N evaluator and test oracle.
-    """
-    base = complex(spec.default_prime_value)
-    table = np.array([base**k for k in range(NBINS)], dtype=np.complex128)
-    overrides = spec.overrides_upto(n_limit)
-    if spec.prime_values and abs(base) == 0.0:
-        raise ContractError("override fixup needs a nonzero default value")
-    values = np.concatenate([table[levels]
-                             for _, levels, _ in sweep(n_limit, weighted=False)])
-    for p, v in overrides:
-        ratio = v / base
-        q = p
-        while q <= n_limit:
-            values[q - 1 :: q] *= ratio
-            q *= p
-    return values
-
-
 def mean_over_range(spec: MultFunSpec, n_limit: int) -> complex:
     """Cesaro mean of f over [N].
 

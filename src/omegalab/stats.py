@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sieve
 from .errors import ContractError, EmptyDomainError
-from .profiles import NBINS, adopt_block, two_point_profile
+from .profiles import CHUNK, NBINS, adopt_block, two_point_profile
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,6 @@ def typical_range(A: float, n_limit: int) -> TypicalRange:
     return TypicalRange(A=float(A), N=int(n_limit), lo=lo, hi=hi, members=members)
 
 
-def _block_counts(n_limit, block, mode=sieve.BigOmega):
-    """Counts for n = 1 .. N from a caller's block in the given mode."""
-    if block.lo != 1 or block.hi < n_limit + 1:
-        raise ContractError("counts block must cover [1, N]")
-    if block.mode != mode:
-        raise ContractError(f"these statistics need {mode.kind!r} counts, "
-                            f"got {block.mode.kind!r}")
-    return block.counts[: n_limit]
-
-
 def density_table(n_limit: int, counts_block=None) -> DensityTable:
     """Level-set densities of the multiplicity count over [N].
 
@@ -96,7 +86,8 @@ def density_table(n_limit: int, counts_block=None) -> DensityTable:
     if n_limit < 3:
         raise ContractError("density table needs N >= 3")
     if counts_block is not None:
-        _block_counts(n_limit, counts_block)
+        if counts_block.hi < n_limit + 1:
+            raise ContractError("counts block must cover [1, N]")
         adopt_block(counts_block)
     profile = two_point_profile(n_limit, 0)
     gauss = gaussian_density(np.arange(NBINS, dtype=np.float64), gaussian_model(n_limit))
@@ -154,6 +145,18 @@ def erdos_kac_ks(n_limit: int, counts_block=None) -> dict:
     return {"ks": ks, "normalized": ks * math.sqrt(model.mu)}
 
 
+def count_histogram(counts: np.ndarray) -> np.ndarray:
+    """np.bincount(counts) of a uint8 array, trimmed after its last nonzero bin.
+
+    bincount casts its input to intp, eight bytes an entry; here only one
+    profiles.CHUNK of it is cast at a time, so no copy of the array is made.
+    """
+    hist = np.zeros(256, dtype=np.int64)
+    for a in range(0, counts.size, CHUNK):
+        hist += np.bincount(counts[a : a + CHUNK], minlength=256)
+    return np.trim_zeros(hist, "b")
+
+
 def turan_kubilius_check(n_limit: int, prime_set) -> dict:
     """Exact variance-type inequality for a divisor-indicator sum.
 
@@ -172,27 +175,30 @@ def turan_kubilius_check(n_limit: int, prime_set) -> dict:
     for p in p_arr:
         indicator_sum[p - 1 :: p] += 1
     expected = float(np.sum(1.0 / p_arr.astype(np.float64)))
-    hist = np.bincount(indicator_sum)
+    hist = count_histogram(indicator_sum)
     lhs = float(hist @ np.abs(np.arange(hist.size) - expected)) / n_limit
     rhs = 2.0 * math.sqrt(expected)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs)}
 
 
-def tail_densities(n_limit: int, D: float, distinct_block=None) -> dict:
+def tail_densities(n_limit: int, D: float) -> dict:
     """Densities of n with an atypically large or small distinct count.
 
     For n <= N the indicator sum over all primes <= N is exactly the
     distinct-prime count, so the tails are level-set tails:
     gamma for counts above loglog N + D sqrt(loglog N), delta for counts
-    below loglog N - D sqrt(loglog N), both strict.
+    below loglog N - D sqrt(loglog N), both strict.  The distinct counts
+    are sieved one segment at a time into a level histogram.
     """
     if D < 1:
         raise ContractError("tail densities need D >= 1")
-    if distinct_block is None:
-        distinct_block = sieve.factor_counts(1, n_limit + 1, sieve.SmallOmega)
-    counts = _block_counts(n_limit, distinct_block, sieve.SmallOmega)
     model = gaussian_model(n_limit)
-    hist = np.bincount(counts, minlength=NBINS)
+    hist = np.zeros(NBINS, dtype=np.int64)
+    step = sieve.SieveConfig().segment_length
+    for lo in range(1, n_limit + 1, step):
+        part = count_histogram(sieve.factor_counts(lo, min(lo + step, n_limit + 1),
+                                                   sieve.SmallOmega).counts)
+        hist[: part.size] += part
     ells = np.arange(hist.size)
     upper = model.mu + D * model.sigma
     lower = model.mu - D * model.sigma

@@ -3,8 +3,10 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import cli, profiles, reduction, sieve, stats
+from omegalab import cli, correlation, pretentious, profiles, reduction, sieve, stats
 
 
 def _run(capsys, *argv):
@@ -238,6 +240,87 @@ def test_theorem_c_sieves_once_and_keeps_the_order_given(capsys, monkeypatch):
     profiles.invalidate_cache()
     alone = _report(capsys, "theorem-c", "--n", "5e4", "--a", "parity")["results"]["values"]
     assert alone["50000"] == vals["50000"]
+
+
+# command: (flags at N ~ 2e4, passes over n <= N, sieve calls), cache cold
+_PASSES = {
+    "sieve": (("--n", "2e4"), 0, 1),
+    "densities": (("--n", "2e4"), 1, 1),
+    "erdos-kac": (("--n", "2e4"), 1, 1),
+    "correlate": (("--n", "2e4"), 1, 1),
+    "theorem-c": (("--n", "1e4,2e4"), 2, 1),   # one pass per N, one block
+    "distance": (("--n", "2e4"), 0, 0),
+    "halasz": (("--n", "2e4", "--points", "21"), 1, 1),
+    "reduce": (("--n", "2e4"), 2, 1),   # the class shares, then the covariance
+    "circle": (("--n", "2e4"), 0, 0),
+    "explore-k": (("--n", "2e4"), 1, 1),
+}
+
+
+@pytest.mark.parametrize("command", list(_PASSES))
+def test_passes_and_sieves_per_command(capsys, monkeypatch, command):
+    assert set(_PASSES) == set(cli.COMMANDS)
+    flags, passes, sieves = _PASSES[command]
+    seen = {"passes": 0, "sieves": 0}
+    chunks, factor_counts = profiles.chunks, sieve.factor_counts
+
+    def counted_chunks(*args, **kwargs):
+        seen["passes"] += 1
+        return chunks(*args, **kwargs)
+
+    def counted_sieve(*args, **kwargs):
+        seen["sieves"] += 1
+        return factor_counts(*args, **kwargs)
+    monkeypatch.setattr(profiles, "chunks", counted_chunks)
+    monkeypatch.setattr(sieve, "factor_counts", counted_sieve)
+    profiles.invalidate_cache()
+    _report(capsys, command, *flags)
+    profiles.invalidate_cache()
+    assert (seen["passes"], seen["sieves"]) == (passes, sieves)
+
+
+def test_truncated_sieve_without_cutoff_exits_2_and_prints_nothing(capsys):
+    code, out, err = _run(capsys, "sieve", "--n", "1000", "--mode", "truncated")
+    assert code == cli.EXIT_CONTRACT
+    assert out == ""
+    assert "--cutoff" in err
+
+
+def test_truncated_sieve_window_reports_the_digest_of_its_counts(capsys):
+    lo, hi = 10**12, 10**12 + 10**4
+    rep = _report(capsys, "sieve", "--lo", "1e12", "--hi", str(hi),
+                  "--mode", "truncated", "--cutoff", "1e7")
+    block = sieve.factor_counts(lo, hi, sieve.TruncatedOmega(1e7))
+    assert rep["results"]["count"] == 10**4
+    assert rep["results"]["digest"] == hashlib.sha256(block.counts).hexdigest()
+
+
+def test_correlate_indicator_and_fourier_mode_presets(capsys):
+    n = 10**4
+    rep = _report(capsys, "correlate", "--n", str(n), "--a", "indicator:2",
+                  "--b", "fourier-mode:1")
+    a = correlation.indicator_function(2)
+    b = correlation.fourier_mode_function(1, pretentious.frequency_family(n).size)
+    lhs = correlation.two_point_lhs(a, b, n)
+    marginal = profiles.two_point_profile(n, 0)
+    prediction = marginal.mean(a.table(), "cesaro") * marginal.mean(b.table(), "cesaro")
+    assert rep["results"]["lhs"] == [lhs.real, lhs.imag]
+    assert rep["results"]["prediction"] == [prediction.real, prediction.imag]
+
+
+def test_halasz_fourier_mode_preset_is_the_audit_of_its_mode(capsys):
+    n = 10**4
+    rep = _report(capsys, "halasz", "--n", str(n), "--preset", "fourier-mode:1",
+                  "--points", "21")
+    spec = pretentious.mode_spec(pretentious.frequency_family(n), 1.0)
+    audit = pretentious.halasz_audit(spec, n, pretentious.log_t_grid(math.log(n), points=21))
+    assert rep["results"] == json.loads(json.dumps(cli._jsonify(audit)))
+
+
+def test_theorem_c_empty_comma_list_exits_2(capsys):
+    code, out, _ = _run(capsys, "theorem-c", "--n", ",")
+    assert code == cli.EXIT_CONTRACT
+    assert out == ""
 
 
 def test_distance_reports_folded_frequency(capsys):

@@ -239,6 +239,28 @@ def test_k_point_explore_k3_frozen():
     assert out["independence_gap"] == pytest.approx(0.062001331, abs=1e-12)
 
 
+def test_k_point_marginals_come_from_its_own_pass(monkeypatch):
+    n = 2 * 10**4
+    functions = [random_bounded_function(seed) for seed in range(4)]
+    passes = []
+    chunks = profiles.chunks
+    monkeypatch.setattr(profiles, "chunks", lambda *args: passes.append(args) or chunks(*args))
+    for k in range(1, 5):
+        for weighting in (CESARO, LOGARITHMIC):
+            profiles.invalidate_cache()
+            passes.clear()
+            got = k_point_explore(functions[:k], n, weighting)["marginal_product"]
+            assert len(passes) == 1
+            marginal = profiles.two_point_profile(n, 0)
+            want = complex(np.prod([marginal.mean(fn.table(), weighting)
+                                    for fn in functions[:k]]))
+            if weighting == CESARO:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
+    profiles.invalidate_cache()
+
+
 def _k_point_gather(functions, n_limit, weighting):
     # the per-n gather loop of the old k_point_explore: one product per n
     counts = profiles.shared_counts(n_limit + len(functions))

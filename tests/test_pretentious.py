@@ -18,7 +18,6 @@ from omegalab.pretentious import (
     distance,
     distance_sq_profile,
     distance_sq_to_twist,
-    eval_multfun_range,
     factorize,
     frequency_family,
     halasz_audit,
@@ -40,6 +39,15 @@ def _plain_primes(limit):
     for n in range(2, limit + 1):
         if all(n % d for d in range(2, int(n**0.5) + 1)):
             out.append(n)
+    return out
+
+
+def _pointwise(spec, n_limit):
+    """f(n) for n = 1..N, the product of f(p)^e over the trial-division factors."""
+    out = np.ones(n_limit, dtype=np.complex128)
+    for n in range(2, n_limit + 1):
+        for p, e in factorize(n):
+            out[n - 1] *= spec.value_at_prime(p) ** e
     return out
 
 
@@ -276,17 +284,15 @@ def test_override_keys_that_are_not_primes_raise_before_any_pass(monkeypatch):
     # prime in the mean while the distance skipped it
     for key in (1, 0, 4):
         spec = MultFunSpec(default_prime_value=-1.0, prime_values={key: 1j})
-        for walk in (mean_over_range, eval_multfun_range):
-            with pytest.raises(ContractError):
-                walk(spec, 1000)
+        with pytest.raises(ContractError):
+            mean_over_range(spec, 1000)
         with pytest.raises(ContractError):
             distance(spec, liouville_spec(), 1000)
         with pytest.raises(ContractError):
             distance(liouville_spec(), spec, 1000)
     # a zero default value cannot carry an override ratio
-    for walk in (mean_over_range, eval_multfun_range):
-        with pytest.raises(ContractError):
-            walk(MultFunSpec(default_prime_value=0.0, prime_values={2: 1j}), 1000)
+    with pytest.raises(ContractError):
+        mean_over_range(MultFunSpec(default_prime_value=0.0, prime_values={2: 1j}), 1000)
     monkeypatch.undo()
     # a key above N divides no n <= N: it is not tested for primality
     above = MultFunSpec(default_prime_value=-1.0, prime_values={10**6: 1j})
@@ -294,18 +300,11 @@ def test_override_keys_that_are_not_primes_raise_before_any_pass(monkeypatch):
     assert mean_over_range(above, 1000) == mean_over_range(liouville_spec(), 1000)
 
 
-def test_eval_multfun_range_matches_pointwise_products():
+def test_mean_over_range_matches_pointwise_products():
     spec = MultFunSpec(default_prime_value=-1.0, prime_values={3: 1j})
-    vals = eval_multfun_range(spec, 50)
-
-    def direct(n):
-        out = 1.0 + 0.0j
-        for p, e in factorize(n):
-            out *= spec.value_at_prime(p) ** e
-        return out
-
+    vals = _pointwise(spec, 50)
     for n in range(1, 51):
-        assert abs(vals[n - 1] - direct(n)) < 1e-12
+        assert abs(mean_over_range(spec, n) - complex(np.sum(vals[:n])) / n) < 1e-12
 
 
 def test_mean_over_range_agrees_with_sieved_signs():
@@ -470,10 +469,10 @@ def test_streamed_override_mean_matches_full_range_oracle(monkeypatch):
     spec = MultFunSpec(default_prime_value=-1.0 + 0.0j,
                        prime_values={2: 0.6 + 0.8j, 3: 1j, 97: -0.28 + 0.96j,
                                      997: 0.8 - 0.6j})
-    want = complex(np.sum(eval_multfun_range(spec, n))) / n
+    want = complex(np.sum(_pointwise(spec, n))) / n
     got = mean_over_range(spec, n)
     assert abs(got - want) <= 1e-12
     # unit values sum exactly, so the chunked mean is bit-identical
     units = MultFunSpec(default_prime_value=-1.0 + 0.0j,
                         prime_values={2: 1j, 7: 1.0 + 0.0j, 97: -1j})
-    assert mean_over_range(units, n) == complex(np.sum(eval_multfun_range(units, n))) / n
+    assert mean_over_range(units, n) == complex(np.sum(_pointwise(units, n))) / n

@@ -1,6 +1,8 @@
 """Level-set densities, Gaussian comparison, and the two exact inequalities."""
 
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import profiles, sieve
+from omegalab import profiles, sieve, stats
 from omegalab import (ContractError, SmallOmega, density_l1_gap, density_table,
                       enumerate_primes, erdos_kac_ks, factor_counts,
                       gaussian_density, gaussian_model, normal_cdf,
@@ -110,6 +112,27 @@ def test_turan_kubilius_matches_direct_float_sum():
     assert turan_kubilius_check(n, primes)["lhs"] == pytest.approx(direct, rel=0, abs=1e-12)
 
 
+def test_count_histogram_is_bincount_trimmed():
+    rng = np.random.default_rng(5)
+    for values in (rng.integers(0, 9, 3 * profiles.CHUNK + 5).astype(np.uint8),
+                   np.zeros(7, dtype=np.uint8), np.full(profiles.CHUNK + 1, 255, np.uint8)):
+        np.testing.assert_array_equal(stats.count_histogram(values), np.bincount(values))
+
+
+def test_turan_kubilius_copies_no_indicator_array():
+    # bincount of the whole N-byte indicator sum cast it to intp, about 9N
+    # bytes at its peak; chunk by chunk the peak stays near the N bytes
+    n = 2 * 10**6
+    primes = enumerate_primes(1000)
+    tracemalloc.start()
+    try:
+        turan_kubilius_check(n, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n
+
+
 def test_turan_kubilius_rejects_composites():
     with pytest.raises(ContractError):
         turan_kubilius_check(100, np.array([4]))
@@ -164,6 +187,37 @@ def test_tail_densities():
     assert wide["delta"] <= out["delta"]
     with pytest.raises(ContractError):
         tail_densities(10 ** 4, 0.5)
+
+
+def test_tail_densities_sum_segments_to_the_whole_block(monkeypatch):
+    n = 10 ** 4
+    counts = factor_counts(1, n + 1, SmallOmega).counts
+    model = gaussian_model(n)
+    segments = []
+    factor_counts_ = sieve.factor_counts
+    # 11 segments of 909 cover n <= 9999; a twelfth holds n = N alone
+    monkeypatch.setattr(sieve, "SieveConfig",
+                        functools.partial(sieve.SieveConfig, segment_length=909))
+    monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, *args:
+                        segments.append((lo, hi)) or factor_counts_(lo, hi, *args))
+    for D in (1.0, 1.5, 3.0):
+        segments.clear()
+        hist = np.bincount(counts, minlength=profiles.NBINS)
+        ells = np.arange(hist.size)
+        want = {"gamma": hist[ells > model.mu + D * model.sigma].sum() / n,
+                "delta": hist[ells < model.mu - D * model.sigma].sum() / n}
+        assert tail_densities(n, D) == want
+        assert segments[-2:] == [(9091, 10000), (10000, n + 1)] and len(segments) == 12
+
+
+def test_tail_densities_stream_the_distinct_counts():
+    tracemalloc.start()
+    try:
+        tail_densities(10 ** 7, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ratio_check_positive_levels_only():
