@@ -234,7 +234,8 @@ def k_point_explore(functions, n_limit: int, weighting: str = CESARO) -> dict:
     histogram of the offsets 0 .. k-1 in base L = (N+k).bit_length(), which
     bounds every level read since count(n) <= log2(n): L^k bins, about 5.3e5
     at k = 4 and N = 1e8.  The marginal of count(n) is that histogram summed
-    over its trailing offsets, so one pass serves both.
+    over its trailing offsets, so one pass serves both.  Up to 2^16 bins
+    (k <= 3 for N < 2^40) the pass indexes its bins in uint16.
     """
     functions = list(functions)
     k = len(functions)

@@ -5,7 +5,8 @@ of level histograms of count(n), count(n+o_1), ....  `sweep(N, reach)` is
 the only reader of the shared block: chunk by chunk (CHUNK entries) it
 yields 1/n, built by `chunks` alone, with a view of the block covering the
 chunk plus `reach` more counts.  `level_histograms` is the one histogram
-kernel on it; harmonic masses are the fsum of the chunk sums of 1/n.
+kernel on it, its bin indices uint16 up to 2^16 bins and intp above;
+harmonic masses are the fsum of the chunk sums of 1/n.
 
 A TwoPointProfile per (N, shift) is the kernel on the offsets (0, shift)
 in base NBINS:
@@ -15,11 +16,15 @@ in base NBINS:
   joint[k,l]     count of {n <= N : count(n) = k, count(n+shift) = l}
   joint_log[k,l] same pairs, 1/n-weighted
 
-hist and log_hist are the joint row sums; the (N, 0) profile is the
-marginal one.  Its methods `mean` and `pair_mean` average level tables:
-CESARO divides by N, LOGARITHMIC by the harmonic mass.  One pass fills
-every missing shift of one N, each the same whichever shifts shared it,
-into one (N, shift) cache that drops its oldest entry when full.
+hist and log_hist are the joint row sums.  The (N, 0) profile is the
+marginal one, and it is defined as the (N, 1) profile's row sums: it
+shares their arrays and harmonic mass, its joints are their diagonals,
+and it never sweeps on its own, so every reader of the marginal sees the
+same bits in whatever order the calls come.  Its methods `mean` and
+`pair_mean` average level tables: CESARO divides by N, LOGARITHMIC by the
+harmonic mass.  One pass fills every missing shift of one N, each the
+same whichever shifts shared it, into one (N, shift) cache that drops its
+oldest entry when full.
 
 The shared block is the largest multiplicity block sieved (`shared_counts`)
 or adopted (`adopt_block`) so far; smaller ranges are views of it, so a
@@ -40,7 +45,7 @@ from .errors import ContractError
 # level sets above 63 are empty for any n < 2**64
 NBINS = 64
 # Entries per chunk of every pass.  A pass allocates a float64 1/n array and
-# intp level and pair-index arrays per chunk; at 2^22 entries (32 MiB each)
+# level and pair-index arrays per chunk; at 2^22 entries (32 MiB each)
 # they sit at glibc's largest mmap threshold, so every chunk mapped fresh
 # pages and faulted them in again.  One shift-1 pass at N = 10^8 on a 2-core
 # x86 box: 2^22, 2.3 s and 25 000-38 000 minor faults; 2^20, 1.6 s and 2 700;
@@ -157,11 +162,17 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
     # With more bins than CHUNK, zero-filling and adding a histogram per chunk
     # outweighs the elements (k = 4 at N = 10^8: 531 441 bins), so the index
     # and 1/n of enough chunks to outnumber the bins are gathered first.
-    gather = -(-max(h[0].size for h in hists) // CHUNK)
+    bins = max(h[0].size for h in hists)
+    gather = -(-bins // CHUNK)
     size = gather * CHUNK
+    # The narrowest index that holds the bins: uint16 cuts the k = 3 Cesaro
+    # histogram at 10^8 from 0.43-0.53 s to 0.27-0.34 s (2-core x86 box);
+    # above 2^16 bins intp, as uint32 ran the k = 4 logarithmic gather slower
+    # (0.96-1.02 s against 1.14-1.17 s).
+    index = np.uint16 if bins <= 1 << 16 else np.intp
     # an index row per tuple while chunks gather, else one row they all reuse
-    rows = ([np.empty(size, np.intp) for _ in offsets] if gather > 1
-            else [np.empty(size, np.intp)] * len(offsets))
+    rows = ([np.empty(size, index) for _ in offsets] if gather > 1
+            else [np.empty(size, index)] * len(offsets))
     gathered = np.empty(size) if weighted and gather > 1 else None
     fill = 0
     for start, levels, inv_n in sweep(n_limit, reach, weighted):
@@ -177,7 +188,7 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
         for offs, out, row in zip(offsets, hists, rows):
             lead = offs[:-1]
             if lead not in heads:   # in place: a temporary per step ran k = 4 ~10% slower
-                head = heads[lead] = levels[lead[0] : lead[0] + m].astype(np.intp)
+                head = heads[lead] = levels[lead[0] : lead[0] + m].astype(index)
                 for o in lead[1:]:
                     head *= base
                     head += levels[o : o + m]
@@ -195,7 +206,9 @@ def two_point_profiles(n_limit: int, shifts) -> list[TwoPointProfile]:
     """Sufficient statistics for two-point averages over n <= N, per shift.
 
     Every shift missing from the cache is filled by one pass over the
-    shared block, and the profiles come back in the order of shifts.
+    shared block, and the profiles come back in the order of shifts.  The
+    (N, 0) profile is the (N, 1) profile's hist, log_hist and harmonic
+    mass, with diagonal joints.
     """
     n_limit, shifts = int(n_limit), [int(h) for h in shifts]
     if n_limit < 3:
@@ -205,16 +218,26 @@ def two_point_profiles(n_limit: int, shifts) -> list[TwoPointProfile]:
     found = {h: _profile_cache[(n_limit, h)] for h in shifts
              if (n_limit, h) in _profile_cache}
     missing = [h for h in dict.fromkeys(shifts) if h not in found]
-    if missing:
-        hists, mass = level_histograms(n_limit, [(0, h) for h in missing], NBINS,
+    one = _profile_cache.get((n_limit, 1))
+    # shift 0 never sweeps: it puts shift 1 in the pass unless (N, 1) is cached
+    swept = list(dict.fromkeys(1 if h == 0 else h for h in missing if h or one is None))
+    made = {}
+    if swept:
+        hists, mass = level_histograms(n_limit, [(0, h) for h in swept], NBINS,
                                        (CESARO, LOGARITHMIC))
-        for shift, (joint, joint_log) in zip(missing, hists):
+        for shift, (joint, joint_log) in zip(swept, hists):
             joint, joint_log = joint.reshape(NBINS, NBINS), joint_log.reshape(NBINS, NBINS)
-            found[shift] = TwoPointProfile(n_limit, shift, joint.sum(axis=1),
-                                           joint_log.sum(axis=1), joint, joint_log, mass)
-            if len(_profile_cache) >= _CACHE_LIMIT:
-                del _profile_cache[next(iter(_profile_cache))]
-            _profile_cache[(n_limit, shift)] = found[shift]
+            made[shift] = TwoPointProfile(n_limit, shift, joint.sum(axis=1),
+                                          joint_log.sum(axis=1), joint, joint_log, mass)
+    if 0 in missing:
+        # the marginal is the (N, 1) profile's row sums, the same arrays
+        one = made.get(1, one)
+        made[0] = TwoPointProfile(n_limit, 0, one.hist, one.log_hist, np.diag(one.hist),
+                                  np.diag(one.log_hist), one.harmonic_mass)
+    for shift in dict.fromkeys([*missing, *made]):   # the order asked, then shift 1
+        if len(_profile_cache) >= _CACHE_LIMIT:
+            del _profile_cache[next(iter(_profile_cache))]
+        _profile_cache[(n_limit, shift)] = found[shift] = made[shift]
     return [found[h] for h in shifts]
 
 

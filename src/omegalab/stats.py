@@ -79,15 +79,17 @@ def density_table(n_limit: int, counts_block=None) -> DensityTable:
     """Level-set densities of the multiplicity count over [N].
 
     The ell=0 row (n=1 alone) is kept so the uniform densities partition
-    exactly.  Read off the marginal (N, 0) profile of the shared block; a
-    prepared multiplicity FactorCountBlock covering [1, N] is checked and
-    adopted as that block, so its sieve run is reused.
+    exactly.  Read off the marginal (N, 0) profile of the shared block,
+    which is the row sums of the (N, 1) profile and so reads count(N + 1);
+    a prepared multiplicity FactorCountBlock covering [1, N + 1] (hi >= N + 2)
+    is checked and adopted as that block, so its sieve run is reused.
     """
     if n_limit < 3:
         raise ContractError("density table needs N >= 3")
     if counts_block is not None:
-        if counts_block.hi < n_limit + 1:
-            raise ContractError("counts block must cover [1, N]")
+        if counts_block.hi < n_limit + 2:
+            raise ContractError("counts block must cover [1, N + 1]: "
+                                "the (N, 1) pass reads count(N + 1)")
         adopt_block(counts_block)
     profile = two_point_profile(n_limit, 0)
     gauss = gaussian_density(np.arange(NBINS, dtype=np.float64), gaussian_model(n_limit))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegalab import correlation, pretentious, profiles, reduction
+from omegalab import correlation, pretentious, profiles, reduction, sieve, stats
 from omegalab.averaging import harmonic_mass
 from omegalab.errors import ContractError
 from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, shared_counts,
@@ -137,15 +137,18 @@ def _assert_identical(got: TwoPointProfile, want: TwoPointProfile):
 
 
 def _kernel_profiles(n_limit: int, shifts) -> list[TwoPointProfile]:
-    # one level_histograms pass over the shared block, outside the profile cache
-    hists, mass = profiles.level_histograms(n_limit, [(0, h) for h in shifts],
+    # one level_histograms pass over the shared block, outside the profile
+    # cache; shift 0 is the row sums of the (0, 1) histogram, with diagonal joints
+    hists, mass = profiles.level_histograms(n_limit, [(0, h or 1) for h in shifts],
                                             profiles.NBINS, (CESARO, LOGARITHMIC))
     out = []
     for h, (joint, joint_log) in zip(shifts, hists):
         joint = joint.reshape(profiles.NBINS, profiles.NBINS)
         joint_log = joint_log.reshape(profiles.NBINS, profiles.NBINS)
-        out.append(TwoPointProfile(n_limit, h, joint.sum(axis=1), joint_log.sum(axis=1),
-                                   joint, joint_log, mass))
+        hist, log_hist = joint.sum(axis=1), joint_log.sum(axis=1)
+        if h == 0:
+            joint, joint_log = np.diag(hist), np.diag(log_hist)
+        out.append(TwoPointProfile(n_limit, h, hist, log_hist, joint, joint_log, mass))
     return out
 
 
@@ -161,6 +164,56 @@ def test_multi_shift_pass_matches_single_shift_passes(monkeypatch):
     assert list(profiles._profile_cache) == [(n_limit, h) for h in shifts]
     assert all(two_point_profile(n_limit, h) is p for h, p in zip(shifts, together))
     _assert_same_profile(singles[2], _direct_profile(n_limit, 7))
+
+
+def _count_passes(monkeypatch) -> dict:
+    # passes through profiles.chunks and sieves through sieve.factor_counts
+    seen = {"passes": 0, "sieves": 0}
+    chunks, factor_counts = profiles.chunks, sieve.factor_counts
+
+    def counted_chunks(*args, **kwargs):
+        seen["passes"] += 1
+        return chunks(*args, **kwargs)
+
+    def counted_sieve(*args, **kwargs):
+        seen["sieves"] += 1
+        return factor_counts(*args, **kwargs)
+    monkeypatch.setattr(profiles, "chunks", counted_chunks)
+    monkeypatch.setattr(sieve, "factor_counts", counted_sieve)
+    return seen
+
+
+@pytest.mark.parametrize("order", ["zero first", "one first", "together", "density table",
+                                   "after invalidate_cache"])
+def test_marginal_profile_is_the_shift_one_row_sums(monkeypatch, order):
+    # (N, 0) is defined as the (N, 1) row sums: the same bits whatever the order
+    n_limit = 3000
+    profiles.invalidate_cache()
+    seen = _count_passes(monkeypatch)
+    if order == "zero first":
+        zero, one = two_point_profile(n_limit, 0), two_point_profile(n_limit, 1)
+    elif order == "one first":
+        one, zero = two_point_profile(n_limit, 1), two_point_profile(n_limit, 0)
+    elif order == "together":
+        zero, one = two_point_profiles(n_limit, [0, 1])
+    elif order == "density table":
+        table = density_table(n_limit)
+        zero, one = two_point_profile(n_limit, 0), two_point_profile(n_limit, 1)
+        np.testing.assert_array_equal(table.counts, one.hist)
+        np.testing.assert_array_equal(table.pi_bar_log, one.log_hist / one.harmonic_mass)
+        assert table.harmonic_mass == one.harmonic_mass
+    else:
+        zero = two_point_profile(n_limit, 0)
+        profiles.invalidate_cache()
+        one = two_point_profile(n_limit, 1)
+    profiles.invalidate_cache()
+    assert seen["passes"] == (2 if order == "after invalidate_cache" else 1)
+    assert (zero.n_limit, zero.shift, one.shift) == (n_limit, 0, 1)
+    for name in ("hist", "log_hist"):
+        np.testing.assert_array_equal(getattr(zero, name), getattr(one, name))
+    assert zero.harmonic_mass == one.harmonic_mass
+    np.testing.assert_array_equal(zero.joint, np.diag(zero.hist))
+    np.testing.assert_array_equal(zero.joint_log, np.diag(zero.log_hist))
 
 
 def test_level_histograms_match_direct_bincounts(monkeypatch):
@@ -198,6 +251,28 @@ def test_histograms_with_more_bins_than_a_chunk_gather_chunks(monkeypatch):
                                    np.bincount(index, weights=inv_n, minlength=base ** 4),
                                    rtol=1e-14, atol=0)
         assert mass == harmonic_mass(n_limit)
+
+
+@pytest.mark.parametrize("chunk", [997, 1 << 16])
+@pytest.mark.parametrize("base,n_limit", [(16, 2**16 - 4), (17, 10**5)])
+def test_level_histograms_at_the_index_type_boundary(monkeypatch, chunk, base, n_limit):
+    # 16^4 = 2^16 bins is the widest histogram indexed in uint16, 17^4 the
+    # narrowest in intp; count(n) < base for every n + 3 < 2^16 (or 2^17)
+    monkeypatch.setattr(profiles, "CHUNK", chunk)
+    offsets = [(0, 1, 2, 3)]
+    counts = factor_counts(1, n_limit + 4).counts.astype(np.int64)
+    assert counts.max() < base
+    index = sum(counts[o : o + n_limit] * base ** (3 - o) for o in offsets[0])
+    # the range holds n = 2^15 (or 2^14) leading the index: top bins under
+    # uint16, and bins above 2^16 that a uint16 row would wrap
+    assert index.max() >= (15 * 16**3 if base == 16 else 2**16)
+    inv_n = 1.0 / np.arange(1, n_limit + 1, dtype=np.float64)
+    ((hist, log_hist),), mass = profiles.level_histograms(n_limit, offsets, base,
+                                                          (CESARO, LOGARITHMIC))
+    np.testing.assert_array_equal(hist, np.bincount(index, minlength=base ** 4))
+    np.testing.assert_allclose(log_hist, np.bincount(index, weights=inv_n, minlength=base ** 4),
+                               rtol=1e-14, atol=0)
+    assert mass == harmonic_mass(n_limit)
 
 
 @pytest.mark.parametrize("chunk", [997, 1 << 16, 1 << 20])
@@ -249,6 +324,30 @@ def test_profile_pass_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_library_sequence_makes_three_passes_and_one_sieve(monkeypatch):
+    # the stats_1e8 call order on one adopted block: the (N, 1) pass serves
+    # the densities, both profiles and theorems A and C; then the k-point
+    # pass and the prime-shift pass
+    n = 2 * 10**4
+    profiles.invalidate_cache()
+    seen = _count_passes(monkeypatch)
+    block = sieve.factor_counts(1, n + 16)
+    profiles.adopt_block(block)
+    par = correlation.parity_function()
+    density_table(n, block)
+    stats.sathe_selberg_ratio_check(n, 2, block)
+    stats.erdos_kac_ks(n, block)
+    stats.density_l1_gap(n, block)
+    two_point_profile(n, 0)
+    two_point_profile(n, 1)
+    correlation.theorem_a_report(par, par, n)
+    correlation.theorem_c_sum(par, n)
+    correlation.k_point_explore([par, par, par], n)
+    correlation.prime_shift_identity(par, par, n, [3, 7])
+    profiles.invalidate_cache()
+    assert seen == {"passes": 3, "sieves": 1}
 
 
 def _prime_shift_oracle(a, b, n_limit, window):
@@ -343,7 +442,7 @@ def test_results_do_not_depend_on_call_order(ops):
         # cached, fresh and kernel results come from the same pass
         _assert_identical(got, two_point_profile(n_limit, shift))
     n_limit = ops[-1][1]
-    block = factor_counts(1, n_limit + 1)
+    block = factor_counts(1, n_limit + 2)
     with_block, shared = density_table(n_limit, block), density_table(n_limit)
     for name in ("counts", "pi_bar", "pi_bar_log", "gaussian"):
         np.testing.assert_array_equal(getattr(with_block, name), getattr(shared, name))

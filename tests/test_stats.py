@@ -79,13 +79,14 @@ def test_density_table_adopts_a_valid_block_and_refuses_others(monkeypatch):
     profiles.invalidate_cache()
     profiles.shared_counts(100)
     before = profiles._cached_block
-    for bad in (factor_counts(1, n + 1, SmallOmega),   # distinct counts
-                factor_counts(5, n + 1),               # not starting at n = 1
-                factor_counts(1, n)):                  # stops short of N
+    for bad in (factor_counts(1, n + 2, SmallOmega),   # distinct counts
+                factor_counts(5, n + 2),               # not starting at n = 1
+                factor_counts(1, n),                   # stops short of N
+                factor_counts(1, n + 1)):              # ends at N: no count(N + 1)
         with pytest.raises(ContractError):
             density_table(n, bad)
         assert profiles._cached_block is before
-    block = factor_counts(1, n + 1)
+    block = factor_counts(1, n + 2)
 
     def no_second_sieve(*args, **kwargs):
         raise AssertionError("the adopted block was sieved again")
