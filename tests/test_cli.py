@@ -153,6 +153,20 @@ def test_resolved_manifest_echoes_derived_parameters(capsys):
     assert derived["interval_size"] == 13
 
 
+def test_sieve_csv_far_window_body_and_digest(capsys, tmp_path):
+    lo, hi = 999_999_999_990, 1_000_000_000_010   # n gains a digit at 10^12
+    path = tmp_path / "far.csv"
+    rep = _report(capsys, "sieve", "--lo", str(lo), "--hi", str(hi),
+                  "--format", "csv", "--out", str(path))
+    stamp, manifest, body = path.read_text().split("\n", 2)
+    assert stamp.startswith("# timestamp") and manifest.startswith("# manifest")
+    counts = sieve.factor_counts(lo, hi).counts.tolist()
+    assert body == "n,count\n" + "".join(f"{n},{c}\n" for n, c in zip(range(lo, hi), counts))
+    # the digest is the sha256 of the parsed count column as uint8
+    column = bytes(int(row.split(",")[1]) for row in body.splitlines()[1:])
+    assert rep["results"]["digest"] == hashlib.sha256(column).hexdigest()
+
+
 def test_sieve_csv_deterministic_across_runs(capsys, tmp_path):
     path = tmp_path / "sieve.csv"
     rep1 = _report(capsys, "sieve", "--n", "500", "--out", str(path),

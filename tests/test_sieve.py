@@ -1,6 +1,7 @@
 """Sieve kernels against trial division and their own contracts."""
 
 import hashlib
+import io
 import math
 import struct
 import tracemalloc
@@ -533,3 +534,54 @@ def test_csv_export(tmp_path):
     assert lines[0] == "n,count"
     assert lines[1] == "1,0"
     assert lines[12] == "12,3"
+
+
+def _synthetic_block(lo, size, seed):
+    # seeded counts in 0..63, so counts of 10 and above are common; sieving
+    # this far out would enumerate base primes up to 3 * 10**9
+    counts = np.random.default_rng(seed).integers(0, 64, size=size, dtype=np.uint8)
+    return sieve.FactorCountBlock(lo, lo + size, BigOmega, counts)
+
+
+_CSV_BLOCKS = {
+    "from 1": lambda: factor_counts(1, 10 ** 6 + 1),   # widths 1 to 7
+    "across 10^7": lambda: factor_counts(9_999_990, 10_000_010),
+    "one row": lambda: factor_counts(12, 13),
+    "2^63 - 5000": lambda: _synthetic_block(2 ** 63 - 5000, 5000, 1),
+    "across 10^18": lambda: _synthetic_block(10 ** 18 - 23_456, 34_567, 2),
+}
+for _e in (12, 14):
+    for _mode in (BigOmega, SmallOmega, TruncatedOmega(10 ** 5)):
+        _CSV_BLOCKS[f"10^{_e} {_mode.kind}"] = (
+            lambda e=_e, mode=_mode: factor_counts(10 ** e - 3000, 10 ** e + 17_000, mode))
+
+
+@pytest.mark.parametrize("batch", [None, 997])
+@pytest.mark.parametrize("name", list(_CSV_BLOCKS))
+def test_csv_bytes_match_row_format_across_widths_and_batches(name, batch, tmp_path,
+                                                              monkeypatch):
+    # a batch of 997 rows cuts decade runs and groups of 10**4 rows mid-way
+    if batch is not None:
+        monkeypatch.setattr(sieve, "_CSV_ROWS", batch)
+    block = _CSV_BLOCKS[name]()
+    path = tmp_path / "block.csv"
+    with open(path, "w", newline="") as fh:
+        write_block_csv(block, fh)
+    rows = "".join(f"{block.lo + i},{c}\n" for i, c in enumerate(block.counts.tolist()))
+    assert path.read_bytes() == ("n,count\n" + rows).encode()
+
+
+def test_csv_refuses_counts_of_three_digits():
+    block = sieve.FactorCountBlock(1, 3, BigOmega, np.array([99, 100], dtype=np.uint8))
+    with pytest.raises(ContractError, match="below 100"):
+        write_block_csv(block, io.StringIO())
+
+
+def test_csv_writer_memory_is_of_a_batch_not_of_the_block(tmp_path):
+    # the body of these 10**6 rows is 8.9 MB; the writer holds one batch of
+    # 2**16 rows at a time (its records, their mask, the rows as bytes and as
+    # text) and peaked at 2.4 MiB
+    block = factor_counts(1, 10 ** 6 + 1)
+    with open(tmp_path / "block.csv", "w", newline="") as fh:
+        peak = _traced_peak(write_block_csv, block, fh)
+    assert peak < 4 * 2 ** 20
