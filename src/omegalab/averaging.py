@@ -1,9 +1,14 @@
 """Cesaro and logarithmic averaging over finite index sets.
 
 The two weightings are uniform weights on a finite set and 1/n weights
-normalized by the harmonic mass.  Both are plain associative reductions;
-numpy's pairwise summation keeps results reproducible to 1e-12 across
-segmentations at any range the sieve can produce.
+normalized by the harmonic mass.  cesaro_avg and log_avg sum with numpy's
+pairwise summation, so their last bits depend on how the terms are
+grouped.  harmonic_mass is the fsum of the profiles.CHUNK sums of 1/n,
+the grouping of every 1/n pass in profiles, so a pass's mass equals it
+bit for bit.  Reductions grouped differently agree only to rounding,
+which a cancelling mean magnifies: at 10^7 the logarithmic parity mean
+is 2.6e-11 relative off an fsum reference from a profile and 1.1e-12
+from log_avg.
 """
 
 from __future__ import annotations

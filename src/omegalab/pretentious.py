@@ -261,15 +261,15 @@ def distance_sq_profile(f: MultFunSpec, n_limit: int, t_grid) -> np.ndarray:
     return prime_trig_sums(f, n_limit, np.abs(t_grid).max()).distance_sq(t_grid)
 
 
-def log_t_grid(t_max: float, points: int = 10**4, t_min: float = 1e-6) -> np.ndarray:
-    """Symmetric grid on [-t_max, t_max]: 0 plus log-spaced magnitudes."""
+def log_t_grid(t_max: float, points: int = 10**4) -> np.ndarray:
+    """Symmetric grid on [-t_max, t_max]: 0 plus log-spaced magnitudes from 1e-6."""
     if not t_max > 0:
         raise ContractError("t_max must be positive")
     if points < 3:
         raise ContractError("t grid needs points >= 3")
     half = points // 2
-    # geomspace of one point is [t_min]: every grid reaches +-t_max
-    mags = np.geomspace(t_min, t_max, half) if half > 1 else np.array([float(t_max)])
+    # geomspace of one point is [1e-6]: every grid reaches +-t_max
+    mags = np.geomspace(1e-6, t_max, half) if half > 1 else np.array([float(t_max)])
     return np.concatenate((-mags[::-1], [0.0], mags))
 
 

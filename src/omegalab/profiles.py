@@ -2,11 +2,11 @@
 
 Every average over n <= N here, plain or 1/n-weighted, is a contraction
 of level histograms of count(n), count(n+o_1), ....  `sweep(N, reach)` is
-the only reader of the shared block: chunk by chunk (CHUNK entries) it
-yields 1/n, built by `chunks` alone, with a view of the block covering the
-chunk plus `reach` more counts.  `level_histograms` is the one histogram
-kernel on it, its bin indices uint16 up to 2^16 bins and intp above;
-harmonic masses are the fsum of the chunk sums of 1/n.
+the only reader of the shared block: chunk by chunk (a whole number of
+CHUNKs) it yields 1/n, built by `chunks` alone, with a view of the block
+covering the chunk plus `reach` more counts.  `level_histograms` is the
+one histogram kernel on it, its bin indices uint16 up to 2^16 bins and
+intp above; harmonic masses are the fsum of the CHUNK sums of 1/n.
 
 A TwoPointProfile per (N, shift) is the kernel on the offsets (0, shift)
 in base NBINS:
@@ -50,9 +50,10 @@ NBINS = 64
 # pages and faulted them in again.  One shift-1 pass at N = 10^8 on a 2-core
 # x86 box: 2^22, 2.3 s and 25 000-38 000 minor faults; 2^20, 1.6 s and 2 700;
 # 2^18, 0.95 s and 1 500; 2^16, 0.90 s and 250.  2^16 was also the fastest
-# for the multi-shift pass and the k = 3 histogram of k_point_explore; its
-# k = 4 histogram, which ran faster at 2^18 (1.4 s against 2.0 s), now
-# gathers chunks per bincount instead (1.36 s logarithmic at 2^16).
+# for the multi-shift pass and the k = 3 histogram of k_point_explore.  A
+# histogram with more bins than CHUNK takes chunks of whole CHUNKs instead
+# (level_histograms): k = 4, 531 441 bins at 10^8, ran faster at 2^18 than
+# at 2^16 (1.4 s against 2.0 s) and takes 9 CHUNKs.
 CHUNK = 1 << 16
 _CACHE_LIMIT = 64
 
@@ -120,10 +121,14 @@ def shared_counts(hi: int) -> np.ndarray:
     return _cached_block.counts[: hi - 1]
 
 
-def chunks(n_limit: int, weighted: bool = True):
-    """Yield (start, stop, inv_n): n = start+1 .. stop <= N, inv_n 1/n there or None."""
-    for start in range(0, n_limit, CHUNK):
-        stop = min(start + CHUNK, n_limit)
+def chunks(n_limit: int, weighted: bool = True, multiple: int = 1):
+    """Yield (start, stop, inv_n): n = start+1 .. stop <= N, inv_n 1/n there or None.
+
+    A chunk is multiple * CHUNK entries, the last one fewer.
+    """
+    size = multiple * CHUNK
+    for start in range(0, n_limit, size):
+        stop = min(start + size, n_limit)
         if not weighted:
             yield start, stop, None
             continue
@@ -132,7 +137,7 @@ def chunks(n_limit: int, weighted: bool = True):
         yield start, stop, np.divide(1.0, inv_n, out=inv_n)
 
 
-def sweep(n_limit: int, reach: int = 0, weighted: bool = True):
+def sweep(n_limit: int, reach: int = 0, weighted: bool = True, multiple: int = 1):
     """Iterate (start, levels, inv_n) chunk by chunk over n = start+1 .. start+m.
 
     levels[o : o + m], o <= reach, are the counts of n + o in a view of the
@@ -141,7 +146,7 @@ def sweep(n_limit: int, reach: int = 0, weighted: bool = True):
     """
     counts = shared_counts(n_limit + reach + 1)
     return ((start, counts[start : stop + reach], inv_n)
-            for start, stop, inv_n in chunks(n_limit, weighted))
+            for start, stop, inv_n in chunks(n_limit, weighted, multiple))
 
 
 def level_histograms(n_limit: int, offsets, base: int, weightings):
@@ -150,42 +155,33 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
     Per offset tuple (o_0, .., o_{k-1}), a list of base^k-bin histograms in
     the order of weightings: int64 counts (CESARO), sums of 1/n (LOGARITHMIC).
     Counts must lie below base.  Tuples share their leading offsets' index,
-    so each costs one add a chunk and a bincount per weighting for every
-    ceil(base^k / CHUNK) chunks, k the longest tuple's length.  Also returns
-    the harmonic mass, None unless LOGARITHMIC is among the weightings.
+    so each costs one add and a bincount per weighting a chunk; a chunk is
+    the fewest whole CHUNKs that hold base^k entries, k the longest tuple's
+    length, and carries nothing to the next.  Also returns the harmonic
+    mass, None unless LOGARITHMIC is among the weightings.
     """
     weighted = LOGARITHMIC in weightings
     hists = [[np.zeros(base ** len(offs), np.float64 if w == LOGARITHMIC else np.int64)
               for w in weightings] for offs in offsets]
     chunk_masses = []
     reach = max(max(offs) for offs in offsets)
-    # With more bins than CHUNK, zero-filling and adding a histogram per chunk
-    # outweighs the elements (k = 4 at N = 10^8: 531 441 bins), so the index
-    # and 1/n of enough chunks to outnumber the bins are gathered first.
+    # With more bins than CHUNK, zero-filling and adding a histogram per CHUNK
+    # outweighs the elements (k = 4: 531 441 bins), so a chunk holds as many
+    # CHUNKs as it takes to hold the bins.
     bins = max(h[0].size for h in hists)
-    gather = -(-bins // CHUNK)
-    size = gather * CHUNK
+    multiple = -(-bins // CHUNK)
     # The narrowest index that holds the bins: uint16 cuts the k = 3 Cesaro
     # histogram at 10^8 from 0.43-0.53 s to 0.27-0.34 s (2-core x86 box);
-    # above 2^16 bins intp, as uint32 ran the k = 4 logarithmic gather slower
+    # above 2^16 bins intp, as uint32 ran the k = 4 logarithmic pass slower
     # (0.96-1.02 s against 1.14-1.17 s).
     index = np.uint16 if bins <= 1 << 16 else np.intp
-    # an index row per tuple while chunks gather, else one row they all reuse
-    rows = ([np.empty(size, index) for _ in offsets] if gather > 1
-            else [np.empty(size, index)] * len(offsets))
-    gathered = np.empty(size) if weighted and gather > 1 else None
-    fill = 0
-    for start, levels, inv_n in sweep(n_limit, reach, weighted):
+    row = np.empty(multiple * CHUNK, index)
+    for _, levels, inv_n in sweep(n_limit, reach, weighted, multiple):
         m = levels.size - reach
-        if weighted:
-            chunk_masses.append(float(inv_n.sum()))
-        end = fill + m
-        flush = start + m == n_limit or end + CHUNK > size
-        if gathered is not None:
-            gathered[fill:end] = inv_n
-            inv_n = gathered[:end]
+        if weighted:   # per CHUNK, as averaging.harmonic_mass sums
+            chunk_masses += [float(inv_n[i : i + CHUNK].sum()) for i in range(0, m, CHUNK)]
         heads = {(): 0}
-        for offs, out, row in zip(offsets, hists, rows):
+        for offs, out in zip(offsets, hists):
             lead = offs[:-1]
             if lead not in heads:   # in place: a temporary per step ran k = 4 ~10% slower
                 head = heads[lead] = levels[lead[0] : lead[0] + m].astype(index)
@@ -193,12 +189,10 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
                     head *= base
                     head += levels[o : o + m]
                 head *= base
-            np.add(heads[lead], levels[offs[-1] : offs[-1] + m], out=row[fill:end])
-            if flush:
-                for hist, w in zip(out, weightings):
-                    hist += np.bincount(row[:end], weights=inv_n if w == LOGARITHMIC else None,
-                                        minlength=hist.size)
-        fill = 0 if flush else end
+            np.add(heads[lead], levels[offs[-1] : offs[-1] + m], out=row[:m])
+            for hist, w in zip(out, weightings):
+                hist += np.bincount(row[:m], weights=inv_n if w == LOGARITHMIC else None,
+                                    minlength=hist.size)
     return hists, math.fsum(chunk_masses) if weighted else None
 
 

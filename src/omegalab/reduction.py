@@ -402,13 +402,12 @@ def reduced_sum(n_limit: int, window: PrimeWindow, xi_set) -> float:
 
 
 def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
-                               n_limit: int, window: PrimeWindow,
-                               audit_constant: float = AUDIT_CONSTANT) -> dict:
+                               n_limit: int, window: PrimeWindow) -> dict:
     """Check the correlation error against the square root of the reduced sum.
 
     lhs is |log two-point mean - product of marginal log means| at shift 1;
     sqrt_reduced is the root of the reduced sum over the full frequency
-    interval; the audit term audit_constant * (loglog N)^(-1/6) stands in
+    interval; the audit term AUDIT_CONSTANT * (loglog N)^(-1/6) stands in
     for the error terms the comparison absorbs.  slack should stay >= 0.
     """
     n_limit = int(n_limit)
@@ -419,7 +418,7 @@ def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
               - profile.mean(ta, LOGARITHMIC) * profile.mean(tb, LOGARITHMIC))
     total = reduced_sum(n_limit, window, family.members)
     sqrt_reduced = math.sqrt(total)
-    audit_term = audit_constant * math.log(math.log(n_limit)) ** (-1.0 / 6.0)
+    audit_term = AUDIT_CONSTANT * math.log(math.log(n_limit)) ** (-1.0 / 6.0)
     return {
         "lhs": float(lhs),
         "sqrt_reduced": sqrt_reduced,

@@ -231,10 +231,10 @@ def _log_units(primes, scale) -> np.ndarray:
 def _residual_threshold(a, b, root, layout):
     """T with: n in [a, b) has a prime factor above root iff its log units < T.
 
-    None when log2(b / a) leaves no room for one threshold.  Let S be the
-    scale, U(n) the log units of n (the sum of floor(S log2 p) over the m
-    prime powers found, m <= floor(log2(b - 1))) and D(n) = S log2 n - U(n)
-    its deficit.  Each floor loses less than one unit, so
+    Let S be the scale, U(n) the log units of n (the sum of floor(S log2 p)
+    over the m prime powers found, m <= floor(log2(b - 1))) and
+    D(n) = S log2 n - U(n) its deficit.  Each floor loses less than one
+    unit, so
 
     - rest 1 (n is the product of the powers found): 0 <= D(n) < m, so
       U(n) > S log2 a - m;
@@ -249,15 +249,16 @@ def _residual_threshold(a, b, root, layout):
     than 2**-25 units, far inside _ROUNDING.  With above and below the two
     bounds widened by _ROUNDING, T = floor(above) + 1 separates the cases
     when floor(above) <= floor(below).  The gap is S log2(root + 1) - m -
-    S log2((b - 1) / a), a hundred units or more on every block but the
-    first of a range from 1 (tests/test_sieve.py checks these margins for
-    range ends of every bit length).
+    S log2((b - 1) / a), and _fill_segment cuts blocks with b <= 2a, so
+    log2((b - 1) / a) < 1 leaves it above a unit on every block
+    (tests/test_sieve.py checks these margins for range ends of every bit
+    length); bounds that cross are an internal error.
     """
     scale, m = layout.scale, (b - 1).bit_length() - 1
     above = scale * math.log2(b - 1) - scale * math.log2(root + 1) + _ROUNDING
     below = scale * math.log2(a) - m - _ROUNDING
     if math.floor(above) > math.floor(below):
-        return None
+        raise AssertionError(f"no residual threshold on [{a}, {b}) with root {root}")
     # T <= 0 adds to no n, T = 2**shift to every n; both clamp exactly
     return min(max(math.floor(above) + 1, 0), 1 << layout.shift)
 
@@ -265,23 +266,12 @@ def _residual_threshold(a, b, root, layout):
 def _add_residual(a, root, word, out, layout):
     """out = count of word, plus one where n = a + i has a factor above root.
 
-    Decided against one threshold where _residual_threshold gives one, so
-    ((word ^ mask) + T) >> shift carries one into the count exactly where
-    the log units are below T; else, per n, where the deficit D(n) reaches
-    S log2(root + 1) less the rounding (rest 1 keeps D(n) below m, which
-    is more than a unit less on every segment).
+    ((word ^ mask) + T) >> shift, T the threshold of _residual_threshold,
+    carries one into the count exactly where the log units are below T.
     """
-    mask = (1 << layout.shift) - 1
-    threshold = _residual_threshold(a, a + word.size, root, layout)
-    if threshold is not None:
-        word ^= mask
-        word += threshold
-        np.right_shift(word, layout.shift, out=out, casting="unsafe")
-        return
-    n = np.arange(a, a + word.size, dtype=np.float64)
-    deficit = layout.scale * np.log2(n) - (word & mask)
+    word ^= (1 << layout.shift) - 1
+    word += _residual_threshold(a, a + word.size, root, layout)
     np.right_shift(word, layout.shift, out=out, casting="unsafe")
-    out += deficit >= layout.scale * math.log2(root + 1) - _ROUNDING
 
 
 def _strided(lo, hi, primes, word, smooth, layout, distinct, powers):
@@ -420,16 +410,21 @@ def _fill_segment(lo, hi, base, out, mode, layout, tiles):
     if not residual:
         np.right_shift(word, layout.shift, out=out, casting="unsafe")
         return
-    for a in range(0, hi - lo, _RESIDUAL_BLOCK):
-        block = slice(a, a + _RESIDUAL_BLOCK)
+    # blocks [a, b) with b <= 2a, so each has one threshold: from 1 they
+    # double up to _RESIDUAL_BLOCK
+    a = lo
+    while a < hi:
+        b = min(a + _RESIDUAL_BLOCK, 2 * a, hi)
+        block = slice(a - lo, b - lo)
         if smooth is None:
-            _add_residual(lo + a, root, word[block], out[block], layout)
-            continue
-        # smooth divides n, so both fit in smooth's dtype
-        part = smooth[block]
-        rest = np.arange(lo + a, lo + a + part.size, dtype=part.dtype) // part
-        np.right_shift(word[block], layout.shift, out=out[block], casting="unsafe")
-        out[block] += (rest > 1) & (rest <= cutoff)
+            _add_residual(a, root, word[block], out[block], layout)
+        else:
+            # smooth divides n, so both fit in smooth's dtype
+            part = smooth[block]
+            rest = np.arange(a, b, dtype=part.dtype) // part
+            np.right_shift(word[block], layout.shift, out=out[block], casting="unsafe")
+            out[block] += (rest > 1) & (rest <= cutoff)
+        a = b
 
 
 def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,

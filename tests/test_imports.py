@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every name a module defines is used somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every name a module defines is used somewhere in the package, and every
+defaulted parameter is set by some call."""
 
 import ast
 import pathlib
@@ -79,3 +80,53 @@ def test_every_module_level_name_is_used():
               if not (name.startswith("__") and name.endswith("__"))
               and named[name] <= sum(1 for own in _named(node) if own == name)]
     assert unused == []
+
+
+def _defaulted(tree):
+    """(name it is called by, parameter, position or None) per defaulted parameter.
+
+    A method's position leaves out its instance; __init__ is called by its
+    class's name.  Keyword-only parameters have no position.
+    """
+    owners = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(node))
+        called = owner if node.name == "__init__" else node.name
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield called, arg.arg, i - (owner is not None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield called, arg.arg, None
+
+
+def _passes(call, param, position):
+    """Whether a call sets the parameter, by keyword, ** or position."""
+    if any(keyword.arg in (param, None) for keyword in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # A default that no call in the package, the tests or the benchmark
+    # overrides is a constant in disguise.  oracle.py is the reference
+    # module and keeps its own knobs.
+    here = pathlib.Path(__file__).parent
+    callers = [*_SOURCES, *here.rglob("*.py"), *(here.parent / "perfbench").glob("*.py")]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [f"{path.name}:{called}({param})" for path in _SOURCES if path.name != "oracle.py"
+             for called, param, position in _defaulted(ast.parse(path.read_text()))
+             if not any(_passes(call, param, position) for call in calls.get(called, []))]
+    assert unset == []

@@ -302,8 +302,9 @@ def _range_ends():
 
 def test_packed_word_margins_for_every_range_end():
     # arithmetic only: for each layout the count and the log units fit, the
-    # per-n deficit test has a gap, and every block past the first of a
-    # range from 1 gets one integer threshold
+    # deficit test has a gap, and every residual block gets one integer
+    # threshold: the doubling blocks [2^j, 2^(j+1)) that a range from 1
+    # starts with (cut at hi), a full block and the last one below hi
     budget = 2 * sieve._ROUNDING   # float rounding, once on each side
     block = sieve._RESIDUAL_BLOCK
     for hi in _range_ends():
@@ -316,7 +317,8 @@ def test_packed_word_margins_for_every_range_end():
         # a segment ending at hi: rest 1 leaves a deficit below m, rest P at least S log2(root + 1)
         root, m = math.isqrt(hi - 1), (hi - 1).bit_length() - 1
         assert scale * math.log2(root + 1) >= m + budget + 1, hi
-        blocks = [(block + 1, 2 * block + 1)]   # the second block of a range from 1
+        blocks = [(1 << j, min(2 << j, hi)) for j in range(16) if 1 << j < hi]
+        blocks.append((block + 1, 2 * block + 1))
         if hi > 2 * block:
             blocks.append((hi - block, hi))
         for a, b in blocks:
@@ -340,9 +342,16 @@ def test_windows_near_2_44_in_the_6_count_bit_layout():
             assert np.array_equal(counts, expected[:, column]), (mode, config)
 
 
-def test_ranges_from_small_lo_take_the_per_n_fallback():
-    # the first block of a range from 1 has no single threshold; its deficit
-    # is taken per n, and the tile copies start at lo mod 5040 = lo
+def test_ranges_from_small_lo_take_the_per_n_fallback(monkeypatch):
+    # a range from a small lo starts with residual blocks [a, 2a), each of
+    # which gets one threshold, and the tile copies start at lo mod 5040 = lo
+    thresholds, threshold = [], sieve._residual_threshold
+
+    def spy(*args):
+        found = threshold(*args)
+        thresholds.append(found)
+        return found
+    monkeypatch.setattr(sieve, "_residual_threshold", spy)
     hi, cutoff = 2 ** 17, 1000   # the cutoff lies above the root of every segment but the first
     expected = _numpy_trial_counts(range(1, hi), hi, cutoff)
     modes = (BigOmega, SmallOmega, TruncatedOmega(cutoff))
@@ -352,6 +361,7 @@ def test_ranges_from_small_lo_take_the_per_n_fallback():
             for column, mode in enumerate(modes):
                 counts = factor_counts(lo, hi, mode, config).counts
                 assert np.array_equal(counts, expected[lo - 1 :, column]), (segment_length, lo, mode)
+    assert thresholds and None not in thresholds
 
 
 def test_counts_agree_across_the_32_bit_layouts():
