@@ -11,6 +11,8 @@ A distance at one t (optionally twisted by a character) is an exact sum
 over the primes.  Distances along a t grid, and the grid infimum, read one
 set of binned Taylor moments of f(p)/p instead (PrimeTrigSums): one pass
 over the primes, then O(#bins) per t, with a certified truncation bound.
+Every prime sum reads the primes from sieve.prime_segments one segment at
+a time and holds no column over all the primes up to N.
 
 Frequencies are identified modulo the family size: e(xi*n/|I|) with integer
 n depends only on xi mod |I|, so callers may pass any real xi (large
@@ -30,7 +32,7 @@ import numpy as np
 from .correlation import MODULUS_SLACK
 from .errors import ContractError
 from .profiles import CESARO, NBINS, sweep, two_point_profile
-from .sieve import enumerate_primes, factorize, require_primes
+from .sieve import factorize, prime_segments, require_primes
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +71,17 @@ class MultFunSpec:
         require_primes(np.array(keys, dtype=np.int64), "override keys")
         return [(p, complex(self.prime_values[p])) for p in keys]
 
-    def values_on(self, n_limit: int, primes: np.ndarray) -> np.ndarray:
-        """f(p) for primes, the ascending primes p <= N."""
+    def values_on(self, primes: np.ndarray, overrides: list) -> np.ndarray:
+        """f(p) for one ascending segment of primes p <= N, given
+        overrides = overrides_upto(N): each is placed where the segment
+        holds its key."""
         out = np.full(primes.size, complex(self.default_prime_value),
                       dtype=np.complex128)
-        for p, v in self.overrides_upto(n_limit):
-            out[np.searchsorted(primes, p)] = v
+        if overrides and primes.size:
+            keys = np.array([p for p, _ in overrides], dtype=np.int64)
+            at = np.minimum(np.searchsorted(primes, keys), primes.size - 1)
+            held = primes[at] == keys
+            out[at[held]] = np.array([v for _, v in overrides])[held]
         return out
 
     def constant_prime_value(self):
@@ -133,28 +140,35 @@ def mode_spec(family: FrequencyFamily, xi: float) -> MultFunSpec:
 # prime sums and distances
 
 def _distance_sq(f: MultFunSpec, n_limit: int, g_on) -> float:
-    """sum_{p<=N} (1 - Re f(p) conj(g(p)))/p, with g(p) = g_on(primes, log p)."""
-    primes = enumerate_primes(n_limit)
-    as_float = primes.astype(np.float64)
-    # g first, so log p is freed before f's complex column is built
-    gp = g_on(primes, np.log(as_float))
-    fp = f.values_on(n_limit, primes)
-    invp = np.divide(1.0, as_float, out=as_float)
-    return float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
+    """sum_{p<=N} (1 - Re f(p) conj(g(p)))/p, with g(p) = g_on(primes, log p),
+    summed one segment of primes at a time."""
+    overrides = f.overrides_upto(n_limit)
+    total = 0.0
+    for primes in prime_segments(n_limit):
+        as_float = primes.astype(np.float64)
+        gp = g_on(primes, np.log(as_float))
+        fp = f.values_on(primes, overrides)
+        invp = np.divide(1.0, as_float, out=as_float)
+        total += float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
+        del primes, as_float, gp, fp, invp   # not held while the next segment is sieved
+    return total
 
 
 def distance(f: MultFunSpec, g: MultFunSpec, n_limit: int) -> float:
     """Pretentious distance between two completely multiplicative specs."""
-    total = _distance_sq(f, n_limit, lambda primes, logs: g.values_on(n_limit, primes))
+    overrides = g.overrides_upto(n_limit)
+    total = _distance_sq(f, n_limit, lambda primes, logs: g.values_on(primes, overrides))
     return math.sqrt(max(total, 0.0))
 
 
 def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float,
                          chi_table=None) -> float:
     """D(f, n -> chi(n) n^{it}; N)^2 for one t (chi optional)."""
+    chi = None if chi_table is None else np.asarray(chi_table)
+
     def twist(primes, logs):
         gp = np.exp(1j * t * logs)
-        return gp if chi_table is None else gp * np.asarray(chi_table)[primes % len(chi_table)]
+        return gp if chi is None else gp * chi[primes % chi.size]
     return _distance_sq(f, n_limit, twist)
 
 
@@ -168,6 +182,8 @@ _BIN_WIDTH = 1e-2
 _TAIL_TARGET = 1e-15
 # t x bin cells evaluated at once; bounds the complex temporaries.
 _BLOCK_CELLS = 1 << 16
+# Above the Meissel-Mertens constant B = 0.26149...
+_MERTENS_B = 0.2615
 
 
 @dataclass(frozen=True)
@@ -180,7 +196,10 @@ class PrimeTrigSums:
     = sum_b e^{-i t c_b} sum_k (-i t s)^k / k! moments[k, b], and
     D(f, n -> n^{it}; N)^2 = sum 1/p - Re F(t) for |t| <= t_max, with
     truncation error at most tail_bound = x^K / K! e^x sum |w_p|,
-    x = t_max max |log p - c_b| <= t_max h / 2.
+    x = t_max max |log p - c_b| <= t_max h / 2.  Each cell's moments are
+    one np.add.reduceat over its primes in order, however many segments of
+    primes the cell spans; harmonic and sum |w_p| are added segment by
+    segment.
     """
 
     t_max: float
@@ -208,44 +227,95 @@ class PrimeTrigSums:
         return out
 
 
+def _tail(order: int, x: float, mass: float) -> float:
+    """The truncation bound x^K / K! e^x sum |w_p| at order K."""
+    if x == 0.0 or mass == 0.0:
+        return 0.0
+    return math.exp(order * math.log(x) - math.lgamma(order + 1) + x) * mass
+
+
+def _least_order(x: float, mass: float, most: float = math.inf) -> int:
+    """The least order K >= 1 whose bound is at most _TAIL_TARGET."""
+    order = 1
+    while _tail(order, x, mass) > _TAIL_TARGET:
+        if order >= most:
+            raise AssertionError("prime sums past their a-priori Taylor order")
+        order += 1
+    return order
+
+
+def _cell_moments(logs, weights, cells, starts, width, rows):
+    """Centres, moment rows and max |scaled| of whole cells of log p.
+
+    cells[j] is the cell of the primes from starts[j] to the next start;
+    weights are scaled in place.
+    """
+    centres = math.log(2.0) + (cells + 0.5) * width
+    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / (width / 2.0)
+    moments = np.empty((rows, starts.size), dtype=np.complex128)
+    for k in range(rows):
+        moments[k] = np.add.reduceat(weights, starts)
+        weights *= scaled
+    return centres, moments, float(np.abs(scaled).max(initial=0.0))
+
+
 def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums:
-    """Moments of f(p)/p over p <= N certified for every |t| <= t_max."""
+    """Moments of f(p)/p over p <= N certified for every |t| <= t_max.
+
+    One segment of primes at a time: log p is binned, and every cell but
+    the last, which the next segment may extend, is summed; the primes of
+    the last cell are carried into the next segment.  Rows are computed up
+    to an a-priori order, from x <= t_max (h/2 + rounding) and
+    sum |w_p| <= the Rosser-Schoenfeld bound on sum_{p<=N} 1/p, and cut to
+    the least order whose bound from the data meets _TAIL_TARGET.
+    """
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ContractError("t range must be finite")
-    primes = enumerate_primes(n_limit)
-    as_float = primes.astype(np.float64)
-    logs = np.log(as_float)
-    invp = np.divide(1.0, as_float, out=as_float)   # in place: one float column less
     width = min(_BIN_WIDTH, 1.0 / t_max) if t_max > 0.0 else _BIN_WIDTH
     half = width / 2.0
-    cell = np.floor((logs - math.log(2.0)) / width)
-    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
-    centres = math.log(2.0) + (cell[starts] + 0.5) * width
-    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / half
-    weights = f.values_on(n_limit, primes) * invp
+    overrides = f.overrides_upto(n_limit)
+    segments = prime_segments(n_limit)
+    log_n = math.log(n_limit)
+    # |log p - c_b| <= h/2 up to a few units in the last place of log N
+    x_cap = min(1.0, t_max * (half + 16.0 * math.ulp(log_n)) * (1.0 + 2.0**-40))
+    # Rosser & Schoenfeld (1962), (3.20): sum_{p<=x} 1/p < loglog x + B + 1/log^2 x
+    mass_cap = (1.0 + 1e-9) * (math.log(log_n) + _MERTENS_B + 1.0 / log_n**2)
+    rows = _least_order(x_cap, mass_cap)
 
-    x = t_max * half * float(np.abs(scaled).max(initial=0.0))
+    parts = []   # (centres, moments, max |scaled|) of the cells closed so far
+    harmonic = mass = 0.0
+    logs = np.empty(0)
+    weights = np.empty(0, dtype=np.complex128)
+    for primes in segments:
+        as_float = primes.astype(np.float64)
+        seg_logs = np.log(as_float)
+        invp = np.divide(1.0, as_float, out=as_float)   # in place: one float column less
+        harmonic += float(np.sum(invp))
+        seg_weights = f.values_on(primes, overrides) * invp
+        mass += float(np.abs(seg_weights).sum())
+        logs = np.concatenate((logs, seg_logs))
+        weights = np.concatenate((weights, seg_weights))
+        # not held while the next segment is sieved
+        del primes, as_float, seg_logs, invp, seg_weights
+        cell = np.floor((logs - math.log(2.0)) / width)
+        starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+        last = int(starts[-1])   # the last cell may go on in the next segment
+        if last:
+            parts.append(_cell_moments(logs[:last], weights[:last], cell[starts[:-1]],
+                                       starts[:-1], width, rows))
+            logs, weights = logs[last:].copy(), weights[last:].copy()
+    parts.append(_cell_moments(logs, weights, cell[-1:], np.zeros(1, np.intp), width, rows))
+
+    x = t_max * half * max(widest for _, _, widest in parts)
     if x > 1.0:
         # cells narrower than the rounding of log p: the moments cannot bin it
         raise ContractError("t range too wide for binned prime sums")
-    mass = float(np.abs(weights).sum())
-
-    def tail(order):
-        if x == 0.0 or mass == 0.0:
-            return 0.0
-        return math.exp(order * math.log(x) - math.lgamma(order + 1) + x) * mass
-
-    order = 1
-    while tail(order) > _TAIL_TARGET:
-        order += 1
-    moments = np.empty((order, starts.size), dtype=np.complex128)
-    for k in range(order):
-        moments[k] = np.add.reduceat(weights, starts) if starts.size else 0.0
-        weights *= scaled
-    return PrimeTrigSums(t_max=t_max, half_width=half, centres=centres,
-                         moments=moments, harmonic=float(np.sum(invp)),
-                         tail_bound=tail(order))
+    order = _least_order(x, mass, most=rows)
+    return PrimeTrigSums(t_max=t_max, half_width=half,
+                         centres=np.concatenate([c for c, _, _ in parts]),
+                         moments=np.concatenate([m[:order] for _, m, _ in parts], axis=1),
+                         harmonic=harmonic, tail_bound=_tail(order, x, mass))
 
 
 def distance_sq_profile(f: MultFunSpec, n_limit: int, t_grid) -> np.ndarray:

@@ -176,9 +176,10 @@ def window_bytes(upper: float, size: int | None = None,
                  resolution: int | None = None) -> dict:
     """Upper bounds, in bytes, of the work of a window with this upper edge.
 
-    "sieve": prime_window's odd mask of the numbers up to upper and 24 bytes
-    a prime (int64 index and primes, the window and its weights), for at
-    most 1.25506 x / log x primes up to x (Rosser-Schoenfeld).  "covariance",
+    "sieve": one segment of sieve.prime_segments, 17 bytes an odd number
+    (its mask, index and primes), and 24 bytes a prime (enumerate_primes'
+    array, the window and its weights), for at most 1.25506 x / log x
+    primes up to x (Rosser-Schoenfeld).  "covariance",
     given size classes: a reduced-sum block, 41 bytes a class and FFT point
     (indicator, float64 cast, half spectrum, irfft output, gap row and its
     1/n-weighted copy) and the scatter's index and weight arrays.  "grid",
@@ -186,7 +187,8 @@ def window_bytes(upper: float, size: int | None = None,
     folded weights, their spectrum and magnitudes, and boolean masks).
     """
     top = max(2, math.floor(upper))
-    costs = {"sieve": (top + 1) // 2 + 24 * math.ceil(1.25506 * top / math.log(top))}
+    segment = 17 * min(sieve.PRIME_SEGMENT, (top + 1) // 2)
+    costs = {"sieve": segment + 24 * math.ceil(1.25506 * top / math.log(top))}
     if size is not None:
         costs["covariance"] = _fft_len(top) * (41 * size + 16 * _SCATTER_ENTRIES)
     if resolution is not None:

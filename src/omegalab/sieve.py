@@ -59,6 +59,17 @@ from .errors import CapacityError, ContractError, EmptyDomainError
 # power and smooth part that divides one, fits in int64.
 MAX_RANGE_END = 2**63
 
+# Odd numbers per segment of prime_segments: a segment holds a boolean mask
+# of this many bytes, its index and its primes, and a prime sum holds float
+# and complex columns over the segment's primes.  enumerate_primes(10**8),
+# two fresh processes each on a 2-core x86 box: 2**16, 0.42-0.55 s; 2**17,
+# 0.38-0.43 s; 2**18, 0.22-0.27 s; 2**19, 0.20-0.27 s; 2**20, 0.18-0.19 s;
+# 2**21, 0.21-0.27 s.  The tracemalloc peak of distance_sq_to_twist at 10**7
+# is 3.0 MiB at 2**18, 5.6 MiB at 2**19 and 10.7 MiB at 2**20.  2**19 odd
+# numbers reach 2**20, so a prime sum at N <= 10**6 is one segment and the
+# same bits as a pass over the whole table.
+PRIME_SEGMENT = 1 << 19
+
 # Base primes p <= (segment length) >> _STRIDED_SHIFT take one strided pass
 # per prime power; larger ones, which hit a segment at most 2**_STRIDED_SHIFT
 # times, take the bucketed pass.  Shifts 6 to 9 ran within 25% of each other
@@ -146,26 +157,63 @@ class FactorCountBlock:
         return int(self.counts[n - self.lo])
 
 
-def enumerate_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending int64, by a boolean sieve of the odd numbers."""
+def prime_segments(limit: int):
+    """The primes <= limit, ascending, as one int64 array per segment.
+
+    Segment j sieves the odd numbers 2i + 1 with i in [j L, (j + 1) L),
+    L = PRIME_SEGMENT, striking the odd multiples of every odd base prime
+    p <= isqrt(limit) from p**2 on; 2 leads the first segment.  The base
+    primes are enumerate_primes(isqrt(limit)), so no more than one segment
+    and the base primes are held at once.  The limit is checked when this
+    is called, not when the first segment is drawn.
+    """
     limit = int(limit)
     if limit < 2:
         raise EmptyDomainError(f"no primes below 2 (limit={limit})")
     if limit >= MAX_RANGE_END:
         raise CapacityError(f"limit {limit} exceeds 64-bit sieve capacity")
-    odd = np.ones((limit + 1) // 2, dtype=bool)   # odd[i]: is 2i + 1 prime
-    odd[0] = False
-    for i in range(1, (isqrt(limit) - 1) // 2 + 1):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    index = np.flatnonzero(odd)
-    del odd
-    primes = np.empty(index.size + 1, dtype=np.int64)
-    primes[0] = 2
-    np.multiply(index, 2, out=primes[1:])
-    primes[1:] += 1
-    return primes
+    return _odd_segments(limit)
+
+
+def _odd_segments(limit):
+    """The segments of prime_segments for a checked limit."""
+    root = isqrt(limit)
+    base = enumerate_primes(root)[1:] if root >= 3 else np.empty(0, np.int64)
+    squares = base * base // 2   # the index i of p**2 = 2i + 1
+    end = (limit + 1) // 2       # the odd numbers up to limit are i < end
+    for lo in range(0, end, PRIME_SEGMENT):
+        hi = min(lo + PRIME_SEGMENT, end)
+        odd = np.ones(hi - lo, dtype=bool)   # odd[i - lo]: is 2i + 1 prime
+        if lo == 0:
+            odd[0] = False
+        k = int(np.searchsorted(squares, hi))   # the primes whose square is in reach
+        # the first i >= lo with p | 2i + 1, and not below the square
+        starts = np.maximum(squares[:k], lo + (squares[:k] - lo) % base[:k]) - lo
+        for s, p in zip(starts.tolist(), base[:k].tolist()):
+            odd[s::p] = False
+        index = np.flatnonzero(odd)
+        del odd
+        first = int(lo == 0)
+        primes = np.empty(first + index.size, dtype=np.int64)
+        primes[:first] = 2
+        np.multiply(index, 2, out=primes[first:])
+        del index   # not held while the segment is read
+        primes[first:] += 2 * lo + 1
+        yield primes
+
+
+def enumerate_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending int64: the segments of prime_segments
+    copied into one array of pi(x) < 1.25506 x / log x entries (Rosser and
+    Schoenfeld, 1962), which is then cut to length in place."""
+    segments = prime_segments(limit)
+    out = np.empty(math.ceil(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    size = 0
+    for primes in segments:
+        out[size : size + primes.size] = primes
+        size += primes.size
+    out.resize(size, refcheck=False)
+    return out
 
 
 def truncation_cutoff(n_limit: int, exponent: float = 8.0) -> float:
@@ -501,15 +549,28 @@ def factorize(n: int):
 def require_primes(values, what: str) -> None:
     """Raise ContractError unless every entry of values is a prime.
 
-    Each value is looked up by binary search in the primes up to the
-    largest one, so no hash of those primes is built.
+    The distinct values, ascending, are looked up by binary search in the
+    segment of prime_segments that holds each, so one segment of primes,
+    not every prime up to the largest value, is held at once.
     """
-    values = np.asarray(values, dtype=np.int64)
-    if values.size:
-        primes = enumerate_primes(max(int(values.max()), 2))
-        at = np.minimum(np.searchsorted(primes, values), primes.size - 1)
-        if np.any(primes[at] != values):
-            raise ContractError(f"{what} contains a number that is not prime")
+    values = np.unique(np.asarray(values, dtype=np.int64))
+    if not values.size:
+        return
+    bad = ContractError(f"{what} contains a number that is not prime")
+    if values[0] < 2:
+        raise bad
+    done = 0
+    for primes in prime_segments(int(values[-1])):
+        if not primes.size:
+            continue
+        # the values up to this segment's last prime are prime iff it holds them
+        stop = int(np.searchsorted(values, primes[-1], side="right"))
+        held = values[done:stop]
+        if np.any(primes[np.searchsorted(primes, held)] != held):
+            raise bad
+        done = stop
+    if done < values.size:   # past the last prime up to the largest value
+        raise bad
 
 
 def omega_oracle(n: int) -> int:

@@ -379,7 +379,7 @@ def test_circle_refuses_low_resolution_before_sieving(capsys, monkeypatch):
     # that edge is refused before the primes up to the upper edge are sieved
     def unreachable(limit):
         raise AssertionError(f"primes sieved up to {limit}")
-    monkeypatch.setattr(sieve, "enumerate_primes", unreachable)
+    monkeypatch.setattr(sieve, "prime_segments", unreachable)
     code, out, err = _run(capsys, "circle", "--window-lower", "99999000",
                           "--window-upper", "1e8", "--resolution", "10")
     assert code == cli.EXIT_CONTRACT
@@ -401,7 +401,7 @@ def test_circle_refuses_low_resolution_before_sieving(capsys, monkeypatch):
 def test_window_work_past_the_limit_exits_5_before_sieving(capsys, monkeypatch, argv, what):
     def unreachable(*args):
         raise AssertionError(f"sieved {args}")
-    monkeypatch.setattr(sieve, "enumerate_primes", unreachable)
+    monkeypatch.setattr(sieve, "prime_segments", unreachable)
     monkeypatch.setattr(sieve, "factor_counts", unreachable)
     code, out, err = _run(capsys, *argv)
     assert code == cli.EXIT_CAPACITY

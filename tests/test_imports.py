@@ -130,3 +130,10 @@ def test_every_defaulted_parameter_is_set_by_some_call():
              for called, param, position in _defaulted(ast.parse(path.read_text()))
              if not any(_passes(call, param, position) for call in calls.get(called, []))]
     assert unset == []
+
+
+def test_prime_sums_never_read_the_whole_table_of_primes():
+    # pretentious sums over the primes one segment at a time: neither a call
+    # of sieve.enumerate_primes nor an import of it may bring the table back
+    tree = ast.parse((pathlib.Path(omegalab.__file__).parent / "pretentious.py").read_text())
+    assert "enumerate_primes" not in set(_named(tree))

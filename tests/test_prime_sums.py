@@ -1,16 +1,19 @@
 """Prime sums: bit-identical values, one N < 2 contract, nothing kept after a call."""
 
+import cmath
 import dataclasses
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import omegalab
+from omegalab import pretentious, sieve
 from omegalab.errors import ContractError
 from omegalab.pretentious import (MultFunSpec, dirichlet_characters, dist_formula_residual,
                                   distance, distance_sq_profile, distance_sq_to_twist,
@@ -19,6 +22,7 @@ from omegalab.pretentious import (MultFunSpec, dirichlet_characters, dist_formul
                                   twisted_distance, unit_spec)
 from omegalab.reduction import prime_window
 from omegalab.sieve import require_primes
+from test_pretentious import _loop_distance_sq
 
 
 def _feed(digest, value):
@@ -122,3 +126,75 @@ def test_nothing_about_primes_outlives_a_call():
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 1 << 20
+
+
+def _whole_table_sums(f, primes, t_max):
+    """The binned moments and order over the whole table of primes at once."""
+    as_float = primes.astype(np.float64)
+    logs = np.log(as_float)
+    invp = 1.0 / as_float
+    width = min(pretentious._BIN_WIDTH, 1.0 / t_max)
+    half = width / 2.0
+    cell = np.floor((logs - math.log(2.0)) / width)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    centres = math.log(2.0) + (cell[starts] + 0.5) * width
+    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / half
+    values = np.array([f.value_at_prime(p) for p in primes.tolist()])
+    weights = values * invp
+    x = t_max * half * float(np.abs(scaled).max())
+    mass = float(np.abs(weights).sum())
+    order = 1
+    while x ** order / math.factorial(order) * math.exp(x) * mass > pretentious._TAIL_TARGET:
+        order += 1
+    moments = np.empty((order, starts.size), dtype=np.complex128)
+    for k in range(order):
+        moments[k] = np.add.reduceat(weights, starts)
+        weights *= scaled
+    return centres, moments, cell
+
+
+@pytest.mark.parametrize("t_max", [5.0, math.log(3 * 10**4)])
+def test_cells_carried_across_segments_sum_as_one(monkeypatch, t_max):
+    # segments of 31 odd numbers: cells of width 10^-2 near 3 x 10^4 span
+    # about five of them, and override keys sit on segment edges
+    n_limit = 3 * 10**4
+    monkeypatch.setattr(sieve, "PRIME_SEGMENT", 31)
+    segments = list(sieve.prime_segments(n_limit))
+    primes = np.concatenate(segments)
+    keys = [int(segments[200][0]), int(segments[300][-1]), int(segments[-1][-1])]
+    f = MultFunSpec(default_prime_value=-1.0,
+                    prime_values=dict(zip(keys, (1j, 0.6 - 0.8j, 0.0))))
+    centres, moments, cell = _whole_table_sums(f, primes, t_max)
+    held_by = np.repeat(np.arange(len(segments)), [s.size for s in segments])
+    spans = [np.unique(held_by[cell == c]).size for c in np.unique(cell)]
+    assert max(spans) >= 3
+    sums = prime_trig_sums(f, n_limit, t_max)
+    assert np.array_equal(sums.centres, centres)
+    assert sums.moments.shape == moments.shape
+    assert np.array_equal(sums.moments, moments)
+    assert sums.harmonic == pytest.approx(float(np.sum(1.0 / primes)), rel=1e-14)
+    for t in (0.0, 0.5, -3.0):
+        want = _loop_distance_sq(f, lambda p: cmath.exp(1j * t * math.log(p)), n_limit)
+        assert distance_sq_to_twist(f, n_limit, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    g = MultFunSpec(default_prime_value=1j, prime_values={keys[1]: -1.0})
+    want = _loop_distance_sq(f, g.value_at_prime, n_limit)
+    assert distance(f, g, n_limit) ** 2 == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", ["prime_trig_sums", "distance_sq_to_twist"])
+def test_prime_sums_hold_one_segment_of_primes(call):
+    # the 664 579 primes up to 10^7 take 5.1 MiB as int64 alone, and their
+    # float and complex columns took 40-46 MiB; a segment takes under 6 MiB
+    n_limit = 10**7
+    run = {"prime_trig_sums": lambda: prime_trig_sums(liouville_spec(), n_limit,
+                                                      math.log(n_limit)),
+           "distance_sq_to_twist": lambda: distance_sq_to_twist(liouville_spec(),
+                                                                n_limit, 0.5)}[call]
+    run()   # warm-up: first-call allocations are not what is measured
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -235,7 +235,7 @@ def test_level_histograms_match_direct_bincounts(monkeypatch):
     assert profiles.level_histograms(n_limit, offsets, base, (CESARO,))[1] is None
 
 
-def test_histograms_with_more_bins_than_a_chunk_gather_chunks(monkeypatch):
+def test_histograms_with_more_bins_than_a_chunk_take_whole_chunks(monkeypatch):
     # 17^4 = 83 521 bins take chunks of 84 CHUNKs of 997, so 10^5 entries
     # take two bincounts, the second one short, added in order
     n_limit, base, offsets = 10**5, 17, [(0, 1, 2, 3)]

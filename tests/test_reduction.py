@@ -377,7 +377,7 @@ def test_grid_cost_bounds_its_traced_peak():
 def test_window_sieve_past_the_limit_is_refused_before_sieving(monkeypatch):
     def unreachable(limit):
         raise AssertionError(f"primes sieved up to {limit}")
-    monkeypatch.setattr(reduction.sieve, "enumerate_primes", unreachable)
+    monkeypatch.setattr(reduction.sieve, "prime_segments", unreachable)
     with pytest.raises(CapacityError):
         prime_window(overrides={"lower": 2, "upper": 1e10})
 

@@ -342,7 +342,7 @@ def test_windows_near_2_44_in_the_6_count_bit_layout():
             assert np.array_equal(counts, expected[:, column]), (mode, config)
 
 
-def test_ranges_from_small_lo_take_the_per_n_fallback(monkeypatch):
+def test_ranges_from_small_lo_take_doubling_residual_blocks(monkeypatch):
     # a range from a small lo starts with residual blocks [a, 2a), each of
     # which gets one threshold, and the tile copies start at lo mod 5040 = lo
     thresholds, threshold = [], sieve._residual_threshold
@@ -460,9 +460,49 @@ def test_enumerate_primes():
         enumerate_primes(1)
 
 
+@pytest.mark.parametrize("segment", [None, 97, 64])
+def test_prime_segments_join_to_the_primes(monkeypatch, segment):
+    # segment j holds the odd numbers below 2 (j + 1) L: limits on and either
+    # side of its edges, with L the default, odd and a power of two
+    if segment is not None:
+        monkeypatch.setattr(sieve, "PRIME_SEGMENT", segment)
+    length = sieve.PRIME_SEGMENT
+    edges = [2 * j * length + d for j in (1, 2, 3) for d in (-2, -1, 0, 1, 2)]
+    limits = [2, 3, 4, 9, 10, 25, 10**4 + 7, *edges]
+    if segment is None:
+        limits.append(10**6)
+    for limit in limits:
+        segments = list(sieve.prime_segments(limit))
+        assert len(segments) == -(-((limit + 1) // 2) // length), limit
+        assert all(s.dtype == np.int64 for s in segments)
+        joined = np.concatenate(segments)
+        assert np.array_equal(joined, _reference_primes(limit)), limit
+        assert np.array_equal(enumerate_primes(limit), joined)
+    with pytest.raises(EmptyDomainError):
+        sieve.prime_segments(1)   # refused on the call, before a segment is drawn
+
+
+def test_require_primes_checks_each_value_in_its_segment(monkeypatch):
+    # segments of 97 odd numbers: primes and odd composites on either side
+    # of a segment edge, and a composite past the last prime below it
+    monkeypatch.setattr(sieve, "PRIME_SEGMENT", 97)
+    primes = set(_reference_primes(10**4).tolist())
+    edges = [n for j in range(1, 52) for n in (2 * 97 * j - 1, 2 * 97 * j + 1)]
+    on_edges = [n for n in edges if n in primes]
+    composites = [n for n in edges if n not in primes]
+    assert on_edges and composites
+    sieve.require_primes(on_edges, "primes")
+    sieve.require_primes([*on_edges[::-1], 2, 2], "primes")
+    for n in composites:
+        with pytest.raises(ContractError, match="not prime"):
+            sieve.require_primes([*on_edges, n], "primes")
+    with pytest.raises(ContractError, match="not prime"):
+        sieve.require_primes([2, 9973, 9999], "primes")   # 9973: the last prime below 9999
+
+
 def test_require_primes_searches_without_hashing_the_primes():
-    # a binary search holds the primes up to 9 999 991 and their odd mask,
-    # about 10 MiB, and builds no set of them
+    # the values are looked up one segment of primes at a time, and no set
+    # of the primes is built
     tracemalloc.start()
     try:
         sieve.require_primes([9999991], "primes")
