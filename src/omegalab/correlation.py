@@ -18,8 +18,8 @@ import numpy as np
 
 from . import stats
 from .errors import CapacityError, ContractError, EmptyDomainError
-from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, level_histograms,
-                       two_point_profile, two_point_profiles)
+from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, joint_mean,
+                       level_histograms, log_joints, two_point_profile)
 from .sieve import require_primes
 
 MODULUS_SLACK = 1e-12
@@ -206,9 +206,13 @@ def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,
                          window) -> dict:
     """Compare the shift-1 correlation with its prime-shifted form.
 
-    lhs averages a(count(n)) b(count(n+1)); rhs log-averages over window
-    primes p the correlation of the down-shifted functions at shift p.
-    One multi-shift pass fills every (N, 1) and (N, p) profile not cached.
+    lhs log-averages a(count(n)) b(count(n+1)); rhs log-averages over
+    window primes p the correlation of the down-shifted functions at shift
+    p, weighted by 1/p.  Both contract the 1/n-weighted joints of
+    profiles.log_joints with pair_mean's expression, so each is the bits of
+    two_point_profile(N, h).pair_mean(.., LOGARITHMIC).  The shifts not in
+    the profile cache share one pass with no Cesaro bincount, and nothing
+    is cached.
     """
     p_arr = np.unique(np.asarray(list(window), dtype=np.int64))
     if p_arr.size == 0:
@@ -216,11 +220,11 @@ def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     if n_limit < 10 * int(p_arr[-1]):
         raise ContractError("need N >= 10 * max window prime")
     require_primes(p_arr, "window")
-    first, *shifted = two_point_profiles(n_limit, [1, *p_arr.tolist()])
-    lhs = first.pair_mean(a.table(), b.table(), LOGARITHMIC)
+    (first, *shifted), mass = log_joints(n_limit, [1, *p_arr.tolist()])
+    lhs = joint_mean(a.table(), first, b.table(), mass)
     ta = a.down_shifted().table()
     tb = b.down_shifted().table()
-    inner = np.array([profile.pair_mean(ta, tb, LOGARITHMIC) for profile in shifted])
+    inner = np.array([joint_mean(ta, joint, tb, mass) for joint in shifted])
     weights = 1.0 / p_arr.astype(np.float64)
     rhs = complex(np.sum(inner * weights) / np.sum(weights))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}

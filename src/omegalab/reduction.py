@@ -177,9 +177,10 @@ def window_bytes(upper: float, size: int | None = None,
     """Upper bounds, in bytes, of the work of a window with this upper edge.
 
     "sieve": one segment of sieve.prime_segments, 17 bytes an odd number
-    (its mask, index and primes), and 24 bytes a prime (enumerate_primes'
-    array, the window and its weights), for at most 1.25506 x / log x
-    primes up to x (Rosser-Schoenfeld).  "covariance",
+    (its mask, index and primes), and 24 bytes a prime (the primes kept
+    from each segment, the joined window and its weights), for at most
+    1.25506 x / log x primes up to x (Rosser-Schoenfeld); an upper bound,
+    as only the window's primes are kept.  "covariance",
     given size classes: a reduced-sum block, 41 bytes a class and FFT point
     (indicator, float64 cast, half spectrum, irfft output, gap row and its
     1/n-weighted copy) and the scatter's index and weight arrays.  "grid",
@@ -218,8 +219,9 @@ def prime_window(n_limit: int | None = None,
     """
     lower, upper, formula_lower, formula_upper = window_edges(n_limit, overrides)
     require_window_bytes(upper)
-    primes = sieve.enumerate_primes(math.floor(upper))
-    primes = primes[primes >= lower]
+    # one segment at a time, keeping only its primes in the window
+    kept = [segment[segment >= lower] for segment in sieve.prime_segments(math.floor(upper))]
+    primes = np.concatenate(kept)
     if primes.size == 0:
         raise DegenerateWindowError(
             f"no primes in [{lower!r}, {upper!r}]", lower=lower, upper=upper)

@@ -377,7 +377,63 @@ def test_prime_shift_window_beyond_the_cache_limit():
     lhs, rhs = _prime_shift_oracle(a, b, 4000, window.tolist())
     assert out["lhs"] == pytest.approx(lhs, abs=1e-13)
     assert out["rhs"] == pytest.approx(rhs, abs=1e-13)
-    assert len(profiles._profile_cache) == profiles._CACHE_LIMIT
+    assert not profiles._profile_cache   # prime shifts write nothing to the cache
+
+
+@pytest.mark.parametrize("cached", ["none", "shifts 1 and 7", "window beyond the cache"])
+def test_prime_shift_identity_is_the_profile_path_bit_for_bit(cached):
+    # cached joints and those of the log-only pass both give the bits of
+    # two_point_profile(N, h).pair_mean under LOGARITHMIC
+    n_limit = 4000
+    window = enumerate_primes(400) if cached == "window beyond the cache" else [3, 7, 11]
+    a, b = correlation.random_bounded_function(1), correlation.random_bounded_function(2)
+    profiles.invalidate_cache()
+    if cached == "shifts 1 and 7":
+        two_point_profiles(n_limit, [1, 7])
+    out = correlation.prime_shift_identity(a, b, n_limit, window)
+    profiles.invalidate_cache()
+    lhs = two_point_profile(n_limit, 1).pair_mean(a.table(), b.table(), LOGARITHMIC)
+    ta, tb = a.down_shifted().table(), b.down_shifted().table()
+    inner = np.array([two_point_profile(n_limit, int(p)).pair_mean(ta, tb, LOGARITHMIC)
+                      for p in window])
+    weights = 1.0 / np.asarray(window, dtype=np.float64)
+    assert out["lhs"] == lhs
+    assert out["rhs"] == complex(np.sum(inner * weights) / np.sum(weights))
+
+
+def test_prime_shift_pass_makes_only_weighted_bincounts(monkeypatch):
+    # with (N, 1) cached, one pass over 4 chunks bins the 1/n-weighted joint
+    # of each window prime, one bincount a prime a chunk, and no plain joint
+    n_limit, window = 3 * profiles.CHUNK + 5, [3, 7]
+    profiles.invalidate_cache()
+    shared_counts(n_limit + 8)
+    two_point_profile(n_limit, 1)
+    seen = _count_passes(monkeypatch)
+    weighted = []
+    bincount = np.bincount
+
+    def counted_bincount(x, weights=None, minlength=0):
+        weighted.append(weights is not None)
+        return bincount(x, weights=weights, minlength=minlength)
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    correlation.prime_shift_identity(correlation.parity_function(),
+                                     correlation.parity_function(), n_limit, window)
+    monkeypatch.undo()
+    profiles.invalidate_cache()
+    assert seen == {"passes": 1, "sieves": 0}
+    assert weighted == [True] * (len(window) * 4)
+
+
+@pytest.mark.parametrize("multiple", [1, 9])
+def test_chunks_invert_the_integers_bit_for_bit(multiple):
+    n_limit = 10 * profiles.CHUNK + 4321
+    size = multiple * profiles.CHUNK
+    edges = [(start, min(start + size, n_limit)) for start in range(0, n_limit, size)]
+    got = list(profiles.chunks(n_limit, multiple=multiple))
+    assert [(start, stop) for start, stop, _ in got] == edges
+    for start, stop, inv_n in got:
+        np.testing.assert_array_equal(inv_n, 1.0 / np.arange(start + 1, stop + 1))
+    assert list(profiles.chunks(n_limit, False, multiple)) == [(*e, None) for e in edges]
 
 
 # few (N, shift) keys, so that calls in one sequence meet in the cache

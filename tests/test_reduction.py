@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import profiles, reduction
+from omegalab import profiles, reduction, sieve
 from omegalab.correlation import (
     parity_function,
     random_bounded_function,
@@ -372,6 +372,21 @@ def test_grid_cost_bounds_its_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= reduction.window_bytes(1000, resolution=resolution)["grid"]
+
+
+def test_window_holds_one_segment_of_primes():
+    # the window keeps its primes from each segment, never the 5.76 million
+    # primes below its upper edge
+    tracemalloc.start()
+    try:
+        window = prime_window(overrides={"lower": 9.9e7, "upper": 1e8})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * sieve.PRIME_SEGMENT   # the costed bytes of one segment
+    primes = sieve.enumerate_primes(10**8)
+    np.testing.assert_array_equal(window.primes, primes[primes >= 9.9e7])
+    assert window.primes.size == 54332
 
 
 def test_window_sieve_past_the_limit_is_refused_before_sieving(monkeypatch):

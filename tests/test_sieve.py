@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -515,6 +516,25 @@ def test_require_primes_searches_without_hashing_the_primes():
     for bad in ([1], [0], [-3], [4], [9999991, 39999964]):
         with pytest.raises(ContractError, match="keys contains a number that is not prime"):
             sieve.require_primes(bad, "keys")
+
+
+def test_require_primes_takes_the_cheaper_check(monkeypatch):
+    # one value near 10^9 is trial-divided, not sieved past 5 * 10^8 mask
+    # bytes; the primes up to 200 007 are looked up in the sieve
+    def unreachable(*args):
+        raise AssertionError(f"unexpected call with {args}")
+    monkeypatch.setattr(sieve, "prime_segments", unreachable)
+    start = time.perf_counter()
+    sieve.require_primes([999999937], "keys")
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ContractError, match="not prime"):
+        sieve.require_primes([999999937 * 3], "keys")
+    monkeypatch.undo()
+    primes = enumerate_primes(200007)
+    monkeypatch.setattr(sieve, "factorize", unreachable)
+    sieve.require_primes(primes, "primes")
+    with pytest.raises(ContractError, match="not prime"):   # past the last prime below it
+        sieve.require_primes([*primes, int(primes[-1]) + 1], "primes")
 
 
 def test_truncation_cutoff_degenerates_at_desk_scale():
