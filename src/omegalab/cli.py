@@ -21,6 +21,7 @@ prime is sieved) or memory the machine cannot allocate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -292,10 +293,11 @@ def _run_correlate(p):
 
 
 def _run_theorem_c(p):
-    # largest N first: its block is sieved once and the smaller N read views of it
-    values = {n: corr.theorem_c_sum(resolve_preset(p["a"], n), n)
-              for n in sorted(p["n"], reverse=True)}
-    return {}, {"values": {str(n): values[n] for n in p["n"]}}
+    # several N share one sieve for their (N, 1) passes; one N streams its pass
+    hold = profiles.holding(max(p["n"]) + 2) if len(p["n"]) > 1 else contextlib.nullcontext()
+    with hold:
+        values = {str(n): corr.theorem_c_sum(resolve_preset(p["a"], n), n) for n in p["n"]}
+    return {}, {"values": values}
 
 
 def _run_distance(p):

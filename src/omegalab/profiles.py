@@ -1,13 +1,12 @@
-"""The one path from the shared factor-count block to its statistics.
+"""The one path from the factor counts to their statistics.
 
 Every average over n <= N here, plain or 1/n-weighted, is a contraction
 of level histograms of count(n), count(n+o_1), ....  `sweep(N, reach)` is
-the only reader of the shared block: chunk by chunk (a whole number of
-CHUNKs) it yields 1/n, built by `chunks` alone from one ramp of n per
-call, with a view of the block covering the chunk plus `reach` more
-counts.  `level_histograms` is the one histogram kernel on it, its bin
-indices uint16 up to 2^16 bins and intp above; harmonic masses are the
-fsum of the CHUNK sums of 1/n.
+the only reader of the counts: chunk by chunk (a whole number of CHUNKs,
+cut by `chunks` alone) it yields 1/n, built from one ramp of n per call,
+with the counts of the chunk plus `reach` more.  `level_histograms` is the
+one histogram kernel on it, its bin indices uint16 up to 2^16 bins and
+intp above; harmonic masses are the fsum of the CHUNK sums of 1/n.
 
 A TwoPointProfile per (N, shift) is the kernel on the offsets (0, shift)
 in base NBINS:
@@ -29,14 +28,19 @@ oldest entry when full.  `log_joints` serves readers of joint_log alone
 (the prime-shift identity): cached shifts are read from their profiles,
 the rest share one pass with no Cesaro bincount, and nothing is cached.
 
-The shared block is the largest multiplicity block sieved (`shared_counts`)
-or adopted (`adopt_block`) so far; smaller ranges are views of it, so a
-1e8 sieve is paid for once per process.  `invalidate_cache` empties the
-block and the profiles.
+A sweep reads a view of the held block when one covers n <= N + reach;
+otherwise it sieves the counts one segment at a time, carries the chunk
+and its reach across each segment edge and keeps nothing after the pass.
+Either way a chunk sees the same counts, so every result is the same bits.
+The block is the largest multiplicity block sieved (`shared_counts`),
+adopted (`adopt_block`) or held for a call (`holding`, which drops on exit
+a block it sieved itself); smaller ranges are views of it.
+`invalidate_cache` empties the block and the profiles.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -59,6 +63,8 @@ NBINS = 64
 # at 2^16 (1.4 s against 2.0 s) and takes 9 CHUNKs.
 CHUNK = 1 << 16
 _CACHE_LIMIT = 64
+# Counts per factor_counts call of a streamed sweep: one sieve segment
+_SEGMENT = sieve.SieveConfig().segment_length
 
 CESARO = "cesaro"
 LOGARITHMIC = "logarithmic"
@@ -129,6 +135,25 @@ def shared_counts(hi: int) -> np.ndarray:
     return _cached_block.counts[: hi - 1]
 
 
+@contextlib.contextmanager
+def holding(hi: int):
+    """Serve every sweep inside from one block covering n in [1, hi).
+
+    For calls that make several passes: the block is sieved once on entry
+    unless a held block already covers the range, and a block sieved here
+    is dropped on exit, so no pass after the call pays for its memory.
+    """
+    global _cached_block
+    before = _cached_block
+    shared_counts(hi)
+    made = _cached_block
+    try:
+        yield
+    finally:
+        if made is not before and _cached_block is made:
+            _cached_block = before
+
+
 def chunks(n_limit: int, weighted: bool = True, multiple: int = 1):
     """Yield (start, stop, inv_n): n = start+1 .. stop <= N, inv_n 1/n there or None.
 
@@ -153,13 +178,38 @@ def chunks(n_limit: int, weighted: bool = True, multiple: int = 1):
 def sweep(n_limit: int, reach: int = 0, weighted: bool = True, multiple: int = 1):
     """Iterate (start, levels, inv_n) chunk by chunk over n = start+1 .. start+m.
 
-    levels[o : o + m], o <= reach, are the counts of n + o in a view of the
-    shared block; inv_n holds the m values 1/n (None unless weighted).  The
-    block is read at the call: open the widest sweep first to sieve once.
+    levels[o : o + m], o <= reach, are the counts of n + o; inv_n holds the
+    m values 1/n (None unless weighted).  levels is a view of the held block
+    if it covers n <= N + reach at the call, else of a buffer streamed from
+    the sieve and refilled when the next chunk is drawn.
     """
-    counts = shared_counts(n_limit + reach + 1)
-    return ((start, counts[start : stop + reach], inv_n)
-            for start, stop, inv_n in chunks(n_limit, weighted, multiple))
+    hi = n_limit + reach + 1
+    parts = chunks(n_limit, weighted, multiple)
+    if _cached_block is not None and _cached_block.hi >= hi:
+        counts = _cached_block.counts
+        return ((start, counts[start : stop + reach], inv_n) for start, stop, inv_n in parts)
+    return _streamed(parts, hi, reach, multiple * CHUNK)
+
+
+def _streamed(parts, hi, reach, size):
+    """sweep's chunks on counts sieved one _SEGMENT at a time, none kept after.
+
+    held[: end - first] are the counts of n = first + 1 .. end, in one buffer
+    of a chunk, its reach and a segment, allocated before any sieving (so a
+    reach no machine holds fails at once).  Each segment first moves the
+    counts from the chunk's start to the front, so levels is valid until the
+    next chunk is drawn.
+    """
+    held = np.empty(min(size + reach + _SEGMENT, hi - 1), np.uint8)
+    first = end = 0
+    for start, stop, inv_n in parts:
+        while end < stop + reach:
+            held[: end - start] = held[start - first : end - first]
+            first, top = start, min(end + 1 + _SEGMENT, hi)
+            sieve.factor_counts(end + 1, top, sieve.BigOmega, None,
+                                held[end - first : top - 1 - first])
+            end = top - 1
+        yield start, held[start - first : stop + reach - first], inv_n
 
 
 def level_histograms(n_limit: int, offsets, base: int, weightings):

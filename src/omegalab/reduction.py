@@ -220,7 +220,8 @@ def prime_window(n_limit: int | None = None,
     lower, upper, formula_lower, formula_upper = window_edges(n_limit, overrides)
     require_window_bytes(upper)
     # one segment at a time, keeping only its primes in the window
-    kept = [segment[segment >= lower] for segment in sieve.prime_segments(math.floor(upper))]
+    kept = [segment[segment >= lower]
+            for segment in sieve.prime_segments(math.floor(upper), int(max(lower, 0.0)))]
     primes = np.concatenate(kept)
     if primes.size == 0:
         raise DegenerateWindowError(
@@ -385,13 +386,15 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
             raise ContractError(
                 f"frequency {xi} outside the interval for n_limit={n_limit}")
     size = family.size
-    sweep = profiles.sweep(n_limit, reach=window.max_prime)   # before the profile: one sieve
-    profile = profiles.two_point_profile(n_limit, 0)
-    pi = np.bincount(np.arange(NBINS) % size, weights=profile.log_hist,
-                     minlength=size) / profile.harmonic_mass
-    share = np.bincount(np.arange(NBINS) % size, weights=profile.hist,
-                        minlength=size) / n_limit
-    cov = _class_covariance(sweep, window, size, pi, share) / profile.harmonic_mass
+    reach = window.max_prime
+    with profiles.holding(n_limit + reach + 1):   # two passes, one sieve
+        profile = profiles.two_point_profile(n_limit, 0)
+        pi = np.bincount(np.arange(NBINS) % size, weights=profile.log_hist,
+                         minlength=size) / profile.harmonic_mass
+        share = np.bincount(np.arange(NBINS) % size, weights=profile.hist,
+                            minlength=size) / n_limit
+        cov = _class_covariance(profiles.sweep(n_limit, reach), window, size, pi,
+                                share) / profile.harmonic_mass
     terms: dict = {}
     for xi in xi_list:
         mode = np.exp(2j * np.pi * xi * np.arange(size) / size)
@@ -416,11 +419,12 @@ def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
     """
     n_limit = int(n_limit)
     family = pretentious.frequency_family(n_limit)
-    profile = profiles.two_point_profile(n_limit, 1)
+    with profiles.holding(n_limit + window.max_prime + 1):   # the reduced sum's reach
+        profile = profiles.two_point_profile(n_limit, 1)
+        total = reduced_sum(n_limit, window, family.members)
     ta, tb = a.table(), b.table()
     lhs = abs(profile.pair_mean(ta, tb, LOGARITHMIC)
               - profile.mean(ta, LOGARITHMIC) * profile.mean(tb, LOGARITHMIC))
-    total = reduced_sum(n_limit, window, family.members)
     sqrt_reduced = math.sqrt(total)
     audit_term = AUDIT_CONSTANT * math.log(math.log(n_limit)) ** (-1.0 / 6.0)
     return {

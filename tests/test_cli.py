@@ -256,6 +256,16 @@ def test_theorem_c_sieves_once_and_keeps_the_order_given(capsys, monkeypatch):
     assert alone["50000"] == vals["50000"]
 
 
+def test_theorem_c_with_one_n_streams_its_pass(capsys, monkeypatch):
+    # one N makes one pass, so its counts stream and no block is held
+    def no_hold(hi):
+        raise AssertionError(f"a block up to {hi} held for one pass")
+    monkeypatch.setattr(profiles, "holding", no_hold)
+    profiles.invalidate_cache()
+    vals = _report(capsys, "theorem-c", "--n", "5e4", "--a", "parity")["results"]["values"]
+    assert list(vals) == ["50000"] and profiles._cached_block is None
+
+
 # command: (flags at N ~ 2e4, passes over n <= N, sieve calls), cache cold
 _PASSES = {
     "sieve": (("--n", "2e4"), 0, 1),

@@ -1,6 +1,7 @@
 """Two-point profile construction against direct per-n loops."""
 
 import ast
+import contextlib
 import json
 import math
 import os
@@ -351,6 +352,92 @@ def test_library_sequence_makes_three_passes_and_one_sieve(monkeypatch):
     correlation.prime_shift_identity(par, par, n, [3, 7])
     profiles.invalidate_cache()
     assert seen == {"passes": 3, "sieves": 1}
+
+
+def _sweep_statistics(n_limit, window, spec):
+    """Every kind of sweep: profile, k = 3 histogram, override mean, gap, terms."""
+    profile = two_point_profile(n_limit, 1)
+    k3 = profiles.level_histograms(n_limit, [(0, 1, 2)], 20, (CESARO, LOGARITHMIC))
+    return (profile.joint, profile.joint_log, profile.harmonic_mass, k3,
+            pretentious.mean_over_range(spec, n_limit),
+            reduction.omega_truncation_gap(n_limit, 3, 5, cutoff=100),
+            reduction.reduced_sum_terms(n_limit, window,
+                                        pretentious.frequency_family(n_limit).members))
+
+
+def test_streamed_and_held_sweeps_give_the_same_bits(monkeypatch):
+    # segments of 70 001 counts: five a pass, off the CHUNK grid, so chunks
+    # and their reach run across segment edges
+    monkeypatch.setattr(profiles, "_SEGMENT", 70_001)
+    n_limit = 300_000
+    window = reduction.prime_window(n_limit)
+    spec = pretentious.MultFunSpec(-1.0, {2: 1j, 101: 0.5, 65537: -1j})
+    sieved = []
+    factor_counts = sieve.factor_counts
+    monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, mode, *args: sieved.append(
+        (hi - lo, mode.kind)) or factor_counts(lo, hi, mode, *args))
+    profiles.invalidate_cache()
+    with monkeypatch.context() as streaming:   # reduced_sum_terms holds no block either
+        streaming.setattr(profiles, "holding", lambda hi: contextlib.nullcontext())
+        streamed = _sweep_statistics(n_limit, window, spec)
+    assert profiles._cached_block is None
+    segments = [length for length, kind in sieved if kind == "big"]
+    assert len(segments) > 5 and max(segments) <= 70_001
+    profiles.invalidate_cache()
+    sieved.clear()
+    with profiles.holding(n_limit + window.max_prime + 1):
+        held = _sweep_statistics(n_limit, window, spec)
+    profiles.invalidate_cache()
+    assert [kind for _, kind in sieved].count("big") == 1
+    for a, b in zip(streamed[:3], held[:3]):
+        np.testing.assert_array_equal(a, b)
+    (k3_streamed, mass_streamed), (k3_held, mass_held) = streamed[3], held[3]
+    for a, b in zip(k3_streamed[0], k3_held[0]):
+        np.testing.assert_array_equal(a, b)
+    assert mass_streamed == mass_held
+    assert streamed[4:] == held[4:]
+
+
+def test_density_table_streams_below_the_block():
+    # with no block held, the pass sieves one segment at a time: its peak
+    # stays below the 10 MB block of the counts of n <= 10^7
+    profiles.invalidate_cache()
+    tracemalloc.start()
+    try:
+        density_table(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profiles._cached_block is None
+    profiles.invalidate_cache()
+    assert peak < 10**7
+
+
+def test_holding_drops_the_block_it_made_and_keeps_the_one_it_found(monkeypatch):
+    profiles.invalidate_cache()
+    seen = _count_passes(monkeypatch)
+    with profiles.holding(1000):
+        made = profiles._cached_block
+        two_point_profile(500, 1)
+        profiles.level_histograms(900, [(0, 99)], 16, (CESARO,))
+    assert (made.lo, made.hi) == (1, 1000)
+    assert seen == {"passes": 2, "sieves": 1}   # both passes read the held block
+    assert profiles._cached_block is None
+    with pytest.raises(ContractError), profiles.holding(1000):
+        two_point_profile(2, 1)
+    assert profiles._cached_block is None       # dropped when the call fails too
+    shared_counts(5000)
+    found = profiles._cached_block
+    with profiles.holding(1000):
+        assert profiles._cached_block is found
+    assert profiles._cached_block is found
+    profiles.invalidate_cache()
+    shared_counts(100)
+    small = profiles._cached_block
+    with profiles.holding(1000):
+        assert profiles._cached_block.hi == 1000
+    assert profiles._cached_block is small      # a narrower block found is put back
+    profiles.invalidate_cache()
 
 
 def _prime_shift_oracle(a, b, n_limit, window):

@@ -389,6 +389,33 @@ def test_window_holds_one_segment_of_primes():
     assert window.primes.size == 54332
 
 
+def test_window_sieves_from_its_lower_edge(monkeypatch):
+    # [9.9e7, 1e8] lies in the last 2 of the 96 segments up to 10^8 (the
+    # base primes up to 10^4 are drawn by calls of their own)
+    drawn = []
+    segments = sieve.prime_segments
+
+    def counted(limit, lo=0):
+        for primes in segments(limit, lo):
+            drawn.append(limit)
+            yield primes
+    monkeypatch.setattr(reduction.sieve, "prime_segments", counted)
+    assert prime_window(overrides={"lower": 9.9e7, "upper": 1e8}).primes.size == 54332
+    assert drawn.count(10**8) == 2
+
+
+def test_window_edges_on_segment_edges_keep_their_primes(monkeypatch):
+    # segments of 97 odd numbers end at 2 * 97 j: edges on and either side
+    monkeypatch.setattr(sieve, "PRIME_SEGMENT", 97)
+    primes = sieve.enumerate_primes(2000)
+    edges = [0.5, 2, 3, *(2 * 97 * j + d for j in (1, 3, 5) for d in (-1, 0, 1, 0.5))]
+    for lower in edges:
+        for upper in (2 * 97 * 7 - 1, 2 * 97 * 7, 2 * 97 * 7 + 1.5):
+            w = prime_window(overrides={"lower": lower, "upper": upper})
+            want = primes[(primes >= lower) & (primes <= upper)]
+            np.testing.assert_array_equal(w.primes, want)
+
+
 def test_window_sieve_past_the_limit_is_refused_before_sieving(monkeypatch):
     def unreachable(limit):
         raise AssertionError(f"primes sieved up to {limit}")

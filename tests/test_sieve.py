@@ -422,6 +422,19 @@ def test_segment_length_invariance():
     assert np.array_equal(base.counts, tiny.counts)
 
 
+def test_counts_written_into_a_given_buffer():
+    # a slice of a caller's buffer is filled in place and is the block's counts
+    buf = np.full(6000, 255, np.uint8)
+    for mode in (BigOmega, SmallOmega, TruncatedOmega(100)):
+        block = factor_counts(50, 5000, mode, None, buf[7 : 7 + 4950])
+        assert np.shares_memory(block.counts, buf)
+        assert np.array_equal(buf[7 : 7 + 4950], factor_counts(50, 5000, mode).counts)
+        assert (buf[:7] == 255).all() and (buf[7 + 4950 :] == 255).all()
+    for bad in (buf[:4949], buf[:4950].view(np.int8), np.zeros((2, 4950), np.uint8)):
+        with pytest.raises(ContractError):
+            factor_counts(50, 5000, out=bad)
+
+
 def test_range_validation():
     with pytest.raises(ContractError):
         factor_counts(0, 10)
@@ -481,6 +494,25 @@ def test_prime_segments_join_to_the_primes(monkeypatch, segment):
         assert np.array_equal(enumerate_primes(limit), joined)
     with pytest.raises(EmptyDomainError):
         sieve.prime_segments(1)   # refused on the call, before a segment is drawn
+
+
+@pytest.mark.parametrize("segment", [None, 97, 64])
+def test_prime_segments_start_at_the_segment_of_lo(monkeypatch, segment):
+    # from lo on and either side of a segment edge, the segments are the
+    # tail of those from 0, starting with the one that holds lo
+    if segment is not None:
+        monkeypatch.setattr(sieve, "PRIME_SEGMENT", segment)
+    length = sieve.PRIME_SEGMENT
+    limit = 8 * length + 5
+    whole = list(sieve.prime_segments(limit))
+    edges = [2 * j * length + d for j in (1, 2, 4) for d in (-2, -1, 0, 1, 2)]
+    for lo in [0, 1, 2, 3, *edges, limit, limit + 1, 10 * limit]:
+        tail = list(sieve.prime_segments(limit, lo))
+        first = lo // 2 // length
+        assert len(tail) == max(0, len(whole) - first), lo
+        assert all(np.array_equal(a, b) for a, b in zip(tail, whole[first:])), lo
+    with pytest.raises(ContractError):
+        sieve.prime_segments(limit, -1)
 
 
 def test_require_primes_checks_each_value_in_its_segment(monkeypatch):
