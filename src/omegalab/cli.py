@@ -21,7 +21,6 @@ prime is sieved) or memory the machine cannot allocate.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import hashlib
 import json
@@ -293,10 +292,10 @@ def _run_correlate(p):
 
 
 def _run_theorem_c(p):
-    # several N share one sieve for their (N, 1) passes; one N streams its pass
-    hold = profiles.holding(max(p["n"]) + 2) if len(p["n"]) > 1 else contextlib.nullcontext()
-    with hold:
-        values = {str(n): corr.theorem_c_sum(resolve_preset(p["a"], n), n) for n in p["n"]}
+    # several N share one sieved block for their (N, 1) passes; one N streams its pass
+    if len(p["n"]) > 1:
+        profiles.adopt_block(sieve.factor_counts(1, max(p["n"]) + 2, sieve.BigOmega))
+    values = {str(n): corr.theorem_c_sum(resolve_preset(p["a"], n), n) for n in p["n"]}
     return {}, {"values": values}
 
 

@@ -222,7 +222,8 @@ class PrimeTrigSums:
             tb = t[lo : lo + step]
             taylor = (-1j * self.half_width * tb[:, None]) ** order * inv_fact
             phases = np.exp(-1j * np.multiply.outer(tb, self.centres))
-            shifted = (taylor * (phases @ self.moments.T)).sum(axis=1)
+            # einsum, not a BLAS product: the same bits at any BLAS thread count
+            shifted = (taylor * np.einsum("tc,kc->tk", phases, self.moments)).sum(axis=1)
             out[lo : lo + step] = self.harmonic - shifted.real
         return out
 

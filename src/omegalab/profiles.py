@@ -32,15 +32,13 @@ A sweep reads a view of the held block when one covers n <= N + reach;
 otherwise it sieves the counts one segment at a time, carries the chunk
 and its reach across each segment edge and keeps nothing after the pass.
 Either way a chunk sees the same counts, so every result is the same bits.
-The block is the largest multiplicity block sieved (`shared_counts`),
-adopted (`adopt_block`) or held for a call (`holding`, which drops on exit
-a block it sieved itself); smaller ranges are views of it.
+The block is the largest multiplicity block sieved (`shared_counts`) or
+adopted (`adopt_block`); smaller ranges are views of it.
 `invalidate_cache` empties the block and the profiles.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -135,25 +133,6 @@ def shared_counts(hi: int) -> np.ndarray:
     return _cached_block.counts[: hi - 1]
 
 
-@contextlib.contextmanager
-def holding(hi: int):
-    """Serve every sweep inside from one block covering n in [1, hi).
-
-    For calls that make several passes: the block is sieved once on entry
-    unless a held block already covers the range, and a block sieved here
-    is dropped on exit, so no pass after the call pays for its memory.
-    """
-    global _cached_block
-    before = _cached_block
-    shared_counts(hi)
-    made = _cached_block
-    try:
-        yield
-    finally:
-        if made is not before and _cached_block is made:
-            _cached_block = before
-
-
 def chunks(n_limit: int, weighted: bool = True, multiple: int = 1):
     """Yield (start, stop, inv_n): n = start+1 .. stop <= N, inv_n 1/n there or None.
 
@@ -186,7 +165,7 @@ def sweep(n_limit: int, reach: int = 0, weighted: bool = True, multiple: int = 1
     hi = n_limit + reach + 1
     parts = chunks(n_limit, weighted, multiple)
     if _cached_block is not None and _cached_block.hi >= hi:
-        counts = _cached_block.counts
+        counts = shared_counts(hi)
         return ((start, counts[start : stop + reach], inv_n) for start, stop, inv_n in parts)
     return _streamed(parts, hi, reach, multiple * CHUNK)
 

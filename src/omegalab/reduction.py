@@ -179,9 +179,9 @@ def window_bytes(upper: float, size: int | None = None,
     "sieve": one segment of sieve.prime_segments, 17 bytes an odd number
     (its mask, index and primes), and 24 bytes a prime (the primes kept
     from each segment, the joined window and its weights), for at most
-    1.25506 x / log x primes up to x (Rosser-Schoenfeld); an upper bound,
-    as only the window's primes are kept.  "covariance",
-    given size classes: a reduced-sum block, 41 bytes a class and FFT point
+    sieve.prime_count_bound(x) primes up to x; an upper bound, as only the
+    window's primes are kept.  "covariance", given size classes: a
+    reduced-sum block, 41 bytes a class and FFT point
     (indicator, float64 cast, half spectrum, irfft output, gap row and its
     1/n-weighted copy) and the scatter's index and weight arrays.  "grid",
     given a resolution: circle's alpha grid, 64 bytes a point (alphas,
@@ -189,7 +189,7 @@ def window_bytes(upper: float, size: int | None = None,
     """
     top = max(2, math.floor(upper))
     segment = 17 * min(sieve.PRIME_SEGMENT, (top + 1) // 2)
-    costs = {"sieve": segment + 24 * math.ceil(1.25506 * top / math.log(top))}
+    costs = {"sieve": segment + 24 * sieve.prime_count_bound(top)}
     if size is not None:
         costs["covariance"] = _fft_len(top) * (41 * size + 16 * _SCATTER_ENTRIES)
     if resolution is not None:
@@ -305,46 +305,57 @@ def parseval_audit(table: FourierTable, b: BoundedFunction) -> dict:
 # Reduced mean-square sums
 
 
-def _class_covariance(sweep, window: PrimeWindow, size: int, pi: np.ndarray,
-                      share: np.ndarray) -> np.ndarray:
-    """M = sum over n <= N of (1/n) (H(n) - pi)(H(n) - pi)^T.
+def _class_covariance(sweep, window: PrimeWindow, size: int) -> np.ndarray:
+    """The 1/n-weighted mean over n <= N of (H(n) - pi)(H(n) - pi)^T, in one pass.
 
     sweep is a profiles.sweep over n <= N reaching window.max_prime past
-    each chunk.  H_r(n) is the window average of 1[count(n+p) = r mod size],
-    and share[r] the share of n <= N in class r.  The most common class is
-    1 minus the others.  A class with share * |P| below _SCATTER_SHARE is
-    scattered: each of its occurrences at block offset m adds kappa_p to
-    H_r(m - p) for every window prime p, by bincount.  The other classes go
-    in blocks through one batched rfft against the kernel transform.
+    each chunk.  H_r(n) is the window average of 1[count(n+p) = r mod size]
+    and pi[r] the 1/n-weighted share of n <= N in class r.  The pass sums
+    W pi (a weighted bincount), the CHUNK sums of 1/n (their fsum is the
+    harmonic mass W) and S2 = sum of H H^T/n, whose row sums are
+    S1 = sum of H/n as the classes of H sum to 1; the mean is
+    (S2 - S1 pi^T - pi S1^T + W pi pi^T) / W, which costs about a digit
+    against centring first.  Each chunk splits its classes by its own
+    counts: its most common class is 1 minus the others, and a class whose
+    chunk share times |P| is below _SCATTER_SHARE is scattered, each
+    occurrence at block offset m adding kappa_p to H_r(m - p) for every
+    window prime p, by bincount.  The other classes go in blocks through
+    one batched rfft against the kernel transform.
     """
     top = window.max_prime
     fft_len = _fft_len(top)
     rows = fft_len - top   # a block's rows n read counts up to n + top: no wrap-around
     kappa = window.weights / window.mass
-    derived = int(np.argmax(share))
-    rest = [r for r in range(size) if r != derived]
-    scattered = [r for r in rest if share[r] * window.primes.size < _SCATTER_SHARE]
-    transformed = [r for r in rest if r not in scattered]
-    order = transformed + scattered + [derived]   # the rows of M as accumulated
     kernel = np.zeros(top + 1, dtype=np.float64)
     kernel[window.primes] = kappa
     # conjugate: correlation, out[j] = sum over p of kernel[p] * x[j + p]
     kernel_hat = np.conj(np.fft.rfft(kernel, n=fft_len))
-    classes = np.array(transformed, dtype=np.uint8)[:, None]
     # a scattered occurrence's target n = m - p, padded by top on both sides
     stride = rows + 2 * top
-    slot = np.full(size, -1, dtype=np.intp)
-    slot[scattered] = np.arange(len(scattered)) * stride + top
-    rare = slot >= 0
     per_call = _SCATTER_ENTRIES * fft_len // window.primes.size
-    t = len(transformed)
-    pi = pi[order]
     gap = np.empty((size, rows), dtype=np.float64)
-    cov = np.zeros((size, size), dtype=np.float64)
+    masses = []
+    weighted = np.zeros(size)
+    s2 = np.zeros((size, size))
     for _, levels, inv_n in sweep:
         cls = levels % size
-        for b in range(0, inv_n.size, rows):
-            k = min(rows, inv_n.size - b)
+        length = inv_n.size
+        masses.append(float(inv_n.sum()))
+        weighted += np.bincount(cls[:length], inv_n, size)
+        share = np.bincount(cls[:length], minlength=size) / length
+        derived = int(np.argmax(share))
+        rest = [r for r in range(size) if r != derived]
+        scattered = [r for r in rest if share[r] * window.primes.size < _SCATTER_SHARE]
+        transformed = [r for r in rest if r not in scattered]
+        order = transformed + scattered + [derived]   # the rows of this chunk's sums
+        classes = np.array(transformed, dtype=np.uint8)[:, None]
+        slot = np.full(size, -1, dtype=np.intp)
+        slot[scattered] = np.arange(len(scattered)) * stride + top
+        rare = slot >= 0
+        t = len(transformed)
+        sums = np.zeros((size, size))
+        for b in range(0, length, rows):
+            k = min(rows, length - b)
             span = cls[b : b + k + top]
             d = gap[:, :k]
             if t:
@@ -361,12 +372,13 @@ def _class_covariance(sweep, window: PrimeWindow, size: int, pi: np.ndarray,
                                 np.tile(kappa, part.size), len(scattered) * stride)
                     for part in np.split(base, range(per_call, base.size, per_call))))
                 d[t:-1] = hist.reshape(-1, stride)[:, top : top + k]
-            np.subtract(1.0 - pi[-1], d[:-1].sum(axis=0), out=d[-1])
-            d[:-1] -= pi[:-1, None]
-            cov += (d * inv_n[b : b + k]) @ d.T
-    out = np.empty_like(cov)
-    out[np.ix_(order, order)] = cov
-    return out
+            np.subtract(1.0, d[:-1].sum(axis=0), out=d[-1])
+            sums += (d * inv_n[b : b + k]) @ d.T
+        s2[np.ix_(order, order)] += sums
+    mass = math.fsum(masses)
+    pi = weighted / mass
+    cross = np.outer(s2.sum(axis=1), pi)
+    return (s2 - cross - cross.T + mass * np.outer(pi, pi)) / mass
 
 
 def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
@@ -376,6 +388,7 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
     |E over window primes p of e(xi*count(n+p)/|I|) - inner log mean|^2,
     the inner mean taken over n <= N.  Frequencies must lie in
     the symmetric interval for scale N; xi = 0 contributes exactly 0.
+    One pass over the counts, streamed unless a held block covers it.
     """
     n_limit = int(n_limit)
     family = pretentious.frequency_family(n_limit)
@@ -386,15 +399,7 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
             raise ContractError(
                 f"frequency {xi} outside the interval for n_limit={n_limit}")
     size = family.size
-    reach = window.max_prime
-    with profiles.holding(n_limit + reach + 1):   # two passes, one sieve
-        profile = profiles.two_point_profile(n_limit, 0)
-        pi = np.bincount(np.arange(NBINS) % size, weights=profile.log_hist,
-                         minlength=size) / profile.harmonic_mass
-        share = np.bincount(np.arange(NBINS) % size, weights=profile.hist,
-                            minlength=size) / n_limit
-        cov = _class_covariance(profiles.sweep(n_limit, reach), window, size, pi,
-                                share) / profile.harmonic_mass
+    cov = _class_covariance(profiles.sweep(n_limit, window.max_prime), window, size)
     terms: dict = {}
     for xi in xi_list:
         mode = np.exp(2j * np.pi * xi * np.arange(size) / size)
@@ -416,12 +421,13 @@ def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
     sqrt_reduced is the root of the reduced sum over the full frequency
     interval; the audit term AUDIT_CONSTANT * (loglog N)^(-1/6) stands in
     for the error terms the comparison absorbs.  slack should stay >= 0.
+    The (N, 1) profile and the reduced sum are two passes, each on the
+    held block if it covers them, else each on its own streamed sieve.
     """
     n_limit = int(n_limit)
     family = pretentious.frequency_family(n_limit)
-    with profiles.holding(n_limit + window.max_prime + 1):   # the reduced sum's reach
-        profile = profiles.two_point_profile(n_limit, 1)
-        total = reduced_sum(n_limit, window, family.members)
+    profile = profiles.two_point_profile(n_limit, 1)
+    total = reduced_sum(n_limit, window, family.members)
     ta, tb = a.table(), b.table()
     lhs = abs(profile.pair_mean(ta, tb, LOGARITHMIC)
               - profile.mean(ta, LOGARITHMIC) * profile.mean(tb, LOGARITHMIC))

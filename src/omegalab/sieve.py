@@ -205,12 +205,18 @@ def _odd_segments(limit, first):
         yield primes
 
 
+def prime_count_bound(x: float) -> int:
+    """ceil(1.25506 x / log x), above pi(x) for every x > 1 (Rosser and
+    Schoenfeld, 1962)."""
+    return math.ceil(1.25506 * x / math.log(x))
+
+
 def enumerate_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending int64: the segments of prime_segments
-    copied into one array of pi(x) < 1.25506 x / log x entries (Rosser and
-    Schoenfeld, 1962), which is then cut to length in place."""
+    copied into one array of prime_count_bound(limit) + 1 entries, which is
+    then cut to length in place."""
     segments = prime_segments(limit)
-    out = np.empty(math.ceil(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    out = np.empty(prime_count_bound(limit) + 1, dtype=np.int64)
     size = 0
     for primes in segments:
         out[size : size + primes.size] = primes

@@ -257,10 +257,10 @@ def test_theorem_c_sieves_once_and_keeps_the_order_given(capsys, monkeypatch):
 
 
 def test_theorem_c_with_one_n_streams_its_pass(capsys, monkeypatch):
-    # one N makes one pass, so its counts stream and no block is held
-    def no_hold(hi):
-        raise AssertionError(f"a block up to {hi} held for one pass")
-    monkeypatch.setattr(profiles, "holding", no_hold)
+    # one N makes one pass, so its counts stream and no block is adopted
+    def no_adopt(block):
+        raise AssertionError(f"a block up to {block.hi} adopted for one pass")
+    monkeypatch.setattr(profiles, "adopt_block", no_adopt)
     profiles.invalidate_cache()
     vals = _report(capsys, "theorem-c", "--n", "5e4", "--a", "parity")["results"]["values"]
     assert list(vals) == ["50000"] and profiles._cached_block is None
@@ -275,7 +275,7 @@ _PASSES = {
     "theorem-c": (("--n", "1e4,2e4"), 2, 1),   # one pass per N, one block
     "distance": (("--n", "2e4"), 0, 0),
     "halasz": (("--n", "2e4", "--points", "21"), 1, 1),
-    "reduce": (("--n", "2e4"), 2, 1),   # the class shares, then the covariance
+    "reduce": (("--n", "2e4"), 1, 1),
     "circle": (("--n", "2e4"), 0, 0),
     "explore-k": (("--n", "2e4"), 1, 1),
 }

@@ -72,9 +72,9 @@ def _prime_sum_values(n_limit):
 # summation order (dividing by p in place of multiplying by 1/p, say) moves
 # last bits that the tolerance checks elsewhere let through.
 _PRIME_SUM_DIGESTS = {
-    10**3: "7c66ebb0c1fe314c9ac2532e3abe9f474456dc9d05efdd28c6605ab7292fadbb",
-    10**5: "29d42477760bda42ac172cc5a48869f896999e765c0af4a8b6d08fcc47638f92",
-    10**6: "67df0ad6afbd18e7f3bc8a9384311e8da0a0e3c0b9088d58d27ce0b5ed907891",
+    10**3: "be3786ef6076884792bfc21b7c725c76e521b8f6d571276db87763bd6135f28c",
+    10**5: "f342c94a930c621b10b8d9afc83e7f74f1034dac72df9a82e0308f30c45fd7ef",
+    10**6: "2eb9264a6234c30081fc40d4a4577408b68f639e45ee6f0e4fadf7a0686b5448",
 }
 
 
@@ -83,6 +83,30 @@ def test_prime_sums_bit_identical(n_limit):
     digest = hashlib.sha256()
     _feed(digest, _prime_sum_values(n_limit))
     assert digest.hexdigest() == _PRIME_SUM_DIGESTS[n_limit]
+
+
+_DIGEST_PROBE = """
+import hashlib, sys
+from test_prime_sums import _feed, _prime_sum_values
+for n_limit in map(int, sys.argv[1:]):
+    digest = hashlib.sha256()
+    _feed(digest, _prime_sum_values(n_limit))
+    print(digest.hexdigest())
+"""
+
+
+def test_prime_sums_bit_identical_on_one_blas_thread():
+    # the digests hold whatever the BLAS thread count: a fresh process,
+    # as OpenBLAS reads its thread count when numpy is imported
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    n_limits = sorted(_PRIME_SUM_DIGESTS)
+    done = subprocess.run([sys.executable, "-c", _DIGEST_PROBE, *map(str, n_limits)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [_PRIME_SUM_DIGESTS[n] for n in n_limits]
 
 
 @pytest.mark.parametrize("n_limit", [1, 0])

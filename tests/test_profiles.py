@@ -1,7 +1,6 @@
 """Two-point profile construction against direct per-n loops."""
 
 import ast
-import contextlib
 import json
 import math
 import os
@@ -377,16 +376,14 @@ def test_streamed_and_held_sweeps_give_the_same_bits(monkeypatch):
     monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, mode, *args: sieved.append(
         (hi - lo, mode.kind)) or factor_counts(lo, hi, mode, *args))
     profiles.invalidate_cache()
-    with monkeypatch.context() as streaming:   # reduced_sum_terms holds no block either
-        streaming.setattr(profiles, "holding", lambda hi: contextlib.nullcontext())
-        streamed = _sweep_statistics(n_limit, window, spec)
+    streamed = _sweep_statistics(n_limit, window, spec)
     assert profiles._cached_block is None
     segments = [length for length, kind in sieved if kind == "big"]
     assert len(segments) > 5 and max(segments) <= 70_001
     profiles.invalidate_cache()
     sieved.clear()
-    with profiles.holding(n_limit + window.max_prime + 1):
-        held = _sweep_statistics(n_limit, window, spec)
+    shared_counts(n_limit + window.max_prime + 1)
+    held = _sweep_statistics(n_limit, window, spec)
     profiles.invalidate_cache()
     assert [kind for _, kind in sieved].count("big") == 1
     for a, b in zip(streamed[:3], held[:3]):
@@ -411,33 +408,6 @@ def test_density_table_streams_below_the_block():
     assert profiles._cached_block is None
     profiles.invalidate_cache()
     assert peak < 10**7
-
-
-def test_holding_drops_the_block_it_made_and_keeps_the_one_it_found(monkeypatch):
-    profiles.invalidate_cache()
-    seen = _count_passes(monkeypatch)
-    with profiles.holding(1000):
-        made = profiles._cached_block
-        two_point_profile(500, 1)
-        profiles.level_histograms(900, [(0, 99)], 16, (CESARO,))
-    assert (made.lo, made.hi) == (1, 1000)
-    assert seen == {"passes": 2, "sieves": 1}   # both passes read the held block
-    assert profiles._cached_block is None
-    with pytest.raises(ContractError), profiles.holding(1000):
-        two_point_profile(2, 1)
-    assert profiles._cached_block is None       # dropped when the call fails too
-    shared_counts(5000)
-    found = profiles._cached_block
-    with profiles.holding(1000):
-        assert profiles._cached_block is found
-    assert profiles._cached_block is found
-    profiles.invalidate_cache()
-    shared_counts(100)
-    small = profiles._cached_block
-    with profiles.holding(1000):
-        assert profiles._cached_block.hi == 1000
-    assert profiles._cached_block is small      # a narrower block found is put back
-    profiles.invalidate_cache()
 
 
 def _prime_shift_oracle(a, b, n_limit, window):

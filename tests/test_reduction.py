@@ -242,14 +242,19 @@ def _gather_terms(n_limit, window, xi_list, counts):
 
 
 def _scattered_classes(n_limit, window):
-    # the classes _class_covariance scatters: share * |P| below the rule's
-    # constant, the most common class (1 minus the others) excepted
+    # the classes _class_covariance scatters in each sweep chunk, by chunk
+    # index: chunk share * |P| below the rule's constant, the chunk's most
+    # common class (1 minus the others) excepted
     size = frequency_family(n_limit).size
     cls = shared_counts(n_limit + 1) % size
-    share = np.bincount(cls, minlength=size) / n_limit
-    rare = share * window.primes.size < reduction._SCATTER_SHARE
-    rare[np.argmax(share)] = False
-    return np.flatnonzero(rare)
+    scattered = []
+    for start in range(0, n_limit, profiles.CHUNK):
+        chunk = cls[start : start + profiles.CHUNK]
+        share = np.bincount(chunk, minlength=size) / chunk.size
+        rare = share * window.primes.size < reduction._SCATTER_SHARE
+        rare[np.argmax(share)] = False
+        scattered.append(np.flatnonzero(rare))
+    return scattered
 
 
 def _block_edges(n_limit, window):
@@ -272,18 +277,21 @@ def test_reduced_terms_match_gather_oracle_across_blocks(window):
     assert n_limit > 2 * reduction._BLOCK     # at least three row blocks
     w = prime_window(n_limit) if window == "formula" else prime_window(overrides=window)
     scattered = _scattered_classes(n_limit, w)
+    chunk = profiles.CHUNK
     if w.primes.size == 1:
-        assert scattered.size == frequency_family(n_limit).size - 1
+        assert all(s.size == frequency_family(n_limit).size - 1 for s in scattered)
     if w.primes.size == 12:
         # scattered entries per FFT point, |P| per occurrence, past one bincount's bound
         cls = shared_counts(n_limit + 1) % frequency_family(n_limit).size
-        assert np.isin(cls, scattered).mean() * w.primes.size > reduction._SCATTER_ENTRIES
+        assert any(np.isin(cls[i * chunk : (i + 1) * chunk], s).mean() * w.primes.size
+                   > reduction._SCATTER_ENTRIES for i, s in enumerate(scattered))
     if window == {"lower": 2, "upper": 2000}:
-        # a scattered class within the largest prime of a block edge, on both sides
+        # a scattered class within the largest prime of a block edge, on both
+        # sides, each side scattered by the chunk that holds it
         cls = shared_counts(n_limit + w.max_prime + 1) % frequency_family(n_limit).size
         top = w.max_prime
-        assert any(np.isin(cls[e - top : e], scattered).any()
-                   and np.isin(cls[e : e + top], scattered).any()
+        assert any(np.isin(cls[e - top : e], scattered[(e - 1) // chunk]).any()
+                   and np.isin(cls[e : e + top], scattered[e // chunk]).any()
                    for e in _block_edges(n_limit, w)[1:])
     xi_list = [5, 0, -6, 1, -2]
     assert set(xi_list) < set(frequency_family(n_limit).members)
@@ -318,7 +326,7 @@ def test_reduced_terms_do_not_depend_on_the_cache():
     n_limit = 50_000
     w = prime_window(n_limit)
     members = frequency_family(n_limit).members
-    assert _scattered_classes(n_limit, w).size > 0
+    assert any(s.size for s in _scattered_classes(n_limit, w))
     profiles.invalidate_cache()
     cold = reduced_sum_terms(n_limit, w, members)
     warm = reduced_sum_terms(n_limit, w, members)
@@ -448,6 +456,28 @@ def test_reduced_terms_sieve_the_block_once(monkeypatch):
     w = prime_window(10**5)
     reduced_sum_terms(10**5, w, [1])
     assert sieved == [10**5 + w.max_prime + 1]
+
+
+def test_reduced_terms_stream_one_pass_below_the_block(monkeypatch):
+    # a cold cache and N past one sieve segment: one pass, its counts
+    # streamed a segment at a time, nothing held after it, and a peak below
+    # the N bytes of the counts block a held pass would read
+    n_limit = 10**7
+    assert n_limit > profiles._SEGMENT
+    w = prime_window(n_limit)
+    passes = []
+    chunks = profiles.chunks
+    monkeypatch.setattr(profiles, "chunks", lambda *args: passes.append(args) or chunks(*args))
+    profiles.invalidate_cache()
+    tracemalloc.start()
+    try:
+        reduced_sum_terms(n_limit, w, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(passes) == 1
+    assert profiles._cached_block is None
+    assert peak < n_limit
 
 
 def test_reduced_sum_rejects_foreign_frequencies():
