@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import (CapacityError, ContractError, DegenerateWindowError,
                      UnknownPresetError)
-from . import averaging
 from . import correlation as corr
 from . import pretentious
 from . import profiles
@@ -395,7 +394,7 @@ class Command:
 _N = Flag("n", _parse_n, required=True)
 _OUT = Flag("out", str)
 _WINDOW = (Flag("window-lower", _real), Flag("window-upper", _real))
-_WEIGHTING = _choice(averaging.CESARO, averaging.LOGARITHMIC)
+_WEIGHTING = _choice(profiles.CESARO, profiles.LOGARITHMIC)
 
 COMMANDS = {
     "sieve": Command((Flag("n", _parse_n), Flag("lo", _integer, 1), Flag("hi", _integer),
@@ -407,7 +406,7 @@ COMMANDS = {
     "erdos-kac": Command((_N,), _run_erdos_kac),
     "correlate": Command((_N, Flag("a", str, "const"), Flag("b", str, "const"),
                           Flag("shift", _integer, 1),
-                          Flag("weighting", _WEIGHTING, averaging.LOGARITHMIC)),
+                          Flag("weighting", _WEIGHTING, profiles.LOGARITHMIC)),
                          _run_correlate),
     "theorem-c": Command((Flag("n", _comma_list(_parse_n), required=True),
                           Flag("a", str, "parity")),
@@ -419,7 +418,7 @@ COMMANDS = {
     "circle": Command((Flag("n", _parse_n), *_WINDOW, Flag("epsilon", _real, 0.5),
                        Flag("resolution", _integer), _OUT), _run_circle),
     "explore-k": Command((_N, Flag("functions", str, "parity,parity"),
-                          Flag("weighting", _WEIGHTING, averaging.CESARO)),
+                          Flag("weighting", _WEIGHTING, profiles.CESARO)),
                          _run_explore_k),
 }
 

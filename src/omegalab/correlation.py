@@ -1,12 +1,11 @@
 """Two-point correlation experiments for functions of the prime-factor count.
 
 The central objects are averages of a(count(n)) * b(count(n+shift)) under
-Cesaro or logarithmic weighting, their independence-style predictions
-(product of marginal means, or the Gaussian-model double sum), level-set
-resolved discrepancy sums, the prime-shift identity, and small exploratory
-k-point products.  Everything is exact given the sieve output: the bounded
-functions only see count values, so the joint level-set statistics of
-`profiles` are sufficient.
+Cesaro or logarithmic weighting, their independence-style prediction (the
+product of marginal means), level-set resolved discrepancy sums, the
+prime-shift identity, and small exploratory k-point products.  Everything
+is exact given the sieve output: the bounded functions only see count
+values, so the joint level-set statistics of `profiles` are sufficient.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stats
-from .errors import CapacityError, ContractError, EmptyDomainError
+from .errors import CapacityError, ContractError
 from .profiles import (CESARO, LOGARITHMIC, NBINS, check_weighting, joint_mean,
                        level_histograms, log_joints, two_point_profile)
 from .sieve import require_primes
@@ -143,35 +141,6 @@ def theorem_a_report(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     )
 
 
-def theorem_b_prediction(a: BoundedFunction, b: BoundedFunction,
-                         n_limit: int) -> complex:
-    """Gaussian-model double sum over levels k, ell up to mu + 12 sigma.
-
-    The discarded tail is below 1e-30, far under every tolerance in use.
-    """
-    if n_limit < 10**3:
-        raise ContractError("prediction wants N >= 1e3")
-    model = stats.gaussian_model(n_limit)
-    top = math.ceil(model.mu + 12.0 * model.sigma)
-    if top >= NBINS:
-        raise CapacityError("level cutoff beyond the 64-level table")
-    dens = stats.gaussian_density(np.arange(top + 1, dtype=np.float64), model)
-    ta = a.table(top + 1) * dens
-    tb = b.table(top + 1) * dens
-    return complex(np.sum(np.outer(ta, tb)))
-
-
-def _level_discrepancies(a: BoundedFunction, profile):
-    """Per-level |E^log_{level set} a(count(n+1)) - cesaro mean of a|."""
-    ta = a.table()
-    mean_a = profile.mean(ta, CESARO)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        row_means = (profile.joint_log.astype(np.complex128) @ ta) / profile.log_hist
-    disc = np.abs(row_means - mean_a)
-    disc[profile.log_hist == 0.0] = 0.0
-    return disc
-
-
 def theorem_c_sum(a: BoundedFunction, n_limit: int) -> float:
     """Density-weighted sum of level-resolved correlation discrepancies.
 
@@ -181,25 +150,12 @@ def theorem_c_sum(a: BoundedFunction, n_limit: int) -> float:
     if n_limit < 10**3:
         raise ContractError("discrepancy sum wants N >= 1e3")
     profile = two_point_profile(n_limit, 1)
-    disc = _level_discrepancies(a, profile)
+    ta = a.table()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        row_means = (profile.joint_log.astype(np.complex128) @ ta) / profile.log_hist
+    disc = np.abs(row_means - profile.mean(ta, CESARO))
+    disc[profile.log_hist == 0.0] = 0.0
     return float(np.sum(profile.hist / profile.n_limit * disc))
-
-
-def typical_ell_exceptions(a: BoundedFunction, n_limit: int, A: float,
-                           epsilon: float) -> int:
-    """Count levels in the typical range whose discrepancy exceeds epsilon."""
-    if not A > 1:
-        raise ContractError("typical range audit needs A > 1")
-    if not epsilon > 0:
-        raise ContractError("epsilon must be positive")
-    window = stats.typical_range(A, n_limit)
-    members = [ell for ell in window.members if 0 <= ell < NBINS]
-    if not members:
-        raise EmptyDomainError("typical range holds no usable levels")
-    profile = two_point_profile(n_limit, 1)
-    disc = _level_discrepancies(a, profile)
-    return int(sum(1 for ell in members
-                   if profile.log_hist[ell] > 0.0 and disc[ell] > epsilon))
 
 
 def prime_shift_identity(a: BoundedFunction, b: BoundedFunction, n_limit: int,

@@ -1,16 +1,16 @@
 """Pretentious distance machinery for 1-bounded multiplicative functions.
 
-Distances are prime sums D(f,g;N)^2 = sum_{p<=N} (1 - Re f(p) conj(g(p)))/p.
-The module covers the distance itself, grid infima over Archimedean twists
-n^{it}, a Halasz-type mean-value audit, the frequency family of completely
-multiplicative modes in the factor-count variable, Dirichlet character
-construction from the unit-group structure, and residual checks of the
-closed-form distance formula for the frequency family.
+Distances are prime sums D(f,g;N)^2 = sum_{p<=N} (1 - Re f(p) conj(g(p)))/p,
+here to the Archimedean twists g(n) = n^{it}.  The module covers the
+distance at one t, grid infima over t, a Halasz-type mean-value audit, the
+frequency family of completely multiplicative modes in the factor-count
+variable, and residual checks of the closed-form distance formula for the
+frequency family.
 
-A distance at one t (optionally twisted by a character) is an exact sum
-over the primes.  Distances along a t grid, and the grid infimum, read one
-set of binned Taylor moments of f(p)/p instead (PrimeTrigSums): one pass
-over the primes, then O(#bins) per t, with a certified truncation bound.
+A distance at one t is an exact sum over the primes.  Distances along a t
+grid, and the grid infimum, read one set of binned Taylor moments of f(p)/p
+instead (PrimeTrigSums): one pass over the primes, then O(#bins) per t,
+with a certified truncation bound.
 Every prime sum reads the primes from sieve.prime_segments one segment at
 a time and holds no column over all the primes up to N.
 
@@ -22,7 +22,6 @@ folded exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ import numpy as np
 from .correlation import MODULUS_SLACK
 from .errors import ContractError
 from .profiles import CESARO, NBINS, sweep, two_point_profile
-from .sieve import factorize, prime_segments, require_primes
+from .sieve import prime_segments, require_primes
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +92,6 @@ def liouville_spec() -> MultFunSpec:
     return MultFunSpec(default_prime_value=-1.0 + 0.0j)
 
 
-def unit_spec() -> MultFunSpec:
-    return MultFunSpec()
-
-
 # ---------------------------------------------------------------------------
 # frequency family
 
@@ -139,37 +134,19 @@ def mode_spec(family: FrequencyFamily, xi: float) -> MultFunSpec:
 # ---------------------------------------------------------------------------
 # prime sums and distances
 
-def _distance_sq(f: MultFunSpec, n_limit: int, g_on) -> float:
-    """sum_{p<=N} (1 - Re f(p) conj(g(p)))/p, with g(p) = g_on(primes, log p),
+def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float) -> float:
+    """D(f, n -> n^{it}; N)^2 = sum_{p<=N} (1 - Re f(p) p^{-it})/p for one t,
     summed one segment of primes at a time."""
     overrides = f.overrides_upto(n_limit)
     total = 0.0
     for primes in prime_segments(n_limit):
         as_float = primes.astype(np.float64)
-        gp = g_on(primes, np.log(as_float))
+        gp = np.exp(1j * t * np.log(as_float))
         fp = f.values_on(primes, overrides)
         invp = np.divide(1.0, as_float, out=as_float)
         total += float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
         del primes, as_float, gp, fp, invp   # not held while the next segment is sieved
     return total
-
-
-def distance(f: MultFunSpec, g: MultFunSpec, n_limit: int) -> float:
-    """Pretentious distance between two completely multiplicative specs."""
-    overrides = g.overrides_upto(n_limit)
-    total = _distance_sq(f, n_limit, lambda primes, logs: g.values_on(primes, overrides))
-    return math.sqrt(max(total, 0.0))
-
-
-def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float,
-                         chi_table=None) -> float:
-    """D(f, n -> chi(n) n^{it}; N)^2 for one t (chi optional)."""
-    chi = None if chi_table is None else np.asarray(chi_table)
-
-    def twist(primes, logs):
-        gp = np.exp(1j * t * logs)
-        return gp if chi is None else gp * chi[primes % chi.size]
-    return _distance_sq(f, n_limit, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +296,6 @@ def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums
                          harmonic=harmonic, tail_bound=_tail(order, x, mass))
 
 
-def distance_sq_profile(f: MultFunSpec, n_limit: int, t_grid) -> np.ndarray:
-    """D(f, n -> n^{it}; N)^2 along a t grid.
-
-    Every spec goes through one set of certified binned trig sums built for
-    the grid's max |t| (see PrimeTrigSums); the cost is one pass over the
-    primes plus O(#bins) per t.
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ContractError("empty t grid")
-    return prime_trig_sums(f, n_limit, np.abs(t_grid).max()).distance_sq(t_grid)
-
-
 def log_t_grid(t_max: float, points: int = 10**4) -> np.ndarray:
     """Symmetric grid on [-t_max, t_max]: 0 plus log-spaced magnitudes from 1e-6."""
     if not t_max > 0:
@@ -411,110 +375,6 @@ def dist_formula_residual(xi: float, n_limit: int, t: float) -> float:
     formula = ((1.0 - math.cos(theta)) * loglog
                + math.cos(theta) * math.log(1.0 + abs(t) * math.log(n_limit)))
     return abs(measured - formula)
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet characters
-
-@dataclass(frozen=True)
-class TwistSpec:
-    modulus: int
-    character: tuple       # values on residues 0..q-1
-    t: float = 0.0
-    principal: bool = False
-
-    def __post_init__(self):
-        q = self.modulus
-        if q < 1:
-            raise ContractError("modulus must be >= 1")
-        if len(self.character) != q:
-            raise ContractError("character table must have q entries")
-        for r, v in enumerate(self.character):
-            unit = math.gcd(r, q) == 1
-            if unit and abs(abs(v) - 1.0) > 1e-9:
-                raise ContractError("character must be unimodular on units")
-            if not unit and abs(v) > 1e-12:
-                raise ContractError("character must vanish off units")
-        if abs(self.character[1 % q] - 1.0) > 1e-9:
-            raise ContractError("character must send 1 to 1")
-
-
-def _primitive_root(p: int, e: int) -> int:
-    phi = p - 1
-    factors = [f for f, _ in factorize(phi)]
-    g = 2
-    while True:
-        if all(pow(g, phi // f, p) != 1 for f in factors):
-            break
-        g += 1
-    if e >= 2 and pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-def _component_generators(p: int, e: int):
-    """Generators and orders of the unit group mod p**e."""
-    pe = p**e
-    if p == 2:
-        if e == 1:
-            return pe, []
-        if e == 2:
-            return pe, [(3, 2)]
-        return pe, [(pe - 1, 2), (5, 2 ** (e - 2))]
-    return pe, [(_primitive_root(p, e), (p - 1) * p ** (e - 1))]
-
-
-def _component_logs(pe: int, gens):
-    """Map unit -> exponent tuple over the generator list (the direct product
-    of the cyclic factors)."""
-    return {math.prod(pow(g, k, pe) for (g, _), k in zip(gens, exps)) % pe: exps
-            for exps in itertools.product(*(range(order) for _, order in gens))}
-
-
-def dirichlet_characters(q: int) -> list:
-    """All phi(q) characters mod q from the unit-group structure.
-
-    Built per prime-power component with explicit generators, then glued
-    along the Chinese remainder decomposition; deterministic order with
-    the principal character first.
-    """
-    q = int(q)
-    if q < 1:
-        raise ContractError("modulus must be >= 1")
-    if q > 10**4:
-        raise ContractError("character construction capped at q = 1e4")
-    if q == 1:
-        return [TwistSpec(1, (1.0 + 0.0j,), principal=True)]
-
-    components = [_component_generators(p, e) for p, e in factorize(q)]
-    logs = [_component_logs(pe, gens) for pe, gens in components]
-    orders = [tuple(order for _, order in gens) for _, gens in components]
-
-    # character index = one exponent tuple per component's generator list
-    choices = itertools.product(*(itertools.product(*map(range, ords)) for ords in orders))
-
-    out = []
-    for choice in choices:
-        table = np.zeros(q, dtype=np.complex128)
-        for r in range(q):
-            if math.gcd(r, q) != 1:
-                continue
-            val = 1.0 + 0.0j
-            for (pe, _), comp_logs, ords, js in zip(components, logs, orders, choice):
-                exps = comp_logs[r % pe]
-                for a, j, m in zip(exps, js, ords):
-                    val *= np.exp(2j * np.pi * (a * j % m) / m)
-            table[r] = val
-        principal = all(j == 0 for js in choice for j in js)
-        out.append(TwistSpec(q, tuple(table.tolist()), principal=principal))
-    out.sort(key=lambda ts: not ts.principal)
-    return out
-
-
-def twisted_distance(f: MultFunSpec, chi: TwistSpec, n_limit: int) -> float:
-    """D(f, n -> chi(n) n^{it}; N); p | q terms contribute (1 - 0)/p."""
-    value = distance_sq_to_twist(f, n_limit, chi.t, chi_table=chi.character)
-    return math.sqrt(max(value, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def level_histograms(n_limit: int, offsets, base: int, weightings):
     row = np.empty(multiple * CHUNK, index)
     for _, levels, inv_n in sweep(n_limit, reach, weighted, multiple):
         m = levels.size - reach
-        if weighted:   # per CHUNK, as averaging.harmonic_mass sums
+        if weighted:   # per CHUNK: the same mass bits for every multiple
             chunk_masses += [float(inv_n[i : i + CHUNK].sum()) for i in range(0, m, CHUNK)]
         heads = {(): 0}
         for offs, out in zip(offsets, hists):

@@ -13,7 +13,6 @@ functions into frequency-space quantities that can be measured directly:
   the common count classes by a batched FFT, the rare ones scattered,
 * Taylor truncation of the complex exponential with its factorial tail
   bound,
-* the gap introduced by truncating the multiplicity count at a cutoff,
 * exponential sums over prime windows and a grid estimate of the measure
   of the alpha set where they are large.
 
@@ -34,7 +33,6 @@ from . import profiles
 from . import pretentious
 from . import sieve
 from .correlation import BoundedFunction
-from .profiles import LOGARITHMIC, NBINS
 
 __all__ = [
     "PrimeWindow",
@@ -44,17 +42,12 @@ __all__ = [
     "fourier_expand",
     "parseval_audit",
     "reduced_sum_terms",
-    "reduced_sum",
-    "reduction_inequality_audit",
     "taylor_truncation",
-    "omega_truncation_gap",
     "prime_exponential_sum",
     "major_arc_measure",
     "write_xi_sweep_csv",
     "write_alpha_sweep_csv",
 ]
-
-AUDIT_CONSTANT = 2.0
 
 # Least FFT length of a reduced-sum row block (more than twice the largest
 # window prime).  reduced_sum_terms at 10^7 with the rare classes scattered,
@@ -341,8 +334,10 @@ def _class_covariance(sweep, window: PrimeWindow, size: int) -> np.ndarray:
         cls = levels % size
         length = inv_n.size
         masses.append(float(inv_n.sum()))
-        weighted += np.bincount(cls[:length], inv_n, size)
-        share = np.bincount(cls[:length], minlength=size) / length
+        index = cls[:length].astype(np.intp)   # bincount's cast, made once for both
+        weighted += np.bincount(index, inv_n, size)
+        share = np.bincount(index, minlength=size) / length
+        del index   # not held through the blocks
         derived = int(np.argmax(share))
         rest = [r for r in range(size) if r != derived]
         scattered = [r for r in rest if share[r] * window.primes.size < _SCATTER_SHARE]
@@ -408,39 +403,6 @@ def reduced_sum_terms(n_limit: int, window: PrimeWindow, xi_set) -> dict:
     return terms
 
 
-def reduced_sum(n_limit: int, window: PrimeWindow, xi_set) -> float:
-    """Total reduced sum over the given frequency set."""
-    return float(sum(reduced_sum_terms(n_limit, window, xi_set).values()))
-
-
-def reduction_inequality_audit(a: BoundedFunction, b: BoundedFunction,
-                               n_limit: int, window: PrimeWindow) -> dict:
-    """Check the correlation error against the square root of the reduced sum.
-
-    lhs is |log two-point mean - product of marginal log means| at shift 1;
-    sqrt_reduced is the root of the reduced sum over the full frequency
-    interval; the audit term AUDIT_CONSTANT * (loglog N)^(-1/6) stands in
-    for the error terms the comparison absorbs.  slack should stay >= 0.
-    The (N, 1) profile and the reduced sum are two passes, each on the
-    held block if it covers them, else each on its own streamed sieve.
-    """
-    n_limit = int(n_limit)
-    family = pretentious.frequency_family(n_limit)
-    profile = profiles.two_point_profile(n_limit, 1)
-    total = reduced_sum(n_limit, window, family.members)
-    ta, tb = a.table(), b.table()
-    lhs = abs(profile.pair_mean(ta, tb, LOGARITHMIC)
-              - profile.mean(ta, LOGARITHMIC) * profile.mean(tb, LOGARITHMIC))
-    sqrt_reduced = math.sqrt(total)
-    audit_term = AUDIT_CONSTANT * math.log(math.log(n_limit)) ** (-1.0 / 6.0)
-    return {
-        "lhs": float(lhs),
-        "sqrt_reduced": sqrt_reduced,
-        "audit_term": audit_term,
-        "slack": sqrt_reduced - float(lhs) + audit_term,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Taylor truncation of e(x)
 
@@ -473,59 +435,6 @@ def taylor_truncation(x: float, order: int) -> dict:
         except OverflowError:
             bound = math.inf
     return {"approx": complex(total), "bound": bound}
-
-
-# ---------------------------------------------------------------------------
-# Truncation gap for the multiplicity count
-
-
-def omega_truncation_gap(n_limit: int, p: int, q: int, t: float = 1.0,
-                         cutoff: float | None = None) -> dict:
-    """Measure what truncating the multiplicity count at a cutoff costs.
-
-    Returns the plain mean of |count(n) - truncated(n)| over n <= N and
-    the gap between the two exponential averages
-    E e(t*(count(n+p) - count(n+q)) / sqrt(loglog N)), with the full and
-    the truncated count.  cutoff defaults to the shrinking formula
-    N^(1/(loglog N)^8), which stays below 2 for every 64-bit N; the
-    truncated count is then identically zero.  Pass an explicit cutoff
-    (e.g. N itself, which reduces the truncation to the distinct-prime
-    count) to exercise a nontrivial comparison.
-    """
-    n_limit, p, q = int(n_limit), int(p), int(q)
-    if min(p, q) < 1:
-        raise ContractError("shifts must be positive")
-    if 10 * max(p, q) > n_limit:
-        raise ContractError("shifts must satisfy 10*max(p, q) <= n_limit")
-    shrinking_cutoff = sieve.truncation_cutoff(n_limit)
-    if cutoff is None:
-        cutoff = shrinking_cutoff
-    cutoff = float(cutoff)
-    mode = sieve.TruncatedOmega(cutoff) if cutoff >= 2.0 else None
-    reach = max(p, q)
-    # count >= truncated: the mean |gap| is an integer sum; each exponential mean
-    # contracts a histogram of count(n+p) - count(n+q), which lies in (-NBINS, NBINS)
-    excess = 0
-    pair_diffs = np.zeros((2, 2 * NBINS - 1), dtype=np.int64)
-    for start, levels, _ in profiles.sweep(n_limit, reach, weighted=False):
-        m = levels.size - reach
-        truncated = (np.zeros_like(levels) if mode is None else
-                     sieve.factor_counts(start + 1, start + 1 + levels.size, mode).counts)
-        excess += int(levels[:m].sum(dtype=np.int64)) - int(truncated[:m].sum(dtype=np.int64))
-        for hist, arr in zip(pair_diffs, (levels, truncated)):
-            d = arr[p : p + m].astype(np.intp) - arr[q : q + m] + (NBINS - 1)
-            hist += np.bincount(d, minlength=hist.size)
-
-    scale = math.sqrt(math.log(math.log(n_limit)))
-    diffs = np.arange(-(NBINS - 1), NBINS, dtype=np.float64)
-    phases = np.exp(2j * np.pi * t * diffs / scale)
-    exp_gap = abs(complex((pair_diffs[0] - pair_diffs[1]) @ phases)) / n_limit
-    return {
-        "mean_abs_gap": excess / n_limit,
-        "exp_gap": float(exp_gap),
-        "cutoff": cutoff,
-        "formula_cutoff": shrinking_cutoff,
-    }
 
 
 # ---------------------------------------------------------------------------

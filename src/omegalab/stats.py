@@ -183,32 +183,6 @@ def turan_kubilius_check(n_limit: int, prime_set) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs)}
 
 
-def tail_densities(n_limit: int, D: float) -> dict:
-    """Densities of n with an atypically large or small distinct count.
-
-    For n <= N the indicator sum over all primes <= N is exactly the
-    distinct-prime count, so the tails are level-set tails:
-    gamma for counts above loglog N + D sqrt(loglog N), delta for counts
-    below loglog N - D sqrt(loglog N), both strict.  The distinct counts
-    are sieved one segment at a time into a level histogram.
-    """
-    if D < 1:
-        raise ContractError("tail densities need D >= 1")
-    model = gaussian_model(n_limit)
-    hist = np.zeros(NBINS, dtype=np.int64)
-    step = sieve.SieveConfig().segment_length
-    for lo in range(1, n_limit + 1, step):
-        part = count_histogram(sieve.factor_counts(lo, min(lo + step, n_limit + 1),
-                                                   sieve.SmallOmega).counts)
-        hist[: part.size] += part
-    ells = np.arange(hist.size)
-    upper = model.mu + D * model.sigma
-    lower = model.mu - D * model.sigma
-    gamma = float(hist[ells > upper].sum()) / n_limit
-    delta = float(hist[ells < lower].sum()) / n_limit
-    return {"gamma": gamma, "delta": delta}
-
-
 def density_l1_gap(n_limit: int, counts_block=None) -> float:
     """L1 distance between the uniform and logarithmic density columns."""
     if n_limit < 10**4:

@@ -1,7 +1,5 @@
 """Bounded level functions and shifted correlation averages."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +19,8 @@ from omegalab.correlation import (
     prime_shift_identity,
     random_bounded_function,
     theorem_a_report,
-    theorem_b_prediction,
     theorem_c_sum,
     two_point_lhs,
-    typical_ell_exceptions,
 )
 from omegalab.errors import CapacityError, ContractError
 from omegalab.oracle import brute_correlation
@@ -150,36 +146,6 @@ def test_theorem_a_metadata_passthrough():
     assert rep.metadata["shift"] == 1
 
 
-def test_theorem_b_prediction_matches_direct_double_sum():
-    a = random_bounded_function(7)
-    b = random_bounded_function(8)
-    n = 10**4
-    pred = theorem_b_prediction(a, b, n)
-    from omegalab.stats import gaussian_model
-    model = gaussian_model(n)
-    direct = 0.0 + 0.0j
-    for k in range(NBINS):
-        for ell in range(NBINS):
-            wk = math.exp(-0.5 * ((k - model.mu) / model.sigma) ** 2) / (
-                model.sigma * math.sqrt(2 * math.pi))
-            wl = math.exp(-0.5 * ((ell - model.mu) / model.sigma) ** 2) / (
-                model.sigma * math.sqrt(2 * math.pi))
-            direct += a(k) * b(ell) * wk * wl
-    assert abs(pred - direct) < 1e-10
-
-
-def test_theorem_b_factors_into_single_sums():
-    a = random_bounded_function(11)
-    b = random_bounded_function(12)
-    pred_ab = theorem_b_prediction(a, b, 10**5)
-    one = constant_function(1.0)
-    # Prediction is a product measure, so it factors through the constant.
-    pa = theorem_b_prediction(a, one, 10**5)
-    pb = theorem_b_prediction(one, b, 10**5)
-    pone = theorem_b_prediction(one, one, 10**5)
-    assert abs(pred_ab * pone - pa * pb) < 1e-12
-
-
 def test_theorem_c_sum_parity_frozen_and_shrinking():
     par = parity_function()
     at4 = theorem_c_sum(par, 10**4)
@@ -191,18 +157,6 @@ def test_theorem_c_sum_parity_frozen_and_shrinking():
 
 def test_theorem_c_sum_vanishes_for_constants():
     assert theorem_c_sum(constant_function(0.7), 10**4) < 1e-14
-
-
-def test_typical_ell_exceptions_counts_levels():
-    par = parity_function()
-    # Huge epsilon: no level can deviate that much for a 1-bounded function.
-    assert typical_ell_exceptions(par, 10**4, 2.0, 3.0) == 0
-    # Tiny epsilon: every populated typical level shows some discrepancy.
-    assert typical_ell_exceptions(par, 10**4, 2.0, 1e-12) >= 1
-    with pytest.raises(ContractError):
-        typical_ell_exceptions(par, 10**4, 1.0, 0.5)
-    with pytest.raises(ContractError):
-        typical_ell_exceptions(par, 10**4, 2.0, 0.0)
 
 
 def test_prime_shift_identity_reports_gap():

@@ -1,10 +1,9 @@
 """Every name a module of the package imports is used in that module,
-every name a module defines is used somewhere in the package, and every
-defaulted parameter is set by some call."""
+every name a module defines is reached from a command, a criterion or the
+benchmark, and every defaulted parameter is set by some call."""
 
 import ast
 import pathlib
-from collections import Counter
 
 import pytest
 
@@ -68,17 +67,67 @@ def _defined(tree):
                         yield name.id, node
 
 
+def _package_modules(tree):
+    """The names a module binds to the package's modules by import."""
+    stems = {path.stem for path in _SOURCES}
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name in stems}
+
+
+def _package_reads(node, modules):
+    """The names a statement reads that may be the package's: loaded names,
+    and attributes of the modules given (`sieve.BigOmega`, not
+    `profile.harmonic_mass`).  An import reads nothing."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in modules):
+            yield sub.attr
+
+
+# The cache reset that tests call so that no result depends on what the
+# cache saw earlier; no command needs it, as each runs in a fresh process.
+_EXEMPT = {"profiles.py:invalidate_cache"}
+
+
 def test_every_module_level_name_is_used():
-    # A name counts as used when the package names it outside its own
-    # definition: read in any module, listed in an __all__, or imported
-    # (the re-exports of __init__ are imports).  Dunders are the runtime's.
-    trees = {path.name: ast.parse(path.read_text()) for path in _SOURCES}
-    named = Counter(name for tree in trees.values()
-                    for name in [*_named(tree), *_exported(tree)])
-    unused = [f"{module}:{name}" for module, tree in trees.items()
-              for name, node in _defined(tree)
-              if not (name.startswith("__") and name.endswith("__"))
-              and named[name] <= sum(1 for own in _named(node) if own == name)]
+    # A name is used when a command, a criterion or the benchmark reaches
+    # it: the roots are the package's module-level code, perfbench and
+    # tests/test_acceptance.py, and a definition is reached when a reached
+    # statement reads its name outside the definition itself.  A re-export
+    # or an __all__ entry reads nothing.  oracle.py is the reference module:
+    # its names are not checked and its code is a root.  Dunders are the
+    # runtime's.
+    here = pathlib.Path(__file__).parent
+    readers = [*_SOURCES, *(here.parent / "perfbench").glob("*.py"),
+               here / "test_acceptance.py"]
+    statements = []   # (keys module:name it defines that are checked, names it reads)
+    for path in readers:
+        tree = ast.parse(path.read_text())
+        keys = {}
+        if path in _SOURCES and path.name != "oracle.py":
+            for name, node in _defined(tree):
+                if not (name.startswith("__") and name.endswith("__")):
+                    keys.setdefault(id(node), set()).add(f"{path.name}:{name}")
+        modules = _package_modules(tree)
+        statements += [(keys.get(id(node), set()), set(_package_reads(node, modules)))
+                       for node in tree.body]
+    defining = {}     # name -> indices of the statements that define it
+    for i, (keys, _) in enumerate(statements):
+        for key in keys:
+            defining.setdefault(key.split(":")[1], set()).add(i)
+    reached = {i for i, (keys, _) in enumerate(statements) if not keys or keys & _EXEMPT}
+    pending = list(reached)
+    while pending:
+        i = pending.pop()
+        for name in statements[i][1]:
+            for j in defining.get(name, set()) - {i} - reached:
+                reached.add(j)
+                pending.append(j)
+    unused = sorted(key for i, (keys, _) in enumerate(statements) if i not in reached
+                    for key in keys)
     assert unused == []
 
 

@@ -1,7 +1,6 @@
-"""Distance machinery, Dirichlet characters, and mean-value audits."""
+"""Distance machinery and mean-value audits."""
 
 import cmath
-import hashlib
 import math
 
 import numpy as np
@@ -12,13 +11,8 @@ from hypothesis import strategies as st
 from omegalab.errors import ContractError
 from omegalab.pretentious import (
     MultFunSpec,
-    TwistSpec,
-    dirichlet_characters,
     dist_formula_residual,
-    distance,
-    distance_sq_profile,
     distance_sq_to_twist,
-    factorize,
     frequency_family,
     halasz_audit,
     liouville_spec,
@@ -27,11 +21,9 @@ from omegalab.pretentious import (
     mean_over_range,
     mode_spec,
     prime_trig_sums,
-    twisted_distance,
-    unit_spec,
 )
 from omegalab import pretentious, profiles
-from omegalab.sieve import enumerate_primes, factor_counts
+from omegalab.sieve import enumerate_primes, factor_counts, factorize
 
 
 def _plain_primes(limit):
@@ -78,28 +70,27 @@ def test_factorize_small_values():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
 
 
+def _distance(f, n_limit):
+    """D(f, 1; N): the distance to the unit function, the twist at t = 0."""
+    return math.sqrt(max(distance_sq_to_twist(f, n_limit, 0.0), 0.0))
+
+
+def _profile(f, n_limit, grid):
+    """D(f, n -> n^{it}; N)^2 along a grid, from sums built for its max |t|."""
+    return prime_trig_sums(f, n_limit, np.abs(grid).max()).distance_sq(grid)
+
+
 def test_distance_matches_plain_loop():
-    d = distance(liouville_spec(), unit_spec(), 500)
+    d = _distance(liouville_spec(), 500)
     want = math.sqrt(_loop_distance_sq(liouville_spec(), lambda p: 1.0 + 0.0j, 500))
     assert d == pytest.approx(want, abs=1e-12)
 
 
 def test_distance_liouville_frozen():
-    assert distance(liouville_spec(), unit_spec(), 10**4) == pytest.approx(
+    assert _distance(liouville_spec(), 10**4) == pytest.approx(
         2.2284792784468785, abs=1e-12)
-    assert distance(liouville_spec(), unit_spec(), 10**6) == pytest.approx(
+    assert _distance(liouville_spec(), 10**6) == pytest.approx(
         2.403051434974987, abs=1e-12)
-
-
-def test_distance_axioms():
-    f = liouville_spec()
-    g = unit_spec()
-    assert distance(f, f, 10**3) == 0.0
-    assert distance(f, g, 10**3) == pytest.approx(distance(g, f, 10**3), abs=1e-15)
-    h = MultFunSpec(default_prime_value=1j)
-    # triangle inequality for the pretentious metric
-    assert distance(f, g, 10**3) <= (
-        distance(f, h, 10**3) + distance(h, g, 10**3) + 1e-12)
 
 
 def test_twist_distance_matches_plain_loop():
@@ -112,13 +103,13 @@ def test_twist_distance_matches_plain_loop():
 
 def test_distance_profile_matches_per_point_values():
     grid = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    prof = distance_sq_profile(liouville_spec(), 10**4, grid)
+    prof = _profile(liouville_spec(), 10**4, grid)
     for i, t in enumerate(grid):
         assert prof[i] == pytest.approx(
             distance_sq_to_twist(liouville_spec(), 10**4, float(t)), abs=1e-10)
     # non-constant spec goes through the generic path
     spec = MultFunSpec(default_prime_value=-1.0, prime_values={2: 1.0})
-    prof2 = distance_sq_profile(spec, 10**4, grid)
+    prof2 = _profile(spec, 10**4, grid)
     for i, t in enumerate(grid):
         assert prof2[i] == pytest.approx(
             distance_sq_to_twist(spec, 10**4, float(t)), abs=1e-10)
@@ -187,93 +178,13 @@ def test_log_t_grid_reaches_t_max_at_every_size():
 def test_m0_finds_the_grid_minimum_or_better():
     grid = log_t_grid(math.log(10**4), points=201)
     out = m0(liouville_spec(), 10**4, grid)
-    prof = distance_sq_profile(liouville_spec(), 10**4, np.sort(grid))
+    prof = _profile(liouville_spec(), 10**4, np.sort(grid))
     assert out["value"] <= float(prof.min()) + 1e-12
     assert out["value"] == pytest.approx(1.980203900727766, abs=1e-9)
-    # unit spec pretends to n^{i0}: the infimum sits at t = 0 and is 0
-    out0 = m0(unit_spec(), 10**4, grid)
+    # the unit function pretends to n^{i0}: the infimum sits at t = 0 and is 0
+    out0 = m0(MultFunSpec(), 10**4, grid)
     assert out0["value"] == pytest.approx(0.0, abs=1e-12)
     assert abs(out0["argmin_t"]) < 1e-9
-
-
-def test_dirichlet_characters_group_structure():
-    for q in (1, 2, 3, 4, 5, 8, 12, 15):
-        chars = dirichlet_characters(q)
-        phi = sum(1 for r in range(1, q + 1) if math.gcd(r, q) == 1)
-        assert len(chars) == phi
-        assert chars[0].principal
-        assert sum(ts.principal for ts in chars) == 1
-        for ts in chars:
-            tab = ts.character
-            # multiplicativity on units
-            for a in range(q):
-                for b in range(q):
-                    if math.gcd(a, q) == 1 and math.gcd(b, q) == 1:
-                        want = tab[a] * tab[b]
-                        assert abs(tab[(a * b) % q] - want) < 1e-9
-        # orthogonality: sum over residues of chi vanishes unless principal
-        for ts in chars:
-            s = sum(ts.character)
-            want = phi if ts.principal else 0.0
-            assert abs(s - want) < 1e-9
-
-
-def test_character_rows_orthogonal_to_each_other():
-    chars = dirichlet_characters(7)
-    for i, a in enumerate(chars):
-        for j, b in enumerate(chars):
-            inner = sum(x * y.conjugate()
-                        for x, y in zip(a.character, b.character))
-            want = 6.0 if i == j else 0.0
-            assert abs(inner - want) < 1e-9
-
-
-def test_twist_spec_validation():
-    with pytest.raises(ContractError):
-        TwistSpec(3, (0.0, 1.0))                 # wrong length
-    with pytest.raises(ContractError):
-        TwistSpec(3, (0.0, 1.0, 0.5))            # not unimodular on a unit
-    with pytest.raises(ContractError):
-        TwistSpec(3, (1.0, 1.0, 1.0))            # nonzero off units
-    with pytest.raises(ContractError):
-        TwistSpec(3, (0.0, -1.0, 1.0))           # must send 1 to 1
-
-
-def test_twisted_distance_matches_plain_loop():
-    chars = dirichlet_characters(5)
-    ts = chars[1]
-    d = twisted_distance(liouville_spec(), ts, 500)
-    want = math.sqrt(_loop_distance_sq(
-        liouville_spec(), lambda p: complex(ts.character[p % 5]), 500))
-    assert d == pytest.approx(want, abs=1e-12)
-
-
-def test_twisted_distance_frozen_mod5():
-    vals = [twisted_distance(liouville_spec(), ts, 10**4)
-            for ts in dirichlet_characters(5)]
-    assert vals[0] == pytest.approx(2.1831444969280254, abs=1e-12)
-    assert min(vals) == pytest.approx(1.2150914508503938, abs=1e-12)
-
-
-# sha256 over (principal flag, table rounded to 12 decimals) per character, in
-# the order dirichlet_characters returns them; computed from the hand-written
-# direct-product loops this construction replaced.
-_CHARACTER_DIGESTS = {
-    8: "93f4b97ed961156f85a1d3d8efdaa297f585b6a1b632d16666bff39642e5e849",
-    12: "b17437f9e70168f52f99a7507b470f6137ea9827c5d337408c856316a3de16e9",
-    16: "1a8c0b45298ce3022252a2e08344fc4c8890f7e0481cd023bc973f3c4515de58",
-    24: "a0d25b06c204f403a16579f7143147acfc2c0153af3ccd5a6ef990656781fa1d",
-    45: "25b91cc984f1651bc57bc93eeca28a77a900294a4c0390e4772d2e39d45c43db",
-}
-
-
-def test_character_tables_and_order_pinned_for_composite_moduli():
-    for q, want in _CHARACTER_DIGESTS.items():
-        digest = hashlib.sha256()
-        for chi in dirichlet_characters(q):
-            digest.update(bytes([chi.principal]))
-            digest.update((np.round(np.asarray(chi.character), 12) + 0j).tobytes())
-        assert digest.hexdigest() == want, q
 
 
 def test_override_keys_that_are_not_primes_raise_before_any_pass(monkeypatch):
@@ -287,16 +198,15 @@ def test_override_keys_that_are_not_primes_raise_before_any_pass(monkeypatch):
         with pytest.raises(ContractError):
             mean_over_range(spec, 1000)
         with pytest.raises(ContractError):
-            distance(spec, liouville_spec(), 1000)
-        with pytest.raises(ContractError):
-            distance(liouville_spec(), spec, 1000)
+            distance_sq_to_twist(spec, 1000, 0.5)
     # a zero default value cannot carry an override ratio
     with pytest.raises(ContractError):
         mean_over_range(MultFunSpec(default_prime_value=0.0, prime_values={2: 1j}), 1000)
     monkeypatch.undo()
     # a key above N divides no n <= N: it is not tested for primality
     above = MultFunSpec(default_prime_value=-1.0, prime_values={10**6: 1j})
-    assert distance(above, liouville_spec(), 1000) == 0.0
+    assert (distance_sq_to_twist(above, 1000, 0.5)
+            == distance_sq_to_twist(liouville_spec(), 1000, 0.5))
     assert mean_over_range(above, 1000) == mean_over_range(liouville_spec(), 1000)
 
 
@@ -349,7 +259,7 @@ def test_halasz_audit_liouville():
 def test_halasz_audit_unit_spec_mean_near_one():
     # unit function: mean 1, infimum 0, so the bound is 1 and holds exactly
     grid = log_t_grid(math.log(10**4), points=101)
-    out = halasz_audit(unit_spec(), 10**4, grid)
+    out = halasz_audit(MultFunSpec(), 10**4, grid)
     assert out["mean"] == pytest.approx(1.0, abs=1e-12)
     assert out["bound"] == pytest.approx(1.0, abs=1e-9)
     assert out["ratio"] <= 10.0
@@ -386,7 +296,7 @@ _BINNED_GRIDS = {
 @pytest.mark.parametrize("spec_name", list(_BINNED_SPECS))
 def test_binned_profile_matches_exact_loop(spec_name, n_limit, grid_name):
     spec, grid = _BINNED_SPECS[spec_name], _BINNED_GRIDS[grid_name]
-    got = distance_sq_profile(spec, n_limit, grid)
+    got = _profile(spec, n_limit, grid)
     bound = prime_trig_sums(spec, n_limit, np.abs(grid).max()).tail_bound
     want = _exact_profile(spec, n_limit, grid)
     assert got.shape == grid.shape
@@ -410,12 +320,12 @@ def test_binned_sums_rule_for_width_and_order():
         narrow.distance_sq([5.5])
     for bad in ([0.0, math.nan], [0.0, math.inf]):
         with pytest.raises(ContractError):
-            distance_sq_profile(liouville_spec(), 10**4, bad)
+            _profile(liouville_spec(), 10**4, bad)
         with pytest.raises(ContractError):
             m0(liouville_spec(), 10**4, bad)
     # cells finer than the rounding of log p cannot be certified
     with pytest.raises(ContractError):
-        distance_sq_profile(liouville_spec(), 10**4, [1e16])
+        _profile(liouville_spec(), 10**4, [1e16])
 
 
 def test_tail_bound_on_the_cli_default_grid_at_1e7():
@@ -442,7 +352,7 @@ def test_m0_finds_the_deepest_dip_on_a_coarse_grid():
     out = m0(mode5, n, coarse)
     assert out["value"] == pytest.approx(1.907675, abs=1e-6)
     for spec, found in ((liouville_spec(), liouville), (mode5, out)):
-        assert found["value"] <= float(distance_sq_profile(spec, n, fine).min()) + 1e-12
+        assert found["value"] <= float(_profile(spec, n, fine).min()) + 1e-12
 
 
 @pytest.mark.parametrize("spec", [

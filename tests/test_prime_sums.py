@@ -1,7 +1,6 @@
 """Prime sums: bit-identical values, one N < 2 contract, nothing kept after a call."""
 
 import cmath
-import dataclasses
 import hashlib
 import math
 import os
@@ -15,11 +14,9 @@ import pytest
 import omegalab
 from omegalab import pretentious, sieve
 from omegalab.errors import ContractError
-from omegalab.pretentious import (MultFunSpec, dirichlet_characters, dist_formula_residual,
-                                  distance, distance_sq_profile, distance_sq_to_twist,
+from omegalab.pretentious import (MultFunSpec, dist_formula_residual, distance_sq_to_twist,
                                   frequency_family, halasz_audit, liouville_spec,
-                                  log_t_grid, m0, mode_spec, prime_trig_sums,
-                                  twisted_distance, unit_spec)
+                                  log_t_grid, m0, mode_spec, prime_trig_sums)
 from omegalab.reduction import prime_window
 from omegalab.sieve import require_primes
 from test_pretentious import _loop_distance_sq
@@ -50,12 +47,10 @@ def _prime_sum_values(n_limit):
     grid = log_t_grid(math.log(n_limit), points=101)
     values = []
     for f in specs:
-        values.append(distance(f, unit_spec(), n_limit))
+        values.append(math.sqrt(max(distance_sq_to_twist(f, n_limit, 0.0), 0.0)))
         values.append([distance_sq_to_twist(f, n_limit, t) for t in (0.0, 0.5, -3.0)])
-        values.append([twisted_distance(f, dataclasses.replace(chi, t=0.3), n_limit)
-                       for chi in dirichlet_characters(12)])
         values.append(m0(f, n_limit, grid))
-        values.append(distance_sq_profile(f, n_limit, grid))
+        values.append(prime_trig_sums(f, n_limit, np.abs(grid).max()).distance_sq(grid))
         sums = prime_trig_sums(f, n_limit, 7.0)
         values.append([sums.centres, sums.moments, sums.harmonic, sums.tail_bound])
         if n_limit >= 10**4:
@@ -72,9 +67,9 @@ def _prime_sum_values(n_limit):
 # summation order (dividing by p in place of multiplying by 1/p, say) moves
 # last bits that the tolerance checks elsewhere let through.
 _PRIME_SUM_DIGESTS = {
-    10**3: "be3786ef6076884792bfc21b7c725c76e521b8f6d571276db87763bd6135f28c",
-    10**5: "f342c94a930c621b10b8d9afc83e7f74f1034dac72df9a82e0308f30c45fd7ef",
-    10**6: "2eb9264a6234c30081fc40d4a4577408b68f639e45ee6f0e4fadf7a0686b5448",
+    10**3: "9663592ebe6c1008ccd570d1e3a38d9ac789293cbba0f9024ad3e754dac82a70",
+    10**5: "f251b5b1158aab95ee9d0228efee1ea973ca52d9afd1993c5d0af91ced178cdd",
+    10**6: "153f64536a2735fac829e9202dfe1e710a3c0f9c2b7419dc33e9143705b9e893",
 }
 
 
@@ -112,11 +107,8 @@ def test_prime_sums_bit_identical_on_one_blas_thread():
 @pytest.mark.parametrize("n_limit", [1, 0])
 def test_every_prime_sum_refuses_n_below_two(n_limit):
     f, grid = liouville_spec(), log_t_grid(5.0, points=11)
-    calls = [lambda: distance(f, unit_spec(), n_limit),
-             lambda: distance_sq_to_twist(f, n_limit, 0.5),
-             lambda: twisted_distance(f, dirichlet_characters(5)[1], n_limit),
+    calls = [lambda: distance_sq_to_twist(f, n_limit, 0.5),
              lambda: m0(f, n_limit, grid),
-             lambda: distance_sq_profile(f, n_limit, grid),
              lambda: prime_trig_sums(f, n_limit, 5.0)]
     for call in calls:
         with pytest.raises(ContractError):
@@ -200,9 +192,6 @@ def test_cells_carried_across_segments_sum_as_one(monkeypatch, t_max):
     for t in (0.0, 0.5, -3.0):
         want = _loop_distance_sq(f, lambda p: cmath.exp(1j * t * math.log(p)), n_limit)
         assert distance_sq_to_twist(f, n_limit, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
-    g = MultFunSpec(default_prime_value=1j, prime_values={keys[1]: -1.0})
-    want = _loop_distance_sq(f, g.value_at_prime, n_limit)
-    assert distance(f, g, n_limit) ** 2 == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("call", ["prime_trig_sums", "distance_sq_to_twist"])

@@ -15,13 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegalab import correlation, pretentious, profiles, reduction, sieve, stats
-from omegalab.averaging import harmonic_mass
 from omegalab.errors import ContractError
 from omegalab.profiles import (CESARO, LOGARITHMIC, TwoPointProfile, shared_counts,
                                two_point_profile, two_point_profiles)
 from omegalab.sieve import (BigOmega, SmallOmega, enumerate_primes, factor_counts,
                             require_primes)
 from omegalab.stats import density_table
+
+
+def _harmonic_mass(n_limit: int) -> float:
+    """Sum of 1/n over n <= N, grouped as every 1/n pass groups it: the fsum
+    of the profiles.CHUNK sums of 1/n."""
+    return math.fsum(float(inv_n.sum()) for _, _, inv_n in profiles.chunks(n_limit))
 
 
 def _direct_profile(n_limit: int, shift: int) -> TwoPointProfile:
@@ -231,7 +236,7 @@ def test_level_histograms_match_direct_bincounts(monkeypatch):
         np.testing.assert_array_equal(hist, np.bincount(index, minlength=bins))
         np.testing.assert_allclose(log_hist, np.bincount(index, weights=inv_n, minlength=bins),
                                    rtol=0, atol=1e-12)
-    assert mass == harmonic_mass(n_limit)
+    assert mass == _harmonic_mass(n_limit)
     assert profiles.level_histograms(n_limit, offsets, base, (CESARO,))[1] is None
 
 
@@ -253,7 +258,7 @@ def test_histograms_with_more_bins_than_a_chunk_take_whole_chunks(monkeypatch):
             expected += np.bincount(index[start : start + group],
                                     weights=inv_n[start : start + group], minlength=base ** 4)
         np.testing.assert_array_equal(log_hist, expected)
-        assert mass == harmonic_mass(n_limit)
+        assert mass == _harmonic_mass(n_limit)
 
 
 @pytest.mark.parametrize("chunk", [997, 1 << 16])
@@ -275,12 +280,12 @@ def test_level_histograms_at_the_index_type_boundary(monkeypatch, chunk, base, n
     np.testing.assert_array_equal(hist, np.bincount(index, minlength=base ** 4))
     np.testing.assert_allclose(log_hist, np.bincount(index, weights=inv_n, minlength=base ** 4),
                                rtol=1e-14, atol=0)
-    assert mass == harmonic_mass(n_limit)
+    assert mass == _harmonic_mass(n_limit)
 
 
 @pytest.mark.parametrize("chunk", [997, 1 << 16, 1 << 20])
 def test_harmonic_mass_is_within_an_ulp_whatever_the_chunk(monkeypatch, chunk):
-    # chunk sums of 1/n added by fsum: the profile mass is harmonic_mass(N)
+    # chunk sums of 1/n added by fsum: the profile mass is _harmonic_mass(N)
     # bit for bit and at most 1 ulp from the fsum of all N terms
     monkeypatch.setattr(profiles, "CHUNK", chunk)
     n_limit = 10**6
@@ -289,30 +294,35 @@ def test_harmonic_mass_is_within_an_ulp_whatever_the_chunk(monkeypatch, chunk):
         mass = two_point_profile(n_limit, 0).harmonic_mass
     finally:
         profiles.invalidate_cache()   # no profile of a patched CHUNK outlives the test
-    assert mass == harmonic_mass(n_limit)
+    assert mass == _harmonic_mass(n_limit)
     exact = math.fsum(1.0 / np.arange(1, n_limit + 1, dtype=np.float64))
     assert abs(mass - exact) <= math.ulp(exact)
 
 
-def _names(tree, skip=None) -> set:
-    """Every identifier a module names in code, outside the subtree skip."""
-    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+def test_harmonic_mass_frozen():
+    assert _harmonic_mass(1) == 1.0
+    assert math.isclose(two_point_profile(10, 0).harmonic_mass, 2.9289682539682538,
+                        abs_tol=1e-15)
+    # grows like log n
+    assert abs(two_point_profile(10**6, 0).harmonic_mass
+               - math.log(10**6) - 0.5772156649) < 1e-3
+
+
+def _names(tree) -> set:
+    """Every identifier a module names in code."""
     fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
     return {getattr(node, fields[type(node)]) for node in ast.walk(tree)
-            if type(node) in fields and id(node) not in skipped}
+            if type(node) in fields}
 
 
 def test_only_profiles_reads_the_shared_block():
     # every other module reads counts through sweep, level_histograms or a
-    # profile; averaging.harmonic_mass walks chunks for 1/n alone
+    # profile
     for path in sorted(pathlib.Path(profiles.__file__).parent.glob("*.py")):
         if path.stem == "profiles":
             continue
-        tree = ast.parse(path.read_text())
-        skip = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
-                     and node.name == "harmonic_mass"), None)
-        assert not {"shared_counts", "_cached_block"} & _names(tree), path.name
-        assert "chunks" not in _names(tree, skip), path.name
+        names = _names(ast.parse(path.read_text()))
+        assert not {"shared_counts", "_cached_block", "chunks"} & names, path.name
 
 
 def test_profile_pass_memory_is_bounded():
@@ -354,12 +364,11 @@ def test_library_sequence_makes_three_passes_and_one_sieve(monkeypatch):
 
 
 def _sweep_statistics(n_limit, window, spec):
-    """Every kind of sweep: profile, k = 3 histogram, override mean, gap, terms."""
+    """Every kind of sweep: profile, k = 3 histogram, override mean, terms."""
     profile = two_point_profile(n_limit, 1)
     k3 = profiles.level_histograms(n_limit, [(0, 1, 2)], 20, (CESARO, LOGARITHMIC))
     return (profile.joint, profile.joint_log, profile.harmonic_mass, k3,
             pretentious.mean_over_range(spec, n_limit),
-            reduction.omega_truncation_gap(n_limit, 3, 5, cutoff=100),
             reduction.reduced_sum_terms(n_limit, window,
                                         pretentious.frequency_family(n_limit).members))
 
@@ -523,8 +532,8 @@ def _check_prime_read(op, limit):
         window = reduction.prime_window(overrides={"lower": 2, "upper": limit})
         np.testing.assert_array_equal(window.primes, want)
     elif op == "distance":
-        got = pretentious.distance(pretentious.liouville_spec(), pretentious.unit_spec(),
-                                   limit)
+        got = math.sqrt(pretentious.distance_sq_to_twist(pretentious.liouville_spec(),
+                                                         limit, 0.0))
         assert got == pytest.approx(math.sqrt(np.sum(2.0 / want)), rel=1e-14)
     else:
         require_primes(want, "primes")
@@ -589,7 +598,7 @@ before = state()
 par = correlation.parity_function()
 grid = pretentious.log_t_grid(math.log(10**4), points=21)
 pretentious.halasz_audit(pretentious.liouville_spec(), 10**4, grid)
-pretentious.distance(pretentious.liouville_spec(), pretentious.unit_spec(), 2 * 10**5)
+pretentious.distance_sq_to_twist(pretentious.liouville_spec(), 2 * 10**5, 0.0)
 correlation.prime_shift_identity(par, par, 10**4, [3, 5])
 correlation.k_point_explore([par, par], 10**4)
 stats.turan_kubilius_check(100, [2, 3])

@@ -20,13 +20,10 @@ from omegalab.profiles import NBINS, shared_counts
 from omegalab.reduction import (
     fourier_expand,
     major_arc_measure,
-    omega_truncation_gap,
     parseval_audit,
     prime_exponential_sum,
     prime_window,
-    reduced_sum,
     reduced_sum_terms,
-    reduction_inequality_audit,
     taylor_truncation,
     window_formula_bounds,
     write_alpha_sweep_csv,
@@ -164,7 +161,7 @@ def test_reduced_term_single_prime_window_frozen():
 def test_reduced_sum_formula_window_frozen():
     fam = frequency_family(10**4)
     w = prime_window(10**4)
-    total = reduced_sum(10**4, w, fam.members)
+    total = sum(reduced_sum_terms(10**4, w, fam.members).values())
     assert total == pytest.approx(1.956258330517151, abs=1e-10)
 
 
@@ -317,7 +314,8 @@ def test_reduced_sum_over_the_family_is_the_class_trace():
     for p, weight in zip(w.primes, w.weights / w.mass):
         hist[np.arange(n_limit), cls[p : p + n_limit]] += weight
     trace = float(((hist - pi) ** 2).sum(axis=1) @ inv_n) / inv_n.sum()
-    assert reduced_sum(n_limit, w, fam.members) == pytest.approx(fam.size * trace, rel=1e-12)
+    total = sum(reduced_sum_terms(n_limit, w, fam.members).values())
+    assert total == pytest.approx(fam.size * trace, rel=1e-12)
 
 
 def test_reduced_terms_do_not_depend_on_the_cache():
@@ -488,17 +486,6 @@ def test_reduced_sum_rejects_foreign_frequencies():
         reduced_sum_terms(10**3, w, [outside])
 
 
-def test_reduction_inequality_audit_has_nonnegative_slack():
-    w = prime_window(10**4)
-    par = parity_function()
-    audit = reduction_inequality_audit(par, par, 10**4, w)
-    assert audit["slack"] >= 0.0
-    assert audit["lhs"] == pytest.approx(0.0852478050784412, abs=1e-12)
-    assert audit["sqrt_reduced"] == pytest.approx(1.3986630511017122, abs=1e-10)
-    assert audit["slack"] == pytest.approx(
-        audit["sqrt_reduced"] + audit["audit_term"] - audit["lhs"], abs=1e-12)
-
-
 # --- Taylor truncation -----------------------------------------------------
 
 def test_taylor_truncation_examples():
@@ -537,58 +524,6 @@ def test_taylor_truncation_large_order_and_validation():
     out = taylor_truncation(50.0, 2)
     assert out["bound"] > 1.0          # useless but well defined
     assert math.isfinite(out["bound"])
-
-
-# --- truncated-count gaps --------------------------------------------------
-
-def test_truncation_gap_full_cutoff_counts_repeated_factors():
-    out = omega_truncation_gap(10**4, 3, 5, t=1.0, cutoff=10**4)
-    # cutoff N keeps every prime: the gap is (multiplicity - distinct) >= 0,
-    # whose mean tends to sum 1/(p(p-1)) ~ 0.773.
-    assert out["mean_abs_gap"] == pytest.approx(0.7685, abs=1e-12)
-    assert out["exp_gap"] == pytest.approx(0.03998608953634004, abs=1e-12)
-    assert out["cutoff"] == 10**4
-
-
-def test_truncation_gap_formula_cutoff_is_degenerate_at_desk_scale():
-    out = omega_truncation_gap(10**4, 3, 5, t=1.0)
-    assert out["cutoff"] == pytest.approx(1.015715598423839, abs=1e-12)
-    assert out["cutoff"] < 2.0
-    # no primes below the cutoff: the truncated count is identically zero,
-    # so the gap is the full multiplicity mean
-    assert out["mean_abs_gap"] == pytest.approx(3.1985, abs=1e-12)
-
-
-def test_truncation_gap_frozen_values_across_chunk_edges(monkeypatch):
-    # chunks of 997 entries put n + 3 and n + 5 on both sides of a chunk edge
-    monkeypatch.setattr(profiles, "CHUNK", 997)
-    test_truncation_gap_full_cutoff_counts_repeated_factors()
-    test_truncation_gap_formula_cutoff_is_degenerate_at_desk_scale()
-
-
-def test_truncation_gap_memory_is_bounded():
-    # one chunk of truncated counts and pair differences at a time, never an
-    # array as long as the range
-    shared_counts(10**7 + 6)
-    tracemalloc.start()
-    try:
-        omega_truncation_gap(10**7, 3, 5, cutoff=1e4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
-
-
-def test_truncation_gap_interpolates_with_cutoff():
-    full = omega_truncation_gap(10**4, 3, 5, cutoff=10**4)["mean_abs_gap"]
-    mid = omega_truncation_gap(10**4, 3, 5, cutoff=100)["mean_abs_gap"]
-    none = omega_truncation_gap(10**4, 3, 5, cutoff=1.5)["mean_abs_gap"]
-    assert full <= mid <= none
-
-
-def test_truncation_gap_validation():
-    with pytest.raises(ContractError):
-        omega_truncation_gap(100, 31, 37)       # needs N >= 10 * max shift
 
 
 # --- circle-method pieces --------------------------------------------------

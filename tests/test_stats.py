@@ -1,6 +1,5 @@
 """Level-set densities, Gaussian comparison, and the two exact inequalities."""
 
-import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,8 +13,8 @@ from omegalab import profiles, sieve, stats
 from omegalab import (ContractError, SmallOmega, density_l1_gap, density_table,
                       enumerate_primes, erdos_kac_ks, factor_counts,
                       gaussian_density, gaussian_model, normal_cdf,
-                      sathe_selberg_ratio_check, tail_densities,
-                      turan_kubilius_check, typical_range, write_density_csv)
+                      sathe_selberg_ratio_check, turan_kubilius_check,
+                      typical_range, write_density_csv)
 
 
 def test_gaussian_model_fields():
@@ -176,49 +175,6 @@ def test_erdos_kac_ks_shrinks():
     small = erdos_kac_ks(10 ** 4)["ks"]
     large = erdos_kac_ks(10 ** 6)["ks"]
     assert large < small
-
-
-def test_tail_densities():
-    out = tail_densities(10 ** 4, 1.0)
-    assert 0.0 <= out["delta"] <= out["gamma"] + 1.0
-    assert out["gamma"] + out["delta"] < 1.0
-    # larger D, thinner tails
-    wide = tail_densities(10 ** 4, 3.0)
-    assert wide["gamma"] <= out["gamma"]
-    assert wide["delta"] <= out["delta"]
-    with pytest.raises(ContractError):
-        tail_densities(10 ** 4, 0.5)
-
-
-def test_tail_densities_sum_segments_to_the_whole_block(monkeypatch):
-    n = 10 ** 4
-    counts = factor_counts(1, n + 1, SmallOmega).counts
-    model = gaussian_model(n)
-    segments = []
-    factor_counts_ = sieve.factor_counts
-    # 11 segments of 909 cover n <= 9999; a twelfth holds n = N alone
-    monkeypatch.setattr(sieve, "SieveConfig",
-                        functools.partial(sieve.SieveConfig, segment_length=909))
-    monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, *args:
-                        segments.append((lo, hi)) or factor_counts_(lo, hi, *args))
-    for D in (1.0, 1.5, 3.0):
-        segments.clear()
-        hist = np.bincount(counts, minlength=profiles.NBINS)
-        ells = np.arange(hist.size)
-        want = {"gamma": hist[ells > model.mu + D * model.sigma].sum() / n,
-                "delta": hist[ells < model.mu - D * model.sigma].sum() / n}
-        assert tail_densities(n, D) == want
-        assert segments[-2:] == [(9091, 10000), (10000, n + 1)] and len(segments) == 12
-
-
-def test_tail_densities_stream_the_distinct_counts():
-    tracemalloc.start()
-    try:
-        tail_densities(10 ** 7, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
 
 
 def test_ratio_check_positive_levels_only():
