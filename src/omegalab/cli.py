@@ -230,7 +230,8 @@ def _csv(write_body):
 
 
 # ---------------------------------------------------------------------------
-# Handlers: run(params) -> (extra manifest fields, results[, save])
+# Handlers: run(params) -> (extra manifest fields, results[, save]).  A
+# handler that streams its output writes --out itself (sieve).
 
 
 def _truncated(cutoff):
@@ -256,14 +257,34 @@ def _run_sieve(p):
     if workers is None:
         workers = _integer(os.environ.get(WORKERS_ENV, 1))
     mode = _COUNT_MODES[p["mode"]](p["cutoff"])
-    block = sieve.factor_counts(p["lo"], hi, mode, sieve.SieveConfig(worker_count=workers))
-    save = {"bin": lambda path, _: _atomic_write(path, partial(sieve.write_block, block)),
-            "csv": _csv(partial(sieve.write_block_csv, block))}[p["format"]]
-    # the digest and the histogram read the counts in place: no copy of the block
-    results = {"count": hi - p["lo"],
-               "digest": hashlib.sha256(block.counts).hexdigest(),
-               "histogram": stats.count_histogram(block.counts)}
-    return {"hi": hi, "workers": workers}, results, save
+    lo = p["lo"]
+    # Each piece of `workers` segments is hashed, binned and written before
+    # the next is sieved, so memory is a piece, not the range (994 MB for
+    # --n 1e9 held whole).
+    pieces = sieve.factor_count_pieces(lo, hi, mode, sieve.SieveConfig(worker_count=workers))
+    extras = {"hi": hi, "workers": workers}
+    digest, histogram = hashlib.sha256(), np.zeros(256, dtype=np.int64)
+
+    def stream(write):
+        for block in pieces:
+            digest.update(block.counts)
+            part = stats.count_histogram(block.counts)
+            histogram[: part.size] += part
+            write(block, append=block.lo > lo)
+
+    out = p["out"]
+    if out is None:
+        stream(lambda block, append: None)
+    elif p["format"] == "bin":
+        _atomic_write(out, lambda tmp: stream(
+            lambda block, append: sieve.write_block(block, tmp, append=append)))
+    else:
+        # the manifest is whole before any count: the CSV's comment lines go first
+        _atomic_csv(out, _manifest("sieve", p, extras), lambda handle: stream(
+            lambda block, append: sieve.write_block_csv(block, handle, append=append)))
+    results = {"count": hi - lo, "digest": digest.hexdigest(),
+               "histogram": np.trim_zeros(histogram, "b")}
+    return extras, results
 
 
 def _run_densities(p):
@@ -466,6 +487,13 @@ def _check_echoes(name: str, path: str, echoes: dict, params: dict) -> None:
                                 f"the run's n = {n_limit}")
 
 
+def _manifest(name: str, params: dict, extras: dict) -> dict:
+    """The manifest a run of command name echoes: its flags, extras and derived block."""
+    manifest = {"command": name, **params, **extras}
+    manifest["derived"] = _derived_block(COMMANDS[name].limit(manifest))
+    return manifest
+
+
 def _params(name: str, args) -> dict:
     """Each flag cast from its first given source: flag, manifest, default."""
     flags = {flag.key: flag for flag in COMMANDS[name].flags}
@@ -502,8 +530,7 @@ def run(argv=None) -> int:
     if params.get("out") is not None:
         _check_writable(params["out"])
     extras, results, *save = command.run(params)
-    manifest = {"command": args.command, **params, **extras}
-    manifest["derived"] = _derived_block(command.limit(manifest))
+    manifest = _manifest(args.command, params, extras)
     if save and params["out"] is not None:
         save[0](params["out"], manifest)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -27,8 +27,9 @@ primes past the tile (32, 27, 25, 49, ...), take one of two paths:
 - small primes, p <= (segment length) / 128: one strided pass
   word[s::q] += increment per prime power;
 - large primes, which hit a segment at most 128 times: one vectorised
-  pass per power round expands the hits of a batch of primes and adds
-  their increments with np.add.at (the bucket idea of the same paper).
+  pass per power round expands the hits of a batch of primes, at most
+  2**14 hits, and adds their increments with np.add.at (the bucket idea
+  of the same paper).
 
 After the strip, n is the product of the prime powers found times a rest
 that is 1 or the one prime factor of n above the root.  Big and small
@@ -39,6 +40,16 @@ past the root must decide 1 < rest <= cutoff, which no fixed-point log
 decides, so that mode alone also keeps the exact product of the prime
 powers found, its smooth part (uint32 on a segment that ends at or below
 2**32, int64 above), and divides; a cutoff below the root needs neither.
+A segment that keeps the smooth part is cut so that word and smooth part
+fit the 2 MiB of a whole segment's word.
+
+So a call holds its output, one segment's word (and smooth part) per
+worker, a batch of hits and the base primes, as uint32: every range end
+below 2**63 puts them below 2**32.  A caller that sieves a long range
+piece by piece into one reused output (factor_count_pieces, a streamed
+profile pass) holds one piece: the sieve command writes each piece to
+its file with write_block(append=True) or write_block_csv(append=True)
+before the next is sieved.
 """
 
 from __future__ import annotations
@@ -77,7 +88,14 @@ PRIME_SEGMENT = 1 << 19
 # 2-core x86 box.  With the default 2**20 segments a range below 2**26 is
 # all strided.
 _STRIDED_SHIFT = 7
-_HIT_BATCH = 1 << 16       # hits expanded at once on the bucketed pass
+# Hits expanded at once on the bucketed pass.  The tracemalloc peak of one
+# segment's bucketed pass (2**20 at 10^14, primes to 10^7) is one batch's
+# temporaries: 0.30 MiB at 2**12, 0.57 at 2**13, 1.06 at 2**14, 1.85 at
+# 2**15, 3.01 at 2**16.  10^6-wide windows at 10^12 (big), 10^14 and 10^16
+# (small), medians of 5 in two processes on a 2-core x86 box: 2**12, 0.03 /
+# 0.10 / 0.53 s; 2**13, 0.02 / 0.07 / 0.39-0.44 s; 2**14, 0.02 / 0.07 /
+# 0.40 s; 2**16, 0.02 / 0.07-0.08 / 0.41-0.43 s.
+_HIT_BATCH = 1 << 14
 _RESIDUAL_BLOCK = 1 << 16  # integers whose rest is decided at once
 # Log units any float rounding can move a bound of _residual_threshold by;
 # the rounding itself stays below 2**-25 units (see there).
@@ -126,8 +144,9 @@ def TruncatedOmega(cutoff) -> CountMode:  # noqa: N802 - reads as a constructor
 
 @dataclass(frozen=True)
 class SieveConfig:
-    # A segment's working array is its uint16 word, 2 MiB at 2**20 (a truncated
-    # mode past the root adds its smooth part).  factor_counts(1, 10**8 + 16)
+    # A segment's working array is its uint16 word, 2 MiB at 2**20 (a segment
+    # that keeps a truncated smooth part is cut to fit both in that; see
+    # _segments).  factor_counts(1, 10**8 + 16)
     # with the packed word, medians [quartiles] of 7 alternated fresh
     # processes on a 2-core x86 box: 2**19, 0.93 s [0.84, 1.02]; 2**20,
     # 0.75 s [0.73, 0.81]; 2**21, 0.73 s [0.70, 0.75], inside the spread of
@@ -211,12 +230,12 @@ def prime_count_bound(x: float) -> int:
     return math.ceil(1.25506 * x / math.log(x))
 
 
-def enumerate_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending int64: the segments of prime_segments
-    copied into one array of prime_count_bound(limit) + 1 entries, which is
-    then cut to length in place."""
+def enumerate_primes(limit: int, dtype=np.int64) -> np.ndarray:
+    """All primes <= limit, ascending: the segments of prime_segments copied
+    into one array of prime_count_bound(limit) + 1 entries of dtype, which
+    is then cut to length in place (a narrower dtype makes no wide copy)."""
     segments = prime_segments(limit)
-    out = np.empty(prime_count_bound(limit) + 1, dtype=np.int64)
+    out = np.empty(prime_count_bound(limit) + 1, dtype=dtype)
     size = 0
     for primes in segments:
         out[size : size + primes.size] = primes
@@ -241,11 +260,13 @@ def truncation_cutoff(n_limit: int, exponent: float = 8.0) -> float:
 
 def _base_primes(hi: int) -> np.ndarray:
     # sieved afresh, never kept: the primes below the square root of a far
-    # window (10^7 at 10^14), retained, would add to every later memory peak
+    # window (10^7 at 10^14), retained, would add to every later memory peak.
+    # hi <= 2**63 puts the root below 2**32, so uint32 holds them at half
+    # the bytes of int64 (2.7 MB at 10^14)
     root = isqrt(hi - 1)
     if root < 2:
-        return np.empty(0, dtype=np.int64)
-    return enumerate_primes(root)
+        return np.empty(0, dtype=np.uint32)
+    return enumerate_primes(root, np.uint32)
 
 
 @dataclass(frozen=True)
@@ -369,7 +390,8 @@ def _bucketed(lo, hi, primes, word, smooth, layout, distinct, powers):
     while i < primes.size:
         per_prime = length // int(primes[i]) + 1   # primes ascend: the most hits
         j = min(primes.size, i + max(1, _HIT_BATCH // per_prime))
-        p = q = primes[i:j]
+        # int64, as (-lo) % q with lo past 2**32 needs it (uint32 would overflow)
+        p = q = primes[i:j].astype(np.int64)
         units = _log_units(p, layout.scale)
         i = j
         count = True   # powers past p count with multiplicity only
@@ -436,6 +458,35 @@ def _tile_fill(pattern, lo, out):
         filled += step
 
 
+def _rank(primes, x) -> int:
+    """The number of entries <= x of the ascending uint32 primes, x < 2**32.
+
+    x goes in as a uint32 scalar: searchsorted with a Python int makes an
+    int64 copy of the whole array (5.3 MB for the primes up to 10^7).
+    """
+    return int(np.searchsorted(primes, np.uint32(x), side="right"))
+
+
+def _segments(lo, hi, mode, length):
+    """The segments [a, b) of [lo, hi), each of length entries but the last.
+
+    A segment that keeps the smooth part (truncated, cutoff past its root)
+    is cut to 2 * length // (2 + w) entries, w the smooth part's bytes an
+    entry, so that its word and smooth part fit the word's 2 * length
+    bytes: 349 525 entries below 2**32 and 209 715 above at the default
+    2**20, where a whole segment held a 4 or 8 MiB smooth part.
+    """
+    cutoff = math.floor(mode.cutoff) if mode.kind == "truncated" else 0
+    a = lo
+    while a < hi:
+        b = min(a + length, hi)
+        if cutoff > isqrt(b - 1):
+            smooth_bytes = 4 if b <= _SMOOTH32_END else 8
+            b = min(a + max(1, 2 * length // (2 + smooth_bytes)), hi)
+        yield a, b
+        a = b
+
+
 def _fill_segment(lo, hi, base, out, mode, layout, tiles):
     """Counts on one segment [lo, hi) into out.
 
@@ -449,9 +500,8 @@ def _fill_segment(lo, hi, base, out, mode, layout, tiles):
     truncated = mode.kind == "truncated"
     cutoff = math.floor(mode.cutoff) if truncated else 0
     residual = not truncated or cutoff > root
-    primes = base[: np.searchsorted(base, root if residual else cutoff, side="right")]
-    # the tile primes in play
-    tiled = int(np.searchsorted(primes, max(_TILE_POWERS), side="right"))
+    primes = base[: _rank(base, root if residual else cutoff)]
+    tiled = _rank(primes, max(_TILE_POWERS))   # the tile primes in play
     tile_word, tile_smooth = tiles[tiled]
     word = np.empty(hi - lo, np.uint16)
     _tile_fill(tile_word, lo, word)
@@ -461,7 +511,7 @@ def _fill_segment(lo, hi, base, out, mode, layout, tiles):
         _tile_fill(tile_smooth, lo, smooth)
     distinct = mode.kind != "big"
     # tile primes always take the strided pass, from their first power past the tile
-    split = max(tiled, np.searchsorted(primes, (hi - lo) >> _STRIDED_SHIFT, side="right"))
+    split = max(tiled, _rank(primes, min((hi - lo) >> _STRIDED_SHIFT, root)))
     _strided(lo, hi, primes[:split], word, smooth, layout, distinct, residual)
     _bucketed(lo, hi, primes[split:], word, smooth, layout, distinct, residual)
     if not residual:
@@ -484,8 +534,19 @@ def _fill_segment(lo, hi, base, out, mode, layout, tiles):
         a = b
 
 
+def _check_range(lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi) as ints, once 1 <= lo < hi <= MAX_RANGE_END holds."""
+    lo, hi = int(lo), int(hi)
+    if not 1 <= lo < hi:
+        raise ContractError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if hi > MAX_RANGE_END:
+        raise CapacityError(f"range end {hi} exceeds 64-bit sieve capacity")
+    return lo, hi
+
+
 def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
-                  config: SieveConfig | None = None, out=None) -> FactorCountBlock:
+                  config: SieveConfig | None = None, out=None,
+                  base_primes=None) -> FactorCountBlock:
     """Exact per-n prime-factor counts on [lo, hi) under the given mode.
 
     Deterministic for any segment_length / worker_count split.  out, when
@@ -494,13 +555,11 @@ def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
     reuses one buffer: a fresh array per 2^20-entry call faulted in about
     1 000 pages each time, and a streamed density_table(10**8) took 1.51 s
     and 22 728 minor faults against 1.42 s and 1 381 (medians of 6, 2-core
-    x86 box).
+    x86 box).  base_primes, when given, are the ascending uint32 primes up
+    to at least isqrt(hi - 1), enumerated once by factor_count_pieces for
+    all its pieces; otherwise they are enumerated here.
     """
-    lo, hi = int(lo), int(hi)
-    if not 1 <= lo < hi:
-        raise ContractError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi > MAX_RANGE_END:
-        raise CapacityError(f"range end {hi} exceeds 64-bit sieve capacity")
+    lo, hi = _check_range(lo, hi)
     if out is None:
         out = np.empty(hi - lo, dtype=np.uint8)
     elif out.dtype != np.uint8 or out.shape != (hi - lo,):
@@ -508,24 +567,48 @@ def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
                             f"got {out.dtype} {out.shape}")
     if config is None:
         config = SieveConfig()
-    base = _base_primes(hi)
+    base = _base_primes(hi) if base_primes is None else base_primes
     layout = _layout(hi, mode)
     tiles = _tiles(mode, layout)
 
-    def run_segment(seg_lo):
-        seg_hi = min(seg_lo + config.segment_length, hi)
+    def run_segment(bounds):
+        seg_lo, seg_hi = bounds
         _fill_segment(seg_lo, seg_hi, base, out[seg_lo - lo : seg_hi - lo], mode, layout, tiles)
 
-    seg_starts = range(lo, hi, config.segment_length)
+    segments = _segments(lo, hi, mode, config.segment_length)
     if config.worker_count == 1:
-        for seg_lo in seg_starts:
-            run_segment(seg_lo)
+        for bounds in segments:
+            run_segment(bounds)
     else:
         # numpy strided kernels release the GIL; disjoint slices make the
         # result independent of scheduling
         with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            list(pool.map(run_segment, seg_starts))
+            list(pool.map(run_segment, segments))
     return FactorCountBlock(lo=lo, hi=hi, mode=mode, counts=out)
+
+
+def factor_count_pieces(lo: int, hi: int, mode: CountMode, config: SieveConfig):
+    """The counts of [lo, hi) as consecutive blocks of config.worker_count
+    segments, one factor_counts call a block, all in one reused buffer: a
+    block is overwritten by the next, so read it before drawing that.
+
+    The base primes up to isqrt(hi - 1) are enumerated once, not once a
+    block: a 2 * 10^7-wide range at 10^14 re-enumerated them in 0.43 s of
+    2.1 s.  The range is checked when this is called, not when the first
+    block is drawn.
+    """
+    lo, hi = _check_range(lo, hi)
+    return _pieces(lo, hi, mode, config)
+
+
+def _pieces(lo, hi, mode, config):
+    """The blocks of factor_count_pieces for a checked range."""
+    step = config.worker_count * config.segment_length
+    buffer = np.empty(min(step, hi - lo), dtype=np.uint8)
+    base = _base_primes(hi)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        yield factor_counts(a, b, mode, config, buffer[: b - a], base)
 
 
 def liouville(block: FactorCountBlock) -> np.ndarray:
@@ -645,12 +728,30 @@ def _csv_words() -> tuple[np.ndarray, np.ndarray]:
     return digits, counts
 
 
-def write_block(block: FactorCountBlock, path) -> None:
-    """Binary dump: little-endian header {lo,hi,mode,cutoff} + raw bytes."""
+def write_block(block: FactorCountBlock, path, append: bool = False) -> None:
+    """Binary dump: little-endian header {lo,hi,mode,cutoff} + raw bytes.
+
+    append extends the block file at path, which must end where block
+    starts and hold its mode: block's counts go after its body and its
+    header's hi becomes block.hi.  A sieve streamed piece by piece so
+    writes the bytes of one dump of the whole block.
+    """
+    code = _MODE_CODE[block.mode.kind]
     cutoff = block.mode.cutoff if block.mode.kind == "truncated" else 0.0
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(block.lo, block.hi, _MODE_CODE[block.mode.kind], cutoff))
+    with open(path, "r+b" if append else "wb") as fh:
+        lo = block.lo
+        if append:
+            raw = fh.read(_HEADER.size)
+            held = _HEADER.unpack(raw) if len(raw) == _HEADER.size else None
+            if held is None or held[1:] != (block.lo, code, cutoff):
+                raise ContractError(f"{path} is not a block file that block "
+                                    f"[{block.lo}, {block.hi}) continues")
+            lo = held[0]
+        # the body first: a header never promises counts that are not written
+        fh.seek(_HEADER.size + block.lo - lo)
         fh.write(np.ascontiguousarray(block.counts).data)   # the buffer itself, no copy
+        fh.seek(0)
+        fh.write(_HEADER.pack(lo, block.hi, code, cutoff))
 
 
 def read_block(path) -> FactorCountBlock:
@@ -685,9 +786,10 @@ def read_block(path) -> FactorCountBlock:
     return FactorCountBlock(lo=int(lo), hi=int(hi), mode=mode, counts=counts)
 
 
-def write_block_csv(block: FactorCountBlock, handle) -> None:
+def write_block_csv(block: FactorCountBlock, handle, append: bool = False) -> None:
     """CSV export to an open text file: the header `n,count`, then one row
-    per integer in the block, byte for byte f"{n},{count}\\n".
+    per integer in the block, byte for byte f"{n},{count}\\n".  append
+    leaves out the header, for a block whose rows continue those written.
 
     The rows are rendered by numpy in batches of _CSV_ROWS, each batch cut
     where n gains a digit (see _csv_run); no Python runs per row.  A block
@@ -699,7 +801,8 @@ def write_block_csv(block: FactorCountBlock, handle) -> None:
     top = int(counts.max(initial=0))
     if top > 99:
         raise ContractError(f"CSV counts must be below 100, got {top}")
-    handle.write("n,count\n")
+    if not append:
+        handle.write("n,count\n")
     n, hi = block.lo, block.lo + counts.size
     while n < hi:
         width = len(str(n))

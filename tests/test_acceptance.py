@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from omegalab import profiles
 from omegalab.correlation import (
     parity_function,
     random_bounded_function,

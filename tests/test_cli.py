@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,91 @@ def test_truncated_sieve_window_reports_the_digest_of_its_counts(capsys):
     assert rep["results"]["digest"] == hashlib.sha256(block.counts).hexdigest()
 
 
+# mode flag: (extra flags, count mode); the cutoff passes the root near 10^9,
+# so truncated segments keep a smooth part
+_SIEVE_MODES = {"big": ((), sieve.BigOmega), "small": ((), sieve.SmallOmega),
+                "truncated": (("--cutoff", "1e5"), sieve.TruncatedOmega(1e5))}
+
+
+def _file_sha256(path, skip_lines=0):
+    """sha256 of a file after its first skip_lines lines, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for _ in range(skip_lines):
+            fh.readline()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _stream_and_compare(capsys, monkeypatch, tmp_path, lo, hi, mode, fmt, workers):
+    """Run sieve --out on [lo, hi) and check it against one whole-block write:
+    the file's bytes, the digest, the histogram, and one factor_counts call
+    a piece of `workers` segments."""
+    flags, count_mode = _SIEVE_MODES[mode]
+    pieces, factor_counts = [], sieve.factor_counts
+
+    def recorded(a, b, *args, **kwargs):
+        pieces.append((a, b))
+        return factor_counts(a, b, *args, **kwargs)
+    monkeypatch.setattr(sieve, "factor_counts", recorded)
+    out, whole = tmp_path / f"streamed.{fmt}", tmp_path / f"whole.{fmt}"
+    rep = _report(capsys, "sieve", "--lo", str(lo), "--hi", str(hi), "--mode", mode, *flags,
+                  "--format", fmt, "--workers", str(workers), "--out", str(out))
+    monkeypatch.undo()
+    step = workers * sieve.SieveConfig().segment_length
+    assert pieces == [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    block = sieve.factor_counts(lo, hi, count_mode)
+    if fmt == "bin":
+        sieve.write_block(block, whole)
+    else:
+        with open(whole, "w", newline="") as fh:
+            sieve.write_block_csv(block, fh)
+    # a CSV's timestamp and manifest lines come before its body
+    assert _file_sha256(out, 2 if fmt == "csv" else 0) == _file_sha256(whole)
+    assert rep["results"]["count"] == hi - lo
+    assert rep["results"]["digest"] == hashlib.sha256(block.counts).hexdigest()
+    assert rep["results"]["histogram"] == stats.count_histogram(block.counts).tolist()
+    out.unlink()   # the CSV files are about 40 MB each
+    whole.unlink()
+    return len(pieces)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("mode", list(_SIEVE_MODES))
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_sieve_streams_the_file_of_the_whole_block(capsys, monkeypatch, tmp_path,
+                                                  fmt, mode, workers):
+    # three segments and a tail, across 10^9 where n gains a digit: four
+    # pieces at one worker, one piece of four segments at eight
+    lo = 10**9 - (1 << 20)
+    pieces = _stream_and_compare(capsys, monkeypatch, tmp_path, lo, lo + 3 * (1 << 20) + 4321,
+                                 mode, fmt, workers)
+    assert pieces == {1: 4, 8: 1}[workers]
+
+
+def test_sieve_streams_pieces_of_eight_segments_at_eight_workers(capsys, monkeypatch,
+                                                                 tmp_path):
+    pieces = _stream_and_compare(capsys, monkeypatch, tmp_path, 1, 9 * (1 << 20) + 4321,
+                                 "big", "bin", 8)
+    assert pieces == 2
+
+
+def test_sieve_memory_is_a_piece_not_the_range(capsys, tmp_path):
+    # the command held its 30 MB of counts (and peaked past them) before it
+    # streamed them
+    path = tmp_path / "counts.bin"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sieve", "--n", "3e7", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and path.stat().st_size == 25 + 3 * 10**7
+    assert peak < 8 * 2**20
+
+
 def test_correlate_indicator_and_fourier_mode_presets(capsys):
     n = 10**4
     rep = _report(capsys, "correlate", "--n", str(n), "--a", "indicator:2",
@@ -564,12 +650,12 @@ def test_sieve_n_and_hi_that_disagree_exit_2_before_sieving(capsys, tmp_path, mo
 
 
 def test_disk_full_while_writing_exits_1_and_leaves_nothing(capsys, tmp_path, monkeypatch):
-    def full_disk(block, path):
+    def full_disk(block, path, append=False):
         with open(path, "wb") as fh:
             fh.write(b"\0" * 64)
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
-    def full_disk_csv(block, handle):
+    def full_disk_csv(block, handle, append=False):
         handle.write("n,count\n" * 64)
         handle.flush()
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in that module,
-every name a module defines is reached from a command, a criterion or the
+"""Every name a module of the package or of its tests imports is used in
+that module, every name a module of the package defines is reached from a command, a criterion or the
 benchmark, and every defaulted parameter is set by some call."""
 
 import ast
@@ -10,6 +10,7 @@ import pytest
 import omegalab
 
 _SOURCES = sorted(pathlib.Path(omegalab.__file__).parent.glob("*.py"))
+_TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _imported(tree):
@@ -32,10 +33,10 @@ def _exported(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", [p for p in _SOURCES if p.stem != "__init__"],
+@pytest.mark.parametrize("path", [p for p in _SOURCES if p.stem != "__init__"] + _TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    # __init__ is skipped: its imports are the package's re-exports
+    # the package's __init__ is skipped: its imports are its re-exports
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= _exported(tree)

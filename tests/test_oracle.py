@@ -4,7 +4,6 @@ and against the fast path they exist to audit."""
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

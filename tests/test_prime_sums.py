@@ -18,7 +18,6 @@ from omegalab.pretentious import (MultFunSpec, dist_formula_residual, distance_s
                                   frequency_family, halasz_audit, liouville_spec,
                                   log_t_grid, m0, mode_spec, prime_trig_sums)
 from omegalab.reduction import prime_window
-from omegalab.sieve import require_primes
 from test_pretentious import _loop_distance_sq
 
 

@@ -284,11 +284,62 @@ def _traced_peak(fn, *args):
 
 
 def test_memory_peaks_of_far_window_and_dense_sieve():
-    # the float-residual kernel peaked at 21.3 MiB and 73.5 MiB here
+    # the float-residual kernel peaked at 21.3 MiB and 73.5 MiB here.  A far
+    # window holds its output, one segment's word, a batch of at most 2**14
+    # hits and the uint32 base primes (2.7 MB up to 10^7); a truncated one
+    # cuts its smooth-part segments to the word's 2 MiB.  With int64 base
+    # primes, 2**16-hit batches and whole smooth-part segments the small
+    # window peaked at 10.5 MiB and the truncated one at 13.7 MiB.
     far = _traced_peak(factor_counts, 10 ** 14, 10 ** 14 + 10 ** 6, SmallOmega)
-    assert far <= 25 * 2 ** 20
+    assert far <= 8 * 2 ** 20
+    truncated = _traced_peak(factor_counts, 10 ** 12, 10 ** 12 + 10 ** 6,
+                             TruncatedOmega(_FAR_CUTOFF))
+    assert truncated <= 6 * 2 ** 20
     dense = _traced_peak(factor_counts, 1, 10 ** 7 + 1)
     assert dense <= 73.5 * 2 ** 20
+
+
+# sha256 of the counts on [lo, lo + 10**6) (big, small, truncated at 10**7),
+# computed by the kernel with int64 base primes, 2**16-hit batches and
+# smooth-part segments of 2**20 entries
+_WIDE_DIGESTS = {
+    2 ** 32 - 500_000: ("96415064a0743ac8667488a46c255bc4117b517b61baa1e58962b94cdd80684b",
+                        "52392b60537bb977615bd7e29b7a3b8d69fb8e44a6a64963396c5d3981fdd715",
+                        "62c0bd735e1ab55941fd62ed5620ca024f0762f5b06a589cc5c0b343c6de0992"),
+    10 ** 12: ("c892b829b35b4d718d90106566d90b517863463fcdbe906551501b98721757ea",
+               "2046b01d133d0d68536d51bae5681ae939c39cd104e3829a483f817129c6fd3f",
+               "cb3bd56e3cd0aa6edd16eb67d933e84674036a52c91c1eb7016da1176a593a26"),
+    10 ** 14: ("0e28709d3b2fc9661ba059c26e0c8119b3a439925d7086252066151dfb8090fe",
+               "e52477592992adb45cad17be4c060feccba61c25e528699590f446e7068f786e",
+               "e158a514d0aacf516abcc5ac668196fbe29af4651b48e0b4e982471fa61fcf64"),
+}
+
+
+@pytest.mark.parametrize("lo", sorted(_WIDE_DIGESTS))
+def test_wide_far_windows_match_pinned_digests(lo):
+    # below 2**32 and at 10^12 the truncated window keeps a smooth part, so
+    # its segments are cut; at 10^14 the cutoff is the root and nothing is
+    modes = (BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF))
+    digests = tuple(hashlib.sha256(factor_counts(lo, lo + 10 ** 6, mode).counts).hexdigest()
+                    for mode in modes)
+    assert digests == _WIDE_DIGESTS[lo]
+
+
+def test_smooth_part_segments_fit_the_word_budget():
+    # a segment that keeps the smooth part holds 2 + 4 or 2 + 8 bytes an
+    # entry, so it is cut to 2 * L // 6 or 2 * L // 10 entries
+    cut = TruncatedOmega(_FAR_CUTOFF)
+    length = 1 << 20
+    below = list(sieve._segments(2 ** 32 - 10 ** 6, 2 ** 32, cut, length))
+    above = list(sieve._segments(10 ** 12, 10 ** 12 + 10 ** 6, cut, length))
+    assert {b - a for a, b in below[:-1]} == {2 * length // 6}
+    assert {b - a for a, b in above[:-1]} == {2 * length // 10}
+    # no smooth part: whole segments, in every other mode and past the cutoff's square
+    for mode, lo in ((BigOmega, 10 ** 12), (SmallOmega, 10 ** 12), (cut, 10 ** 14 + 10 ** 7)):
+        assert list(sieve._segments(lo, lo + 3 * length, mode, length)) == [
+            (lo + k * length, lo + (k + 1) * length) for k in range(3)]
+    for segments in (below, above):
+        assert [a for a, _ in segments[1:]] == [b for _, b in segments[:-1]]
 
 
 # --- the packed word: count bits above, log units below --------------------
@@ -389,7 +440,7 @@ def test_fermat_products_sit_on_the_threshold_edge(k):
         assert factor_counts(lo, n + 1, SmallOmega, config).count_at(n) == 2
 
 
-def test_block_io_and_cli_digest_make_no_copy_of_the_body(tmp_path, monkeypatch):
+def test_block_io_and_cli_digest_make_no_copy_of_the_body(tmp_path):
     body = 1 << 22
     rng = np.random.default_rng(22)
     block = sieve.FactorCountBlock(1, body + 1, BigOmega,
@@ -398,13 +449,14 @@ def test_block_io_and_cli_digest_make_no_copy_of_the_body(tmp_path, monkeypatch)
     assert _traced_peak(write_block, block, path) < 1.25 * body
     assert _traced_peak(read_block, path) < 1.25 * body
     assert np.array_equal(read_block(path).counts, block.counts)
-    monkeypatch.setattr(sieve, "factor_counts", lambda *args: block)
+    # the command hashes and bins each streamed piece of the counts in place
     params = {"n": body, "hi": None, "lo": 1, "workers": 1, "mode": "big",
-              "cutoff": None, "format": "bin"}
+              "cutoff": None, "format": "bin", "out": None}
     assert _traced_peak(cli._run_sieve, params) < 1.25 * body
-    _, results, _ = cli._run_sieve(params)
-    assert results["digest"] == hashlib.sha256(block.counts.tobytes()).hexdigest()
-    assert np.array_equal(results["histogram"], np.bincount(block.counts))
+    _, results = cli._run_sieve(params)
+    counts = factor_counts(1, body + 1).counts
+    assert results["digest"] == hashlib.sha256(counts.tobytes()).hexdigest()
+    assert np.array_equal(results["histogram"], np.bincount(counts))
 
 
 # --- configuration and determinism ----------------------------------------
@@ -615,6 +667,30 @@ def test_binary_rejects_corruption(tmp_path):
         path.write_bytes(struct.pack("<QQBd", lo, hi, 0, 0.0) + body)
         with pytest.raises(error):
             read_block(path)
+
+
+def test_appended_pieces_make_the_file_of_the_whole_block(tmp_path):
+    mode = TruncatedOmega(50)
+    whole = factor_counts(1000, 1300, mode)
+    pieces = [factor_counts(a, b, mode) for a, b in ((1000, 1001), (1001, 1200), (1200, 1300))]
+    path, csv_path = tmp_path / "pieces.bin", tmp_path / "pieces.csv"
+    with open(csv_path, "w", newline="") as fh:
+        for k, piece in enumerate(pieces):
+            write_block(piece, path, append=k > 0)
+            write_block_csv(piece, fh, append=k > 0)
+    write_block(whole, tmp_path / "whole.bin")
+    with open(tmp_path / "whole.csv", "w", newline="") as fh:
+        write_block_csv(whole, fh)
+    assert path.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+    assert csv_path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # a piece that does not start where the file ends, or has another mode
+    for piece in (factor_counts(1301, 1400, mode), factor_counts(1300, 1400, BigOmega),
+                  factor_counts(1300, 1400, TruncatedOmega(60))):
+        with pytest.raises(ContractError):
+            write_block(piece, path, append=True)
+    path.write_bytes(b"\0" * 10)   # no header
+    with pytest.raises(ContractError):
+        write_block(pieces[1], path, append=True)
 
 
 def test_csv_bytes_match_row_by_row_format(tmp_path):
