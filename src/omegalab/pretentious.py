@@ -11,8 +11,8 @@ A distance at one t is an exact sum over the primes.  Distances along a t
 grid, and the grid infimum, read one set of binned Taylor moments of f(p)/p
 instead (PrimeTrigSums): one pass over the primes, then O(#bins) per t,
 with a certified truncation bound.
-Every prime sum reads the primes from sieve.prime_segments one segment at
-a time and holds no column over all the primes up to N.
+Every prime sum reads log p, 1/p and f(p) of one segment of
+sieve.prime_segments at a time and holds no prime past its segment.
 
 Frequencies are identified modulo the family size: e(xi*n/|I|) with integer
 n depends only on xi mod |I|, so callers may pass any real xi (large
@@ -134,18 +134,28 @@ def mode_spec(family: FrequencyFamily, xi: float) -> MultFunSpec:
 # ---------------------------------------------------------------------------
 # prime sums and distances
 
+def _prime_columns(f: MultFunSpec, n_limit: int):
+    """(log p, 1/p, f(p)) of one segment of prime_segments(N) at a time,
+    held by the caller alone; N and the override keys are checked now."""
+    overrides = f.overrides_upto(n_limit)
+
+    def columns(primes):
+        as_float = primes.astype(np.float64)
+        return (np.log(as_float), np.divide(1.0, as_float, out=as_float),
+                f.values_on(primes, overrides))
+
+    return map(columns, prime_segments(n_limit))
+
+
 def distance_sq_to_twist(f: MultFunSpec, n_limit: int, t: float) -> float:
     """D(f, n -> n^{it}; N)^2 = sum_{p<=N} (1 - Re f(p) p^{-it})/p for one t,
     summed one segment of primes at a time."""
-    overrides = f.overrides_upto(n_limit)
     total = 0.0
-    for primes in prime_segments(n_limit):
-        as_float = primes.astype(np.float64)
-        gp = np.exp(1j * t * np.log(as_float))
-        fp = f.values_on(primes, overrides)
-        invp = np.divide(1.0, as_float, out=as_float)
+    for logs, invp, fp in _prime_columns(f, n_limit):
+        gp = np.exp(1j * t * logs)
+        del logs   # not held while the complex columns are multiplied
         total += float(np.sum((1.0 - (fp * np.conj(gp)).real) * invp))
-        del primes, as_float, gp, fp, invp   # not held while the next segment is sieved
+        del invp, fp, gp   # not held while the next segment is sieved
     return total
 
 
@@ -173,10 +183,7 @@ class PrimeTrigSums:
     = sum_b e^{-i t c_b} sum_k (-i t s)^k / k! moments[k, b], and
     D(f, n -> n^{it}; N)^2 = sum 1/p - Re F(t) for |t| <= t_max, with
     truncation error at most tail_bound = x^K / K! e^x sum |w_p|,
-    x = t_max max |log p - c_b| <= t_max h / 2.  Each cell's moments are
-    one np.add.reduceat over its primes in order, however many segments of
-    primes the cell spans; harmonic and sum |w_p| are added segment by
-    segment.
+    x = t_max max |log p - c_b| <= t_max h / 2.
     """
 
     t_max: float
@@ -222,38 +229,37 @@ def _least_order(x: float, mass: float, most: float = math.inf) -> int:
     return order
 
 
-def _cell_moments(logs, weights, cells, starts, width, rows):
-    """Centres, moment rows and max |scaled| of whole cells of log p.
-
-    cells[j] is the cell of the primes from starts[j] to the next start;
-    weights are scaled in place.
-    """
-    centres = math.log(2.0) + (cells + 0.5) * width
-    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / (width / 2.0)
+def _cell_moments(logs, weights, width, rows):
+    """Centres and moment rows of the cells of one segment's log p, and
+    max |scaled|; logs and weights are overwritten."""
+    cell = np.floor((logs - math.log(2.0)) / width)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    centres = math.log(2.0) + (cell[starts] + 0.5) * width
+    del cell
+    scaled = np.subtract(logs, np.repeat(centres, np.diff(starts, append=logs.size)), out=logs)
+    scaled /= width / 2.0
     moments = np.empty((rows, starts.size), dtype=np.complex128)
     for k in range(rows):
         moments[k] = np.add.reduceat(weights, starts)
         weights *= scaled
-    return centres, moments, float(np.abs(scaled).max(initial=0.0))
+    return centres, moments, float(np.abs(scaled).max())
 
 
 def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums:
     """Moments of f(p)/p over p <= N certified for every |t| <= t_max.
 
-    One segment of primes at a time: log p is binned, and every cell but
-    the last, which the next segment may extend, is summed; the primes of
-    the last cell are carried into the next segment.  Rows are computed up
-    to an a-priori order, from x <= t_max (h/2 + rounding) and
-    sum |w_p| <= the Rosser-Schoenfeld bound on sum_{p<=N} 1/p, and cut to
-    the least order whose bound from the data meets _TAIL_TARGET.
+    One segment of primes at a time: each cell is summed over the segment
+    alone, and a cell that goes on from the last segment adds the column it
+    had there.  Rows are computed up to an a-priori order, from x <= t_max
+    (h/2 + rounding) and sum |w_p| <= the Rosser-Schoenfeld bound on
+    sum_{p<=N} 1/p, and cut to the least order whose bound meets _TAIL_TARGET.
     """
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ContractError("t range must be finite")
     width = min(_BIN_WIDTH, 1.0 / t_max) if t_max > 0.0 else _BIN_WIDTH
     half = width / 2.0
-    overrides = f.overrides_upto(n_limit)
-    segments = prime_segments(n_limit)
+    columns = _prime_columns(f, n_limit)
     log_n = math.log(n_limit)
     # |log p - c_b| <= h/2 up to a few units in the last place of log N
     x_cap = min(1.0, t_max * (half + 16.0 * math.ulp(log_n)) * (1.0 + 2.0**-40))
@@ -261,38 +267,33 @@ def prime_trig_sums(f: MultFunSpec, n_limit: int, t_max: float) -> PrimeTrigSums
     mass_cap = (1.0 + 1e-9) * (math.log(log_n) + _MERTENS_B + 1.0 / log_n**2)
     rows = _least_order(x_cap, mass_cap)
 
-    parts = []   # (centres, moments, max |scaled|) of the cells closed so far
-    harmonic = mass = 0.0
-    logs = np.empty(0)
-    weights = np.empty(0, dtype=np.complex128)
-    for primes in segments:
-        as_float = primes.astype(np.float64)
-        seg_logs = np.log(as_float)
-        invp = np.divide(1.0, as_float, out=as_float)   # in place: one float column less
+    parts = []   # (centres, moments) of the cells so far, in O(log #cells) runs
+    harmonic = mass = widest = 0.0
+    for logs, invp, weights in columns:
+        if not logs.size:
+            continue
         harmonic += float(np.sum(invp))
-        seg_weights = f.values_on(primes, overrides) * invp
-        mass += float(np.abs(seg_weights).sum())
-        logs = np.concatenate((logs, seg_logs))
-        weights = np.concatenate((weights, seg_weights))
-        # not held while the next segment is sieved
-        del primes, as_float, seg_logs, invp, seg_weights
-        cell = np.floor((logs - math.log(2.0)) / width)
-        starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
-        last = int(starts[-1])   # the last cell may go on in the next segment
-        if last:
-            parts.append(_cell_moments(logs[:last], weights[:last], cell[starts[:-1]],
-                                       starts[:-1], width, rows))
-            logs, weights = logs[last:].copy(), weights[last:].copy()
-    parts.append(_cell_moments(logs, weights, cell[-1:], np.zeros(1, np.intp), width, rows))
+        weights *= invp   # w_p = f(p)/p
+        del invp   # only logs and weights are held while the cells are summed
+        mass += float(np.abs(weights).sum())
+        centres, moments, most = _cell_moments(logs, weights, width, rows)
+        del logs, weights   # not held while the next segment is sieved
+        widest = max(widest, most)
+        if parts and centres[0] == parts[-1][0][-1]:   # the last cell goes on:
+            moments[:, 0] += parts[-1][1][:, -1]   # its columns added in segment order
+            parts[-1] = (parts[-1][0][:-1], parts[-1][1][:, :-1])
+        parts.append((centres, moments))
+        while len(parts) > 1 and parts[-2][0].size <= parts[-1][0].size:   # merge runs
+            parts[-2:] = [tuple(np.concatenate(pair, axis=-1) for pair in zip(*parts[-2:]))]
 
-    x = t_max * half * max(widest for _, _, widest in parts)
+    x = t_max * half * widest
     if x > 1.0:
         # cells narrower than the rounding of log p: the moments cannot bin it
         raise ContractError("t range too wide for binned prime sums")
     order = _least_order(x, mass, most=rows)
     return PrimeTrigSums(t_max=t_max, half_width=half,
-                         centres=np.concatenate([c for c, _, _ in parts]),
-                         moments=np.concatenate([m[:order] for _, m, _ in parts], axis=1),
+                         centres=np.concatenate([c for c, _ in parts]),
+                         moments=np.concatenate([m[:order] for _, m in parts], axis=1),
                          harmonic=harmonic, tail_bound=_tail(order, x, mass))
 
 

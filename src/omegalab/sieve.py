@@ -170,11 +170,6 @@ class FactorCountBlock:
     mode: CountMode
     counts: np.ndarray  # uint8, counts[n - lo] for n in [lo, hi)
 
-    def count_at(self, n: int) -> int:
-        if not self.lo <= n < self.hi:
-            raise ContractError(f"n={n} outside block [{self.lo}, {self.hi})")
-        return int(self.counts[n - self.lo])
-
 
 def prime_segments(limit: int, lo: int = 0):
     """The primes <= limit, ascending, as one int64 array per segment,
@@ -183,9 +178,9 @@ def prime_segments(limit: int, lo: int = 0):
     Segment j sieves the odd numbers 2i + 1 with i in [j L, (j + 1) L),
     L = PRIME_SEGMENT, striking the odd multiples of every odd base prime
     p <= isqrt(limit) from p**2 on; 2 leads the first segment.  The base
-    primes are enumerate_primes(isqrt(limit)), so no more than one segment
-    and the base primes are held at once.  The limit is checked when this
-    is called, not when the first segment is drawn.
+    primes are enumerate_primes(isqrt(limit)); a segment is made when it is
+    drawn and then held by the caller alone.  The limit is checked when
+    this is called, not when the first segment is drawn.
     """
     limit, lo = int(limit), int(lo)
     if limit < 2:
@@ -203,7 +198,8 @@ def _odd_segments(limit, first):
     base = enumerate_primes(root)[1:] if root >= 3 else np.empty(0, np.int64)
     squares = base * base // 2   # the index i of p**2 = 2i + 1
     end = (limit + 1) // 2       # the odd numbers up to limit are i < end
-    for lo in range(first, end, PRIME_SEGMENT):
+
+    def segment(lo):
         hi = min(lo + PRIME_SEGMENT, end)
         odd = np.ones(hi - lo, dtype=bool)   # odd[i - lo]: is 2i + 1 prime
         if lo == 0:
@@ -215,13 +211,15 @@ def _odd_segments(limit, first):
             odd[s::p] = False
         index = np.flatnonzero(odd)
         del odd
-        first = int(lo == 0)
-        primes = np.empty(first + index.size, dtype=np.int64)
-        primes[:first] = 2
-        np.multiply(index, 2, out=primes[first:])
+        two = int(lo == 0)
+        primes = np.empty(two + index.size, dtype=np.int64)
+        primes[:two] = 2
+        np.multiply(index, 2, out=primes[two:])
         del index   # not held while the segment is read
-        primes[first:] += 2 * lo + 1
-        yield primes
+        primes[two:] += 2 * lo + 1
+        return primes
+
+    return map(segment, range(first, end, PRIME_SEGMENT))
 
 
 def prime_count_bound(x: float) -> int:

@@ -5,9 +5,12 @@ import dataclasses
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -152,6 +155,18 @@ def test_resolved_manifest_echoes_derived_parameters(capsys):
                 "truncation_cutoff", "mean", "deviation"):
         assert key in derived
     assert derived["interval_size"] == 13
+
+
+def test_readme_flag_table_names_the_flags_of_each_command():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    first = lines.index("| command | flags (default) |") + 2   # past the rule
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[first:]):
+        command, flags = line.split(" | ", 1)
+        table[command.strip("|` ")] = set(re.findall(r"`--([a-z-]+)`", flags))
+    assert table == {name: {flag.name for flag in command.flags}
+                     for name, command in cli.COMMANDS.items()}
 
 
 def test_sieve_csv_far_window_body_and_digest(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Every name a module of the package or of its tests imports is used in
-that module, every name a module of the package defines is reached from a command, a criterion or the
+that module, every name a module of the package defines, methods and
+properties included, is reached from a command, a criterion or the
 benchmark, and every defaulted parameter is set by some call."""
 
 import ast
@@ -76,49 +77,75 @@ def _package_modules(tree):
             if alias.name in stems}
 
 
-def _package_reads(node, modules):
-    """The names a statement reads that may be the package's: loaded names,
-    and attributes of the modules given (`sieve.BigOmega`, not
-    `profile.harmonic_mass`).  An import reads nothing."""
-    for sub in ast.walk(node):
+def _package_reads(nodes, modules):
+    """The names some nodes read that may be the package's: loaded names,
+    attributes of the modules given (`sieve.BigOmega`, not
+    `profile.harmonic_mass`), and as ".name" every attribute read of any
+    object, which may be a method or property.  An import reads nothing."""
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             yield sub.id
-        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-              and sub.value.id in modules):
-            yield sub.attr
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield "." + sub.attr
+            if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                yield sub.attr
 
 
-# The cache reset that tests call so that no result depends on what the
-# cache saw earlier; no command needs it, as each runs in a fresh process.
-_EXEMPT = {"profiles.py:invalidate_cache"}
+def _pieces(node):
+    """A class statement as its methods and properties, each a piece of its
+    own, and the rest of it; dunders are the runtime's and stay with the
+    class.  Any other statement is one piece."""
+    if not isinstance(node, ast.ClassDef):
+        return [], [node]
+    methods = [sub for sub in node.body if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    return methods, [*node.decorator_list, *node.bases, *node.keywords,
+                     *(sub for sub in node.body if sub not in methods)]
+
+
+# Not reached from a root, and kept:
+# - the cache reset that tests call so that no result depends on what the
+#   cache saw earlier; no command needs it, as each runs in a fresh process;
+# - the per-value references that tests compare the vectorised paths
+#   against: `value_at_prime` for `MultFunSpec.values_on`, and `value_at`
+#   for `reduction.fourier_expand`.
+_EXEMPT = {"profiles.py:invalidate_cache", "pretentious.py:MultFunSpec.value_at_prime",
+           "reduction.py:FourierTable.value_at"}
 
 
 def test_every_module_level_name_is_used():
     # A name is used when a command, a criterion or the benchmark reaches
     # it: the roots are the package's module-level code, perfbench and
     # tests/test_acceptance.py, and a definition is reached when a reached
-    # statement reads its name outside the definition itself.  A re-export
-    # or an __all__ entry reads nothing.  oracle.py is the reference module:
-    # its names are not checked and its code is a root.  Dunders are the
+    # statement reads its name outside the definition itself.  A method or
+    # property of a package class is a definition of its own, reached when
+    # a reached statement reads `.name` of any object.  A re-export or an
+    # __all__ entry reads nothing.  oracle.py is the reference module: its
+    # names are not checked and its code is a root.  Dunders are the
     # runtime's.
     here = pathlib.Path(__file__).parent
     readers = [*_SOURCES, *(here.parent / "perfbench").glob("*.py"),
                here / "test_acceptance.py"]
     statements = []   # (keys module:name it defines that are checked, names it reads)
+    defining = {}     # name, or .name of a method -> indices of the statements that define it
     for path in readers:
         tree = ast.parse(path.read_text())
+        checked = path in _SOURCES and path.name != "oracle.py"
         keys = {}
-        if path in _SOURCES and path.name != "oracle.py":
+        if checked:
             for name, node in _defined(tree):
                 if not (name.startswith("__") and name.endswith("__")):
                     keys.setdefault(id(node), set()).add(f"{path.name}:{name}")
         modules = _package_modules(tree)
-        statements += [(keys.get(id(node), set()), set(_package_reads(node, modules)))
-                       for node in tree.body]
-    defining = {}     # name -> indices of the statements that define it
-    for i, (keys, _) in enumerate(statements):
-        for key in keys:
-            defining.setdefault(key.split(":")[1], set()).add(i)
+        for node in tree.body:
+            methods, rest = _pieces(node) if checked else ([], [node])
+            for method in methods:
+                defining.setdefault("." + method.name, set()).add(len(statements))
+                statements.append(({f"{path.name}:{node.name}.{method.name}"},
+                                   set(_package_reads([method], modules))))
+            for key in keys.get(id(node), set()):
+                defining.setdefault(key.split(":")[1], set()).add(len(statements))
+            statements.append((keys.get(id(node), set()), set(_package_reads(rest, modules))))
     reached = {i for i, (keys, _) in enumerate(statements) if not keys or keys & _EXEMPT}
     pending = list(reached)
     while pending:

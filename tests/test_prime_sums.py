@@ -143,33 +143,56 @@ def test_nothing_about_primes_outlives_a_call():
     assert int(done.stdout) < 1 << 20
 
 
-def _whole_table_sums(f, primes, t_max):
-    """The binned moments and order over the whole table of primes at once."""
+def _binned(f, primes, width, order):
+    """The cell of each prime, the centres, moments and absolute moments
+    sum |w_p scaled_p^k| of the cells of these primes alone, max |scaled|
+    and sum |w_p|."""
     as_float = primes.astype(np.float64)
     logs = np.log(as_float)
-    invp = 1.0 / as_float
-    width = min(pretentious._BIN_WIDTH, 1.0 / t_max)
-    half = width / 2.0
     cell = np.floor((logs - math.log(2.0)) / width)
     starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
     centres = math.log(2.0) + (cell[starts] + 0.5) * width
-    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / half
-    values = np.array([f.value_at_prime(p) for p in primes.tolist()])
-    weights = values * invp
-    x = t_max * half * float(np.abs(scaled).max())
+    scaled = (logs - np.repeat(centres, np.diff(starts, append=logs.size))) / (width / 2.0)
+    weights = np.array([f.value_at_prime(p) for p in primes.tolist()]) * (1.0 / as_float)
     mass = float(np.abs(weights).sum())
+    moments = np.empty((order, starts.size), dtype=np.complex128)
+    absolute = np.empty((order, starts.size))
+    for k in range(order):
+        moments[k] = np.add.reduceat(weights, starts)
+        absolute[k] = np.add.reduceat(np.abs(weights), starts)
+        weights *= scaled
+    return cell, centres, moments, absolute, float(np.abs(scaled).max()), mass
+
+
+def _whole_table_sums(f, primes, t_max):
+    """The binned moments over the whole table of primes at once, cut to
+    the least order that the whole table's x and sum |w_p| certify."""
+    width = min(pretentious._BIN_WIDTH, 1.0 / t_max)
+    *_, widest, mass = _binned(f, primes, width, 1)
+    x = t_max * width / 2.0 * widest
     order = 1
     while x ** order / math.factorial(order) * math.exp(x) * mass > pretentious._TAIL_TARGET:
         order += 1
-    moments = np.empty((order, starts.size), dtype=np.complex128)
-    for k in range(order):
-        moments[k] = np.add.reduceat(weights, starts)
-        weights *= scaled
-    return centres, moments, cell
+    return _binned(f, primes, width, order)[:4]
+
+
+def _segment_fold(f, segments, width, order):
+    """Each segment's cells summed over that segment alone, and a cell's
+    columns then added one by one in segment order."""
+    cells, columns = [], []
+    for primes in segments:
+        cell, _, moments, *_ = _binned(f, primes, width, order)
+        for c, column in zip(np.unique(cell), moments.T):
+            if cells and cells[-1] == c:
+                columns[-1] = columns[-1] + column
+            else:
+                cells.append(c)
+                columns.append(column)
+    return np.array(columns).T
 
 
 @pytest.mark.parametrize("t_max", [5.0, math.log(3 * 10**4)])
-def test_cells_carried_across_segments_sum_as_one(monkeypatch, t_max):
+def test_cells_spanning_segments_fold_their_columns_in_segment_order(monkeypatch, t_max):
     # segments of 31 odd numbers: cells of width 10^-2 near 3 x 10^4 span
     # about five of them, and override keys sit on segment edges
     n_limit = 3 * 10**4
@@ -179,14 +202,21 @@ def test_cells_carried_across_segments_sum_as_one(monkeypatch, t_max):
     keys = [int(segments[200][0]), int(segments[300][-1]), int(segments[-1][-1])]
     f = MultFunSpec(default_prime_value=-1.0,
                     prime_values=dict(zip(keys, (1j, 0.6 - 0.8j, 0.0))))
-    centres, moments, cell = _whole_table_sums(f, primes, t_max)
+    cell, centres, moments, absolute = _whole_table_sums(f, primes, t_max)
     held_by = np.repeat(np.arange(len(segments)), [s.size for s in segments])
     spans = [np.unique(held_by[cell == c]).size for c in np.unique(cell)]
     assert max(spans) >= 3
     sums = prime_trig_sums(f, n_limit, t_max)
     assert np.array_equal(sums.centres, centres)
     assert sums.moments.shape == moments.shape
-    assert np.array_equal(sums.moments, moments)
+    width = 2.0 * sums.half_width
+    assert np.array_equal(sums.moments, _segment_fold(f, segments, width, moments.shape[0]))
+    # any order of summing a cell's n terms is within gamma_{n-1} sum |term|
+    # of the exact sum in the real and in the imaginary part, so two orders
+    # differ by at most 2 sqrt(2) gamma_{n-1} sum |term| < 2 n eps sum |term|
+    count = np.unique(cell, return_counts=True)[1]
+    bound = 2.0 * count * np.finfo(float).eps * absolute
+    assert np.all(np.abs(sums.moments - moments) <= bound)
     assert sums.harmonic == pytest.approx(float(np.sum(1.0 / primes)), rel=1e-14)
     for t in (0.0, 0.5, -3.0):
         want = _loop_distance_sq(f, lambda p: cmath.exp(1j * t * math.log(p)), n_limit)
@@ -210,3 +240,25 @@ def test_prime_sums_hold_one_segment_of_primes(call):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_prime_trig_sums_working_set_does_not_grow_with_n(monkeypatch):
+    # segments of 64 odd numbers: the top cell (1% of N wide) spans 2 of
+    # them at N = 25 600 and 20 at N = 256 000.  The occupied cells go from
+    # 465 to 695 and the sums return them, so the traced peak is taken per
+    # byte of the centres and moments returned: a sum that held the primes
+    # of a cell, or a column per segment, grows past the cells it returns
+    monkeypatch.setattr(sieve, "PRIME_SEGMENT", 64)
+    n_limits = (25_600, 256_000)
+    for n_limit in n_limits:   # warm-up: first-call allocations are not what is measured
+        prime_trig_sums(liouville_spec(), n_limit, 0.0)
+    per_byte = []
+    for n_limit in n_limits:
+        tracemalloc.start()
+        try:
+            sums = prime_trig_sums(liouville_spec(), n_limit, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_byte.append(peak / (sums.centres.nbytes + sums.moments.nbytes))
+    assert per_byte[1] <= 1.25 * per_byte[0], per_byte

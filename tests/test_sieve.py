@@ -53,9 +53,9 @@ def test_distinct_first_dozen():
 
 def test_truncated_examples():
     block = factor_counts(1, 13, TruncatedOmega(3.0))
-    assert block.count_at(10) == 1   # only 2 <= 3 divides 10
-    assert block.count_at(12) == 2   # 2 and 3
-    assert block.count_at(7) == 0
+    assert block.counts[10 - block.lo] == 1   # only 2 <= 3 divides 10
+    assert block.counts[12 - block.lo] == 2   # 2 and 3
+    assert block.counts[7 - block.lo] == 0
 
 
 def test_liouville_first_values():
@@ -97,7 +97,7 @@ def test_multiplicity_matches_oracle_on_random_windows(lo):
     block = factor_counts(lo, lo + 64)
     for offset in (0, 17, 63):
         n = lo + offset
-        assert block.count_at(n) == omega_oracle(n)
+        assert block.counts[n - block.lo] == omega_oracle(n)
 
 
 @given(a=st.integers(min_value=1, max_value=10 ** 5),
@@ -436,8 +436,8 @@ def test_fermat_products_sit_on_the_threshold_edge(k):
     for length in (2, 64):
         lo = max(1, n + 1 - length)
         config = SieveConfig(segment_length=length)
-        assert factor_counts(lo, n + 1, BigOmega, config).count_at(n) == k + 1
-        assert factor_counts(lo, n + 1, SmallOmega, config).count_at(n) == 2
+        assert factor_counts(lo, n + 1, BigOmega, config).counts[n - lo] == k + 1
+        assert factor_counts(lo, n + 1, SmallOmega, config).counts[n - lo] == 2
 
 
 def test_block_io_and_cli_digest_make_no_copy_of_the_body(tmp_path):
@@ -627,15 +627,6 @@ def test_truncation_cutoff_degenerates_at_desk_scale():
     assert truncation_cutoff(10 ** 6) < 2.0
     assert truncation_cutoff(10 ** 8) < 2.0
     assert truncation_cutoff(10 ** 6, exponent=1.0) > 2.0
-
-
-def test_block_count_at_bounds():
-    block = factor_counts(5, 25)
-    assert block.count_at(5) == 1
-    with pytest.raises(ContractError):
-        block.count_at(25)
-    with pytest.raises(ContractError):
-        block.count_at(4)
 
 
 # --- serialization -----------------------------------------------------------
