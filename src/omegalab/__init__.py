@@ -34,7 +34,6 @@ from .reduction import (FourierTable, PrimeWindow, fourier_expand,
                         prime_window, reduced_sum_terms, taylor_truncation,
                         window_formula_bounds)
 from .oracle import (PeriodicCombo, PeriodicTerm, brute_correlation,
-                     indicator_combo, moment_identity_check,
-                     periodic_independence_check)
+                     indicator_combo, periodic_independence_check)
 
 __version__ = "0.1.0"

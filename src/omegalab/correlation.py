@@ -124,20 +124,18 @@ def two_point_lhs(a: BoundedFunction, b: BoundedFunction, n_limit: int,
     return profile.pair_mean(a.table(), b.table(), weighting)
 
 
-def theorem_a_report(a: BoundedFunction, b: BoundedFunction, n_limit: int,
-                     metadata=None) -> CorrelationReport:
+def theorem_a_report(a: BoundedFunction, b: BoundedFunction,
+                     n_limit: int) -> CorrelationReport:
     """Log-averaged two-point correlation against the product of Cesaro means."""
     if n_limit < 10**3:
         raise ContractError("correlation report wants N >= 1e3")
     profile = two_point_profile(n_limit, 1)
     lhs = profile.pair_mean(a.table(), b.table(), LOGARITHMIC)
     prediction = profile.mean(a.table(), CESARO) * profile.mean(b.table(), CESARO)
-    meta = {"shift": 1, "a_bound": a.bound, "b_bound": b.bound}
-    if metadata:
-        meta.update(metadata)
     return CorrelationReport(
         N=int(n_limit), lhs=lhs, prediction=prediction,
-        error=abs(lhs - prediction), weighting=LOGARITHMIC, metadata=meta,
+        error=abs(lhs - prediction), weighting=LOGARITHMIC,
+        metadata={"shift": 1, "a_bound": a.bound, "b_bound": b.bound},
     )
 
 

@@ -1,11 +1,10 @@
 """Brute-force reference computations for the test suites.
 
 Everything here recomputes from first principles: trial division for
-factor counts and for the primes, direct loops for averages, full
-enumeration for moment combinations.  The helpers shared with the fast
-modules are the trial-division factoriser `sieve.factorize` and its
-exponent sum `sieve.omega_oracle`; the sieve's segment kernel is never
-touched, so agreement between the two is evidence, not tautology.
+factor counts and direct loops for averages.  The helper shared with the
+fast modules is `sieve.omega_oracle`, the exponent sum of the
+trial-division factoriser `sieve.factorize`; the sieve's segment kernel is
+never touched, so agreement between the two is evidence, not tautology.
 
 Single-threaded by design; determinism over speed.  Nothing here is
 meant to scale past n = 10^6.
@@ -15,19 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapacityError, ContractError
-from .sieve import factorize, omega_oracle
-
-__all__ = [
-    "PeriodicTerm",
-    "PeriodicCombo",
-    "indicator_combo",
-    "brute_correlation",
-    "periodic_independence_check",
-    "moment_identity_check",
-]
+from .sieve import omega_oracle
 
 _BRUTE_LIMIT = 10 ** 6
 
@@ -128,64 +117,3 @@ def periodic_independence_check(f: PeriodicCombo, g: PeriodicCombo,
     k, ell = len(f.terms), len(g.terms)
     scaled = abs(lhs - product) * n_limit / (k * ell)
     return {"lhs": lhs, "product": product, "scaled_error": float(scaled)}
-
-
-def moment_identity_check(k: int, n_limit: int, p: int, q: int,
-                          r_cutoff: float, m_limit: int | None = None) -> float:
-    """k-th moment combination of truncated divisor-count differences.
-
-    With X(n) = sum over primes r <= r_cutoff of (1[r | n+p] - 1[r | n+q])
-    and Y(m) = sum over the same primes of 1[r | m], evaluates
-
-        | E_{n<=N} X(n)^k  -  2 E_{m<=M, n<=N} (Y(m)-Y(n))^k
-                           +  E_{m,l<=M} (Y(m)-Y(l))^k |
-
-    by full enumeration with exact rational arithmetic.  Only k in
-    {1, 2} is supported; the double averages are expanded over the
-    product measure, which is exact, not an estimate.
-    """
-    if k not in (1, 2):
-        raise ContractError("moment order k must be 1 or 2")
-    n_limit = int(n_limit)
-    if n_limit > 10 ** 5:
-        raise CapacityError("moment check capped at n = 10^5")
-    if n_limit < 1 or min(p, q) < 0:
-        raise ContractError("need n_limit >= 1 and nonnegative shifts")
-    if not math.isfinite(r_cutoff):
-        raise ContractError("prime cutoff must be finite")
-    if m_limit is None:
-        m_limit = n_limit
-    m_limit = int(m_limit)
-    primes = [r for r in range(2, math.floor(r_cutoff) + 1) if factorize(r) == [(r, 1)]]
-    if not primes:
-        return 0.0
-
-    def x_value(n: int) -> int:
-        total = 0
-        for r in primes:
-            total += ((n + p) % r == 0) - ((n + q) % r == 0)
-        return total
-
-    def y_value(m: int) -> int:
-        total = 0
-        for r in primes:
-            total += (m % r == 0)
-        return total
-
-    sx = sum(x_value(n) ** k for n in range(1, n_limit + 1))
-    term1 = Fraction(sx, n_limit)
-
-    ym = [y_value(m) for m in range(1, m_limit + 1)]
-    yn = [y_value(n) for n in range(1, n_limit + 1)]
-    s1_m, s2_m = sum(ym), sum(v * v for v in ym)
-    s1_n, s2_n = sum(yn), sum(v * v for v in yn)
-    if k == 1:
-        term2 = Fraction(s1_m, m_limit) - Fraction(s1_n, n_limit)
-        term3 = Fraction(0)
-    else:
-        term2 = Fraction(s2_m, m_limit) \
-            - 2 * Fraction(s1_m, m_limit) * Fraction(s1_n, n_limit) \
-            + Fraction(s2_n, n_limit)
-        term3 = 2 * Fraction(s2_m, m_limit) \
-            - 2 * Fraction(s1_m, m_limit) ** 2
-    return float(abs(term1 - 2 * term2 + term3))

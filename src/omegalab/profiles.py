@@ -61,8 +61,6 @@ NBINS = 64
 # at 2^16 (1.4 s against 2.0 s) and takes 9 CHUNKs.
 CHUNK = 1 << 16
 _CACHE_LIMIT = 64
-# Counts per factor_counts call of a streamed sweep: one sieve segment
-_SEGMENT = sieve.SieveConfig().segment_length
 
 CESARO = "cesaro"
 LOGARITHMIC = "logarithmic"
@@ -171,7 +169,7 @@ def sweep(n_limit: int, reach: int = 0, weighted: bool = True, multiple: int = 1
 
 
 def _streamed(parts, hi, reach, size):
-    """sweep's chunks on counts sieved one _SEGMENT at a time, none kept after.
+    """sweep's chunks on counts sieved one segment at a time, none kept after.
 
     held[: end - first] are the counts of n = first + 1 .. end, in one buffer
     of a chunk, its reach and a segment, allocated before any sieving (so a
@@ -179,12 +177,12 @@ def _streamed(parts, hi, reach, size):
     counts from the chunk's start to the front, so levels is valid until the
     next chunk is drawn.
     """
-    held = np.empty(min(size + reach + _SEGMENT, hi - 1), np.uint8)
+    held = np.empty(min(size + reach + sieve.SEGMENT, hi - 1), np.uint8)
     first = end = 0
     for start, stop, inv_n in parts:
         while end < stop + reach:
             held[: end - start] = held[start - first : end - first]
-            first, top = start, min(end + 1 + _SEGMENT, hi)
+            first, top = start, min(end + 1 + sieve.SEGMENT, hi)
             sieve.factor_counts(end + 1, top, sieve.BigOmega, None,
                                 held[end - first : top - 1 - first])
             end = top - 1

@@ -34,21 +34,6 @@ from . import pretentious
 from . import sieve
 from .correlation import BoundedFunction
 
-__all__ = [
-    "PrimeWindow",
-    "FourierTable",
-    "window_formula_bounds",
-    "prime_window",
-    "fourier_expand",
-    "parseval_audit",
-    "reduced_sum_terms",
-    "taylor_truncation",
-    "prime_exponential_sum",
-    "major_arc_measure",
-    "write_xi_sweep_csv",
-    "write_alpha_sweep_csv",
-]
-
 # Least FFT length of a reduced-sum row block (more than twice the largest
 # window prime).  reduced_sum_terms at 10^7 with the rare classes scattered,
 # 5 runs each on a 2-core x86 box: 2^11 2.06-2.74 s, 2^12 2.08-2.39 s,

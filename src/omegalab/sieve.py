@@ -3,9 +3,10 @@
 The kernels count prime factors with multiplicity (the completely additive
 count), distinct prime factors, or distinct prime factors up to a cutoff,
 for every n in a half-open range [lo, hi).  Ranges are processed in fixed
-segments so memory stays bounded and results are identical no matter how
-the range is split or how many workers run; each n belongs to exactly one
-segment and each segment writes only its own slice of the output.
+segments of SEGMENT integers, one after another, so memory stays bounded
+and results are identical no matter how the range is split; each n
+belongs to exactly one segment and each segment writes only its own slice
+of the output.
 
 Each segment strips every base prime up to its square root, with all of
 its powers q = p, p**2, ... that divide some n in the segment (summing the
@@ -43,13 +44,13 @@ powers found, its smooth part (uint32 on a segment that ends at or below
 A segment that keeps the smooth part is cut so that word and smooth part
 fit the 2 MiB of a whole segment's word.
 
-So a call holds its output, one segment's word (and smooth part) per
-worker, a batch of hits and the base primes, as uint32: every range end
-below 2**63 puts them below 2**32.  A caller that sieves a long range
-piece by piece into one reused output (factor_count_pieces, a streamed
-profile pass) holds one piece: the sieve command writes each piece to
-its file with write_block(append=True) or write_block_csv(append=True)
-before the next is sieved.
+So a call holds its output, one segment's word (and smooth part), a
+batch of hits and the base primes, as uint32: every range end below 2**63
+puts them below 2**32.  A caller that sieves a long range piece by piece
+into one reused output (factor_count_pieces, a streamed profile pass)
+holds one piece: the sieve command writes each piece to its file with
+write_block(append=True) or write_block_csv(append=True) before the next
+is sieved.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import functools
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
@@ -69,6 +69,17 @@ from .errors import CapacityError, ContractError, EmptyDomainError
 # Largest exclusive range end the kernels accept: every n, and every prime
 # power and smooth part that divides one, fits in int64.
 MAX_RANGE_END = 2**63
+
+# Integers per segment of factor_counts.  A segment's working array is its
+# uint16 word, 2 MiB at 2**20 (a segment that keeps a truncated smooth part
+# is cut to fit both in that; see _segments).  factor_counts(1, 10**8 + 16)
+# with the packed word, medians [quartiles] of 7 alternated fresh processes
+# on a 2-core x86 box: 2**19, 0.93 s [0.84, 1.02]; 2**20, 0.75 s [0.73,
+# 0.81]; 2**21, 0.73 s [0.70, 0.75], inside the spread of 2**20.  Earlier
+# kernels: at 2**22 the int64 smooth part was 32 MiB, glibc's largest mmap
+# threshold, and every segment faulted in fresh pages (stats_1e8 set-up
+# 4.42 s against 2.91 s at 2**20).
+SEGMENT = 1 << 20
 
 # Odd numbers per segment of prime_segments: a segment holds a boolean mask
 # of this many bytes, its index and its primes, and a prime sum holds float
@@ -85,8 +96,7 @@ PRIME_SEGMENT = 1 << 19
 # per prime power; larger ones, which hit a segment at most 2**_STRIDED_SHIFT
 # times, take the bucketed pass.  Shifts 6 to 9 ran within 25% of each other
 # (about the run-to-run noise) on 10^6-wide windows at 10^12 and 10^14, on a
-# 2-core x86 box.  With the default 2**20 segments a range below 2**26 is
-# all strided.
+# 2-core x86 box.  With 2**20 segments a range below 2**26 is all strided.
 _STRIDED_SHIFT = 7
 # Hits expanded at once on the bucketed pass.  The tracemalloc peak of one
 # segment's bucketed pass (2**20 at 10^14, primes to 10^7) is one batch's
@@ -144,21 +154,12 @@ def TruncatedOmega(cutoff) -> CountMode:  # noqa: N802 - reads as a constructor
 
 @dataclass(frozen=True)
 class SieveConfig:
-    # A segment's working array is its uint16 word, 2 MiB at 2**20 (a segment
-    # that keeps a truncated smooth part is cut to fit both in that; see
-    # _segments).  factor_counts(1, 10**8 + 16)
-    # with the packed word, medians [quartiles] of 7 alternated fresh
-    # processes on a 2-core x86 box: 2**19, 0.93 s [0.84, 1.02]; 2**20,
-    # 0.75 s [0.73, 0.81]; 2**21, 0.73 s [0.70, 0.75], inside the spread of
-    # 2**20.  Earlier kernels: at 2**22 the int64 smooth part was 32 MiB,
-    # glibc's largest mmap threshold, and every segment faulted in fresh
-    # pages (stats_1e8 set-up 4.42 s against 2.91 s at 2**20).
-    segment_length: int = 1 << 20
+    """How many segments a factor_count_pieces piece holds.  Every
+    worker_count gives the same bits."""
+
     worker_count: int = 1
 
     def __post_init__(self):
-        if self.segment_length < 2:
-            raise ContractError("segment_length must be >= 2")
         if self.worker_count < 1:
             raise ContractError("worker_count must be >= 1")
 
@@ -242,8 +243,8 @@ def enumerate_primes(limit: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def truncation_cutoff(n_limit: int, exponent: float = 8.0) -> float:
-    """Default truncated-count cutoff N**(1/(loglog N)**exponent).
+def truncation_cutoff(n_limit: int) -> float:
+    """Default truncated-count cutoff N**(1/(loglog N)**8).
 
     Degenerates below 2 for every desk-scale N; callers that need a usable
     cutoff must override it and may treat a value < 2 as degenerate.
@@ -253,7 +254,7 @@ def truncation_cutoff(n_limit: int, exponent: float = 8.0) -> float:
     loglog = math.log(math.log(n_limit))
     if loglog <= 0:
         raise ContractError("cutoff formula needs loglog(n_limit) > 0")
-    return n_limit ** (1.0 / loglog**exponent)
+    return n_limit ** (1.0 / loglog**8)
 
 
 def _base_primes(hi: int) -> np.ndarray:
@@ -423,7 +424,7 @@ def _tiles(mode, layout):
     Entry k is (word, smooth): at r, the packed word of the tile prime
     powers among the first k that divide gcd(r, _TILE), and in truncated
     mode the part of that gcd they make up (None in the other modes).
-    Read-only, so the worker threads of one call share them.
+    Read-only, so every segment of one call reads the same patterns.
     """
     truncated = mode.kind == "truncated"
     word = np.zeros(2 * _TILE, np.uint16)
@@ -465,22 +466,22 @@ def _rank(primes, x) -> int:
     return int(np.searchsorted(primes, np.uint32(x), side="right"))
 
 
-def _segments(lo, hi, mode, length):
-    """The segments [a, b) of [lo, hi), each of length entries but the last.
+def _segments(lo, hi, mode):
+    """The segments [a, b) of [lo, hi), each of SEGMENT entries but the last.
 
     A segment that keeps the smooth part (truncated, cutoff past its root)
-    is cut to 2 * length // (2 + w) entries, w the smooth part's bytes an
-    entry, so that its word and smooth part fit the word's 2 * length
-    bytes: 349 525 entries below 2**32 and 209 715 above at the default
-    2**20, where a whole segment held a 4 or 8 MiB smooth part.
+    is cut to 2 * SEGMENT // (2 + w) entries, w the smooth part's bytes an
+    entry, so that its word and smooth part fit the word's 2 * SEGMENT
+    bytes: 349 525 entries below 2**32 and 209 715 above at 2**20, where a
+    whole segment held a 4 or 8 MiB smooth part.
     """
     cutoff = math.floor(mode.cutoff) if mode.kind == "truncated" else 0
     a = lo
     while a < hi:
-        b = min(a + length, hi)
+        b = min(a + SEGMENT, hi)
         if cutoff > isqrt(b - 1):
             smooth_bytes = 4 if b <= _SMOOTH32_END else 8
-            b = min(a + max(1, 2 * length // (2 + smooth_bytes)), hi)
+            b = min(a + max(1, 2 * SEGMENT // (2 + smooth_bytes)), hi)
         yield a, b
         a = b
 
@@ -545,9 +546,11 @@ def _check_range(lo: int, hi: int) -> tuple[int, int]:
 def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
                   config: SieveConfig | None = None, out=None,
                   base_primes=None) -> FactorCountBlock:
-    """Exact per-n prime-factor counts on [lo, hi) under the given mode.
+    """Exact per-n prime-factor counts on [lo, hi) under the given mode,
+    filled one segment after another.
 
-    Deterministic for any segment_length / worker_count split.  out, when
+    config is taken for its worker_count, which sets only the pieces of
+    factor_count_pieces: every SieveConfig runs this one loop.  out, when
     given, is the uint8 array of hi - lo entries the counts are written to
     and the block holds, so a caller that sieves segment after segment
     reuses one buffer: a fresh array per 2^20-entry call faulted in about
@@ -563,25 +566,11 @@ def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
     elif out.dtype != np.uint8 or out.shape != (hi - lo,):
         raise ContractError(f"out must be uint8 of {hi - lo} entries, "
                             f"got {out.dtype} {out.shape}")
-    if config is None:
-        config = SieveConfig()
     base = _base_primes(hi) if base_primes is None else base_primes
     layout = _layout(hi, mode)
     tiles = _tiles(mode, layout)
-
-    def run_segment(bounds):
-        seg_lo, seg_hi = bounds
-        _fill_segment(seg_lo, seg_hi, base, out[seg_lo - lo : seg_hi - lo], mode, layout, tiles)
-
-    segments = _segments(lo, hi, mode, config.segment_length)
-    if config.worker_count == 1:
-        for bounds in segments:
-            run_segment(bounds)
-    else:
-        # numpy strided kernels release the GIL; disjoint slices make the
-        # result independent of scheduling
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            list(pool.map(run_segment, segments))
+    for a, b in _segments(lo, hi, mode):
+        _fill_segment(a, b, base, out[a - lo : b - lo], mode, layout, tiles)
     return FactorCountBlock(lo=lo, hi=hi, mode=mode, counts=out)
 
 
@@ -601,12 +590,12 @@ def factor_count_pieces(lo: int, hi: int, mode: CountMode, config: SieveConfig):
 
 def _pieces(lo, hi, mode, config):
     """The blocks of factor_count_pieces for a checked range."""
-    step = config.worker_count * config.segment_length
+    step = config.worker_count * SEGMENT
     buffer = np.empty(min(step, hi - lo), dtype=np.uint8)
     base = _base_primes(hi)
     for a in range(lo, hi, step):
         b = min(a + step, hi)
-        yield factor_counts(a, b, mode, config, buffer[: b - a], base)
+        yield factor_counts(a, b, mode, None, buffer[: b - a], base)
 
 
 def liouville(block: FactorCountBlock) -> np.ndarray:

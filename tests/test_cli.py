@@ -367,7 +367,7 @@ def _stream_and_compare(capsys, monkeypatch, tmp_path, lo, hi, mode, fmt, worker
     rep = _report(capsys, "sieve", "--lo", str(lo), "--hi", str(hi), "--mode", mode, *flags,
                   "--format", fmt, "--workers", str(workers), "--out", str(out))
     monkeypatch.undo()
-    step = workers * sieve.SieveConfig().segment_length
+    step = workers * sieve.SEGMENT
     assert pieces == [(a, min(a + step, hi)) for a in range(lo, hi, step)]
     block = sieve.factor_counts(lo, hi, count_mode)
     if fmt == "bin":

@@ -139,13 +139,6 @@ def test_theorem_a_constant_functions_have_tiny_error():
     assert rep.error < 1e-12
 
 
-def test_theorem_a_metadata_passthrough():
-    rep = theorem_a_report(parity_function(), constant_function(1.0), 10**3,
-                           metadata={"tag": "smoke"})
-    assert rep.metadata["tag"] == "smoke"
-    assert rep.metadata["shift"] == 1
-
-
 def test_theorem_c_sum_parity_frozen_and_shrinking():
     par = parity_function()
     at4 = theorem_c_sum(par, 10**4)

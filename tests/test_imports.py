@@ -1,7 +1,9 @@
 """Every name a module of the package or of its tests imports is used in
 that module, every name a module of the package defines, methods and
 properties included, is reached from a command, a criterion or the
-benchmark, and every defaulted parameter is set by some call."""
+benchmark (a reference from a test that compares against it), and every
+defaulted parameter or dataclass field is set by a call in the package, a
+criterion or the benchmark."""
 
 import ast
 import pathlib
@@ -11,7 +13,11 @@ import pytest
 import omegalab
 
 _SOURCES = sorted(pathlib.Path(omegalab.__file__).parent.glob("*.py"))
-_TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+_HERE = pathlib.Path(__file__).parent
+_TESTS = sorted(_HERE.glob("*.py"))
+# the code a command, a criterion or the benchmark runs
+_ROOTS = [*_SOURCES, *sorted((_HERE.parent / "perfbench").glob("*.py")),
+          _HERE / "test_acceptance.py"]
 
 
 def _imported(tree):
@@ -25,22 +31,12 @@ def _imported(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _exported(tree):
-    """The string members of a module-level __all__."""
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return set()
-
-
 @pytest.mark.parametrize("path", [p for p in _SOURCES if p.stem != "__init__"] + _TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     # the package's __init__ is skipped: its imports are its re-exports
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= _exported(tree)
     unused = [(name, line) for name, line in _imported(tree) if name not in used]
     assert unused == [], path.name
 
@@ -119,18 +115,15 @@ def test_every_module_level_name_is_used():
     # tests/test_acceptance.py, and a definition is reached when a reached
     # statement reads its name outside the definition itself.  A method or
     # property of a package class is a definition of its own, reached when
-    # a reached statement reads `.name` of any object.  A re-export or an
-    # __all__ entry reads nothing.  oracle.py is the reference module: its
-    # names are not checked and its code is a root.  Dunders are the
-    # runtime's.
-    here = pathlib.Path(__file__).parent
-    readers = [*_SOURCES, *(here.parent / "perfbench").glob("*.py"),
-               here / "test_acceptance.py"]
+    # a reached statement reads `.name` of any object.  A re-export reads
+    # nothing.  oracle.py is the reference module: a name of it is also
+    # reached when a test module other than its own reads it, as a
+    # reference is there to be compared against.  Dunders are the runtime's.
     statements = []   # (keys module:name it defines that are checked, names it reads)
     defining = {}     # name, or .name of a method -> indices of the statements that define it
-    for path in readers:
+    for path in _ROOTS:
         tree = ast.parse(path.read_text())
-        checked = path in _SOURCES and path.name != "oracle.py"
+        checked = path in _SOURCES
         keys = {}
         if checked:
             for name, node in _defined(tree):
@@ -146,7 +139,14 @@ def test_every_module_level_name_is_used():
             for key in keys.get(id(node), set()):
                 defining.setdefault(key.split(":")[1], set()).add(len(statements))
             statements.append((keys.get(id(node), set()), set(_package_reads(rest, modules))))
-    reached = {i for i, (keys, _) in enumerate(statements) if not keys or keys & _EXEMPT}
+    compared = set()   # the names read by the tests of the other modules
+    for path in _TESTS:
+        if path not in _ROOTS and path.name != "test_oracle.py":
+            tree = ast.parse(path.read_text())
+            compared |= set(_package_reads(tree.body, _package_modules(tree)))
+    references = {f"oracle.py:{name}" for name in compared}
+    reached = {i for i, (keys, _) in enumerate(statements)
+               if not keys or keys & _EXEMPT or keys & references}
     pending = list(reached)
     while pending:
         i = pending.pop()
@@ -159,15 +159,31 @@ def test_every_module_level_name_is_used():
     assert unused == []
 
 
+def _field_default(node):
+    """Whether a dataclass field statement gives a default: a value, or
+    field(default=...) or field(default_factory=...)."""
+    value = node.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(keyword.arg in ("default", "default_factory") for keyword in value.keywords)
+    return value is not None
+
+
 def _defaulted(tree):
     """(name it is called by, parameter, position or None) per defaulted parameter.
 
     A method's position leaves out its instance; __init__ is called by its
-    class's name.  Keyword-only parameters have no position.
+    class's name, and so is a dataclass, whose fields are its parameters.
+    Keyword-only parameters have no position.
     """
     owners = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
               for node in cls.body if isinstance(node, ast.FunctionDef)}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)]
+            for i, sub in enumerate(fields):
+                if _field_default(sub):
+                    yield node.name, sub.target.id, i
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         owner = owners.get(id(node))
@@ -182,6 +198,16 @@ def _defaulted(tree):
                 yield called, arg.arg, None
 
 
+def _called(call):
+    """(name, call) of the function a call runs: perfbench's
+    rnd.call(op, metric, fn, *args) runs fn on the arguments after it."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "call" and len(call.args) >= 3:
+        call = ast.Call(func=call.args[2], args=call.args[3:], keywords=call.keywords)
+        func = call.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)), call
+
+
 def _passes(call, param, position):
     """Whether a call sets the parameter, by keyword, ** or position."""
     if any(keyword.arg in (param, None) for keyword in call.keywords):
@@ -191,18 +217,16 @@ def _passes(call, param, position):
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
-    # A default that no call in the package, the tests or the benchmark
-    # overrides is a constant in disguise.  oracle.py is the reference
-    # module and keeps its own knobs.
-    here = pathlib.Path(__file__).parent
-    callers = [*_SOURCES, *here.rglob("*.py"), *(here.parent / "perfbench").glob("*.py")]
+    # A default that no call of a command, a criterion or the benchmark
+    # overrides is a constant in disguise; a unit test that sets it alone
+    # tests a knob nothing turns.  oracle.py is the reference module and
+    # keeps its own knobs.
     calls = {}
-    for path in callers:
+    for path in _ROOTS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                name, call = _called(node)
+                calls.setdefault(name, []).append(call)
     unset = [f"{path.name}:{called}({param})" for path in _SOURCES if path.name != "oracle.py"
              for called, param, position in _defaulted(ast.parse(path.read_text()))
              if not any(_passes(call, param, position) for call in calls.get(called, []))]

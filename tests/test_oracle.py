@@ -1,9 +1,6 @@
 """The brute-force reference implementations, checked against themselves
 and against the fast path they exist to audit."""
 
-import math
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +17,6 @@ from omegalab.oracle import (
     PeriodicTerm,
     brute_correlation,
     indicator_combo,
-    moment_identity_check,
     periodic_independence_check,
 )
 from omegalab.sieve import factor_counts, omega_oracle
@@ -136,47 +132,3 @@ def test_periodic_independence_scaled_error_bounded(data):
     for n in (10**3, 10**4):
         out = periodic_independence_check(f, g, n)
         assert out["scaled_error"] <= 10.0
-
-
-def test_moment_identity_symmetric_shifts_cancel():
-    # p = q: the first average is exactly 0 and the combination telescopes
-    # down to means of matching distributions.
-    val = moment_identity_check(1, 10**3, 4, 4, 30)
-    assert val <= 1e-12
-
-
-def test_moment_identity_empty_prime_sum_is_zero():
-    assert moment_identity_check(2, 10**3, 3, 5, 1) == 0.0
-
-
-def test_moment_identity_k2_frozen_and_product_structure():
-    got = moment_identity_check(2, 10**4, 3, 5, 50)
-    assert got == pytest.approx(0.104558, abs=1e-12)
-    # Even-moment product structure: sum over primes r of (2/r)(1/r - [r | p-q]).
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    predicted = sum((2.0 / r) * (1.0 / r - (1 if (3 - 5) % r == 0 else 0))
-                    for r in primes)
-    assert got == pytest.approx(abs(predicted), abs=0.01)
-
-
-def test_moment_identity_k1_is_mean_gap():
-    # At k = 1 the combination collapses to |E X(n)|, a full-period artifact.
-    got = moment_identity_check(1, 10**3, 3, 5, 30)
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    direct = Fraction(0)
-    for n in range(1, 10**3 + 1):
-        for r in primes:
-            direct += ((n + 3) % r == 0) - ((n + 5) % r == 0)
-    assert got == pytest.approx(abs(float(direct) / 10**3), abs=1e-15)
-
-
-def test_moment_identity_validation():
-    with pytest.raises(ContractError):
-        moment_identity_check(3, 10**3, 3, 5, 30)
-    with pytest.raises(CapacityError):
-        moment_identity_check(2, 10**5 + 1, 3, 5, 30)
-    with pytest.raises(ContractError):
-        moment_identity_check(1, 0, 3, 5, 30)
-    for cutoff in (math.inf, math.nan):
-        with pytest.raises(ContractError):
-            moment_identity_check(1, 10**3, 3, 5, cutoff)

@@ -376,7 +376,7 @@ def _sweep_statistics(n_limit, window, spec):
 def test_streamed_and_held_sweeps_give_the_same_bits(monkeypatch):
     # segments of 70 001 counts: five a pass, off the CHUNK grid, so chunks
     # and their reach run across segment edges
-    monkeypatch.setattr(profiles, "_SEGMENT", 70_001)
+    monkeypatch.setattr(sieve, "SEGMENT", 70_001)
     n_limit = 300_000
     window = reduction.prime_window(n_limit)
     spec = pretentious.MultFunSpec(-1.0, {2: 1j, 101: 0.5, 65537: -1j})

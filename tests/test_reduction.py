@@ -461,7 +461,7 @@ def test_reduced_terms_stream_one_pass_below_the_block(monkeypatch):
     # streamed a segment at a time, nothing held after it, and a peak below
     # the N bytes of the counts block a held pass would read
     n_limit = 10**7
-    assert n_limit > profiles._SEGMENT
+    assert n_limit > sieve.SEGMENT
     w = prime_window(n_limit)
     passes = []
     chunks = profiles.chunks

@@ -123,17 +123,18 @@ def test_count_bounds(n):
 # 211, 225 and 3064 around 211**2, 37**3 and 211**3, so the truncated
 # cutoffs fall on both sides of each of them; 233 and 3079 are themselves
 # the prime factor above the root of some n in those windows.
-@pytest.mark.parametrize("segment_length", [64, 1 << 12])
+@pytest.mark.parametrize("segment", [64, 1 << 12])
 @pytest.mark.parametrize("center", [211 ** 2, 37 ** 3, 211 ** 3])
 @pytest.mark.parametrize("mode,kwargs", [
     (BigOmega, {}),
     (SmallOmega, {"distinct": True}),
     *((TruncatedOmega(c), {"distinct": True, "cutoff": c}) for c in (199, 233, 3061, 3079, 10 ** 8)),
 ])
-def test_kernel_matches_trial_division_around_prime_powers(segment_length, center,
+def test_kernel_matches_trial_division_around_prime_powers(monkeypatch, segment, center,
                                                            mode, kwargs):
+    monkeypatch.setattr(sieve, "SEGMENT", segment)
     lo, hi = center - 150, center + 150
-    block = factor_counts(lo, hi, mode, SieveConfig(segment_length=segment_length))
+    block = factor_counts(lo, hi, mode)
     assert list(block.counts) == _trial_counts(lo, hi, **kwargs)
 
 
@@ -196,12 +197,12 @@ def test_far_windows_match_pinned_digests_and_trial_division(lo):
 
 
 @pytest.mark.parametrize("mode", [BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF)])
-def test_far_window_independent_of_workers_and_segments(mode):
+def test_far_window_independent_of_workers_and_segments(monkeypatch, mode):
     lo, hi = 10 ** 14 + 12345, 10 ** 14 + 12345 + _FAR_WIDTH
     base = factor_counts(lo, hi, mode)
-    for config in (SieveConfig(worker_count=2),
-                   SieveConfig(segment_length=1 << 12),
-                   SieveConfig(segment_length=1 << 12, worker_count=2)):
+    for segment, workers in ((sieve.SEGMENT, 2), (1 << 12, 1), (1 << 12, 2)):
+        monkeypatch.setattr(sieve, "SEGMENT", segment)
+        config = SieveConfig(worker_count=workers)
         assert np.array_equal(factor_counts(lo, hi, mode, config).counts, base.counts)
 
 
@@ -226,21 +227,24 @@ def test_tiny_ranges_whose_root_shrinks_the_tile():
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 5, 6, 7, 8])
-def test_truncated_cutoffs_among_the_tile_primes(cutoff):
+def test_truncated_cutoffs_among_the_tile_primes(monkeypatch, cutoff):
     kwargs = {"distinct": True, "cutoff": cutoff}
-    for config in (None, SieveConfig(segment_length=64)):
-        block = factor_counts(1, 5000, TruncatedOmega(cutoff), config)
+    for segment in (sieve.SEGMENT, 64):
+        monkeypatch.setattr(sieve, "SEGMENT", segment)
+        block = factor_counts(1, 5000, TruncatedOmega(cutoff))
         assert list(block.counts) == _trial_counts(1, 5000, **kwargs)
+    monkeypatch.undo()
     lo, hi = 10 ** 12 - 256, 10 ** 12 + 256
     block = factor_counts(lo, hi, TruncatedOmega(cutoff))
     assert np.array_equal(block.counts, _numpy_trial_counts(range(lo, hi), hi, cutoff)[:, 2])
 
 
-def test_segments_on_both_sides_of_the_32_bit_smooth_part():
+def test_segments_on_both_sides_of_the_32_bit_smooth_part(monkeypatch):
     lo, hi = 2 ** 32 - 2 ** 14, 2 ** 32 + 2 ** 14
     modes = (BigOmega, SmallOmega, TruncatedOmega(_FAR_CUTOFF))
-    config = SieveConfig(segment_length=1 << 12)
-    blocks = [factor_counts(lo, hi, mode, config) for mode in modes]
+    monkeypatch.setattr(sieve, "SEGMENT", 1 << 12)
+    blocks = [factor_counts(lo, hi, mode) for mode in modes]
+    monkeypatch.undo()
     for mode, block in zip(modes, blocks):
         assert np.array_equal(block.counts, factor_counts(lo, hi, mode).counts)
     # both ends of every segment, and a sample between them
@@ -251,11 +255,12 @@ def test_segments_on_both_sides_of_the_32_bit_smooth_part():
     assert np.array_equal(sieved, _numpy_trial_counts(ns, hi, _FAR_CUTOFF))
 
 
-def test_segments_shorter_than_the_tile_period():
+def test_segments_shorter_than_the_tile_period(monkeypatch):
     lo = 3 * _TILE - 1
     hi = lo + _TILE + 200
+    monkeypatch.setattr(sieve, "SEGMENT", 64)
     for mode, kwargs in _modes_and_references(50):
-        block = factor_counts(lo, hi, mode, SieveConfig(segment_length=64))
+        block = factor_counts(lo, hi, mode)
         assert list(block.counts) == _trial_counts(lo, hi, **kwargs)
 
 
@@ -329,14 +334,14 @@ def test_smooth_part_segments_fit_the_word_budget():
     # a segment that keeps the smooth part holds 2 + 4 or 2 + 8 bytes an
     # entry, so it is cut to 2 * L // 6 or 2 * L // 10 entries
     cut = TruncatedOmega(_FAR_CUTOFF)
-    length = 1 << 20
-    below = list(sieve._segments(2 ** 32 - 10 ** 6, 2 ** 32, cut, length))
-    above = list(sieve._segments(10 ** 12, 10 ** 12 + 10 ** 6, cut, length))
+    length = sieve.SEGMENT
+    below = list(sieve._segments(2 ** 32 - 10 ** 6, 2 ** 32, cut))
+    above = list(sieve._segments(10 ** 12, 10 ** 12 + 10 ** 6, cut))
     assert {b - a for a, b in below[:-1]} == {2 * length // 6}
     assert {b - a for a, b in above[:-1]} == {2 * length // 10}
     # no smooth part: whole segments, in every other mode and past the cutoff's square
     for mode, lo in ((BigOmega, 10 ** 12), (SmallOmega, 10 ** 12), (cut, 10 ** 14 + 10 ** 7)):
-        assert list(sieve._segments(lo, lo + 3 * length, mode, length)) == [
+        assert list(sieve._segments(lo, lo + 3 * length, mode)) == [
             (lo + k * length, lo + (k + 1) * length) for k in range(3)]
     for segments in (below, above):
         assert [a for a, _ in segments[1:]] == [b for _, b in segments[:-1]]
@@ -384,14 +389,15 @@ def test_packed_word_margins_for_every_range_end():
             assert threshold <= scale * math.log2(a) - m + 1, (hi, a)
 
 
-def test_windows_near_2_44_in_the_6_count_bit_layout():
+def test_windows_near_2_44_in_the_6_count_bit_layout(monkeypatch):
     lo, hi = 2 ** 44 - 2 ** 11, 2 ** 44 + 2 ** 11
     assert sieve._layout(hi, BigOmega).shift == 10
     expected = _numpy_trial_counts(range(lo, hi), hi, 0)
-    for config in (None, SieveConfig(segment_length=1 << 9)):
+    for segment in (sieve.SEGMENT, 1 << 9):
+        monkeypatch.setattr(sieve, "SEGMENT", segment)
         for column, mode in enumerate((BigOmega, SmallOmega)):
-            counts = factor_counts(lo, hi, mode, config).counts
-            assert np.array_equal(counts, expected[:, column]), (mode, config)
+            counts = factor_counts(lo, hi, mode).counts
+            assert np.array_equal(counts, expected[:, column]), (mode, segment)
 
 
 def test_ranges_from_small_lo_take_doubling_residual_blocks(monkeypatch):
@@ -407,12 +413,12 @@ def test_ranges_from_small_lo_take_doubling_residual_blocks(monkeypatch):
     hi, cutoff = 2 ** 17, 1000   # the cutoff lies above the root of every segment but the first
     expected = _numpy_trial_counts(range(1, hi), hi, cutoff)
     modes = (BigOmega, SmallOmega, TruncatedOmega(cutoff))
-    for segment_length in (64, 1 << 12, 1 << 20):
-        config = SieveConfig(segment_length=segment_length)
+    for segment in (64, 1 << 12, 1 << 20):
+        monkeypatch.setattr(sieve, "SEGMENT", segment)
         for lo in range(1, 9):
             for column, mode in enumerate(modes):
-                counts = factor_counts(lo, hi, mode, config).counts
-                assert np.array_equal(counts, expected[lo - 1 :, column]), (segment_length, lo, mode)
+                counts = factor_counts(lo, hi, mode).counts
+                assert np.array_equal(counts, expected[lo - 1 :, column]), (segment, lo, mode)
     assert thresholds and None not in thresholds
 
 
@@ -428,16 +434,16 @@ def test_counts_agree_across_the_32_bit_layouts():
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
-def test_fermat_products_sit_on_the_threshold_edge(k):
+def test_fermat_products_sit_on_the_threshold_edge(monkeypatch, k):
     # n = 2**k * P with P = 2**k + 1 prime ends its segment, whose root is
     # 2**k: its rest P = root + 1 leaves it exactly S log2(n / P) log units,
     # the most a rest-P n can have, one below the threshold
     n = (1 << k) * ((1 << k) + 1)
     for length in (2, 64):
         lo = max(1, n + 1 - length)
-        config = SieveConfig(segment_length=length)
-        assert factor_counts(lo, n + 1, BigOmega, config).counts[n - lo] == k + 1
-        assert factor_counts(lo, n + 1, SmallOmega, config).counts[n - lo] == 2
+        monkeypatch.setattr(sieve, "SEGMENT", length)
+        assert factor_counts(lo, n + 1, BigOmega).counts[n - lo] == k + 1
+        assert factor_counts(lo, n + 1, SmallOmega).counts[n - lo] == 2
 
 
 def test_block_io_and_cli_digest_make_no_copy_of_the_body(tmp_path):
@@ -468,9 +474,10 @@ def test_worker_counts_bit_identical():
         assert np.array_equal(base.counts, other.counts)
 
 
-def test_segment_length_invariance():
+def test_segment_length_invariance(monkeypatch):
     base = factor_counts(50, 5000)
-    tiny = factor_counts(50, 5000, config=SieveConfig(segment_length=64))
+    monkeypatch.setattr(sieve, "SEGMENT", 64)
+    tiny = factor_counts(50, 5000)
     assert np.array_equal(base.counts, tiny.counts)
 
 
@@ -506,8 +513,6 @@ def test_mode_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ContractError):
-        SieveConfig(segment_length=0)
     with pytest.raises(ContractError):
         SieveConfig(worker_count=0)
 
@@ -626,7 +631,6 @@ def test_truncation_cutoff_degenerates_at_desk_scale():
     # why the truncated mode demands an explicit cutoff >= 2.
     assert truncation_cutoff(10 ** 6) < 2.0
     assert truncation_cutoff(10 ** 8) < 2.0
-    assert truncation_cutoff(10 ** 6, exponent=1.0) > 2.0
 
 
 # --- serialization -----------------------------------------------------------
