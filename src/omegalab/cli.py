@@ -312,9 +312,7 @@ def _run_correlate(p):
 
 
 def _run_theorem_c(p):
-    # several N share one sieved block for their (N, 1) passes; one N streams its pass
-    if len(p["n"]) > 1:
-        profiles.adopt_block(sieve.factor_counts(1, max(p["n"]) + 2, sieve.BigOmega))
+    # each N streams its own (N, 1) pass: no block of max N bytes is held
     values = {str(n): corr.theorem_c_sum(resolve_preset(p["a"], n), n) for n in p["n"]}
     return {}, {"values": values}
 

@@ -28,9 +28,10 @@ oldest entry when full.  `log_joints` serves readers of joint_log alone
 (the prime-shift identity): cached shifts are read from their profiles,
 the rest share one pass with no Cesaro bincount, and nothing is cached.
 
-A sweep reads a view of the held block when one covers n <= N + reach;
-otherwise it sieves the counts one segment at a time, carries the chunk
-and its reach across each segment edge and keeps nothing after the pass.
+A sweep reads its chunks, each with its reach, from one carry.  A held
+block that covers n <= N + reach is the carry, already filled to its end,
+so every chunk is a view of it; otherwise one `sieve.range_filler` fills
+the carry a segment at a time, and nothing is kept after the pass.
 Either way a chunk sees the same counts, so every result is the same bits.
 The block is the largest multiplicity block sieved (`shared_counts`) or
 adopted (`adopt_block`); smaller ranges are views of it.
@@ -155,38 +156,30 @@ def chunks(n_limit: int, weighted: bool = True, multiple: int = 1):
 def sweep(n_limit: int, reach: int = 0, weighted: bool = True, multiple: int = 1):
     """Iterate (start, levels, inv_n) chunk by chunk over n = start+1 .. start+m.
 
-    levels[o : o + m], o <= reach, are the counts of n + o; inv_n holds the
-    m values 1/n (None unless weighted).  levels is a view of the held block
-    if it covers n <= N + reach at the call, else of a buffer streamed from
-    the sieve and refilled when the next chunk is drawn.
+    levels[o : o + m], o <= reach, are the counts of n + o, and inv_n the m
+    values 1/n (None unless weighted).  carry[: end - first] holds the
+    counts of n = first + 1 .. end: the held block, filled to its end, if
+    it covers n <= N + reach at the call; else a buffer allocated here (a
+    reach no machine holds fails at once) that one range_filler fills a
+    segment at a time behind the counts moved up from each chunk's start,
+    so levels is valid until the next chunk is drawn.
     """
-    hi = n_limit + reach + 1
-    parts = chunks(n_limit, weighted, multiple)
-    if _cached_block is not None and _cached_block.hi >= hi:
-        counts = shared_counts(hi)
-        return ((start, counts[start : stop + reach], inv_n) for start, stop, inv_n in parts)
-    return _streamed(parts, hi, reach, multiple * CHUNK)
+    last, parts = n_limit + reach, chunks(n_limit, weighted, multiple)
+    if _cached_block is not None and _cached_block.hi > last:
+        carry, end, fill = _cached_block.counts, _cached_block.hi - 1, None
+    else:
+        carry = np.empty(min(multiple * CHUNK + reach + sieve.SEGMENT, last), np.uint8)
+        end, fill = 0, sieve.range_filler(last + 1, sieve.BigOmega)
 
-
-def _streamed(parts, hi, reach, size):
-    """sweep's chunks on counts sieved one segment at a time, none kept after.
-
-    held[: end - first] are the counts of n = first + 1 .. end, in one buffer
-    of a chunk, its reach and a segment, allocated before any sieving (so a
-    reach no machine holds fails at once).  Each segment first moves the
-    counts from the chunk's start to the front, so levels is valid until the
-    next chunk is drawn.
-    """
-    held = np.empty(min(size + reach + sieve.SEGMENT, hi - 1), np.uint8)
-    first = end = 0
-    for start, stop, inv_n in parts:
-        while end < stop + reach:
-            held[: end - start] = held[start - first : end - first]
-            first, top = start, min(end + 1 + sieve.SEGMENT, hi)
-            sieve.factor_counts(end + 1, top, sieve.BigOmega, None,
-                                held[end - first : top - 1 - first])
-            end = top - 1
-        yield start, held[start - first : stop + reach - first], inv_n
+    def carried(first, end):
+        for start, stop, inv_n in parts:
+            while end < stop + reach:
+                carry[: end - start] = carry[start - first : end - first]
+                first, top = start, min(end + sieve.SEGMENT, last)
+                fill(end + 1, carry[end - first : top - first])
+                end = top
+            yield start, carry[start - first : stop + reach - first], inv_n
+    return carried(0, end)
 
 
 def level_histograms(n_limit: int, offsets, base: int, weightings):

@@ -14,7 +14,7 @@ indicators of q | n gives the exact exponent of p).  A segment keeps one
 packed uint16 word per n: the count in the top c bits, and in the low
 16 - c bits the log units of the prime powers found, the sum of
 floor(S log2 p) over them (the packed word and its scale S are fixed per
-call, see _layout).  Each prime power adds one increment to the word,
+range, see _layout).  Each prime power adds one increment to the word,
 (1 << (16 - c)) + floor(S log2 p) where it counts and floor(S log2 p)
 where it does not (a power past p in the distinct modes).
 
@@ -44,13 +44,15 @@ powers found, its smooth part (uint32 on a segment that ends at or below
 A segment that keeps the smooth part is cut so that word and smooth part
 fit the 2 MiB of a whole segment's word.
 
-So a call holds its output, one segment's word (and smooth part), a
-batch of hits and the base primes, as uint32: every range end below 2**63
-puts them below 2**32.  A caller that sieves a long range piece by piece
-into one reused output (factor_count_pieces, a streamed profile pass)
-holds one piece: the sieve command writes each piece to its file with
-write_block(append=True) or write_block_csv(append=True) before the next
-is sieved.
+A range is set up once (range_filler: base primes, word layout, tiles)
+and then filled piece by piece, segment after segment; factor_counts is
+one fill of a fresh block.  A fill holds its output, one segment's word
+(and smooth part) and a batch of hits, and the range its base primes, as
+uint32: every range end below 2**63 puts them below 2**32.  A caller that
+fills a long range into one reused buffer (factor_count_pieces, a streamed
+sweep) holds one piece: the sieve command writes each piece to its file
+with write_block(append=True) or write_block_csv(append=True) before the
+next is filled.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _base_primes(hi: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Layout:
-    """The packed uint16 word of one factor_counts call.
+    """The packed uint16 word of one range.
 
     The count sits above bit shift, the log units below it; a prime power
     of p adds floor(scale * log2 p) log units.  Truncated mode has scale 0:
@@ -282,7 +284,7 @@ class _Layout:
 
 
 def _layout(hi, mode) -> _Layout:
-    """The word for a call ending at hi: as many log units as fit.
+    """The word for a range ending at hi: as many log units as fit.
 
     With top = max(hi, 2 * _TILE), a count of at most floor(log2(top - 1))
     needs c = bit_length(floor(log2(top - 1))) bits: 4 up to 2**16, 5 up to
@@ -424,7 +426,7 @@ def _tiles(mode, layout):
     Entry k is (word, smooth): at r, the packed word of the tile prime
     powers among the first k that divide gcd(r, _TILE), and in truncated
     mode the part of that gcd they make up (None in the other modes).
-    Read-only, so every segment of one call reads the same patterns.
+    Read-only, so every segment of one range reads the same patterns.
     """
     truncated = mode.kind == "truncated"
     word = np.zeros(2 * _TILE, np.uint16)
@@ -543,59 +545,60 @@ def _check_range(lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
-                  config: SieveConfig | None = None, out=None,
-                  base_primes=None) -> FactorCountBlock:
-    """Exact per-n prime-factor counts on [lo, hi) under the given mode,
-    filled one segment after another.
+def range_filler(hi: int, mode: CountMode):
+    """fill(lo, out), which writes the counts of n = lo .. lo + out.size - 1
+    into the 1-D uint8 array out, for 1 <= lo and lo + out.size <= hi.
 
-    config is taken for its worker_count, which sets only the pieces of
-    factor_count_pieces: every SieveConfig runs this one loop.  out, when
-    given, is the uint8 array of hi - lo entries the counts are written to
-    and the block holds, so a caller that sieves segment after segment
-    reuses one buffer: a fresh array per 2^20-entry call faulted in about
-    1 000 pages each time, and a streamed density_table(10**8) took 1.51 s
-    and 22 728 minor faults against 1.42 s and 1 381 (medians of 6, 2-core
-    x86 box).  base_primes, when given, are the ascending uint32 primes up
-    to at least isqrt(hi - 1), enumerated once by factor_count_pieces for
-    all its pieces; otherwise they are enumerated here.
+    hi is checked, and the base primes up to isqrt(hi - 1), _layout(hi,
+    mode) and the tiles are made, here, once for every fill: a 2 * 10^7-wide
+    range at 10^14 re-enumerated its base primes a piece in 0.43 s of 2.1 s.
+    The log units are proven below hi only, so a fill past it is refused.
     """
-    lo, hi = _check_range(lo, hi)
-    if out is None:
-        out = np.empty(hi - lo, dtype=np.uint8)
-    elif out.dtype != np.uint8 or out.shape != (hi - lo,):
-        raise ContractError(f"out must be uint8 of {hi - lo} entries, "
-                            f"got {out.dtype} {out.shape}")
-    base = _base_primes(hi) if base_primes is None else base_primes
+    hi = _check_range(1, hi)[1]
+    base = _base_primes(hi)
     layout = _layout(hi, mode)
     tiles = _tiles(mode, layout)
-    for a, b in _segments(lo, hi, mode):
-        _fill_segment(a, b, base, out[a - lo : b - lo], mode, layout, tiles)
+
+    def fill(lo, out):
+        lo = int(lo)
+        if not (isinstance(out, np.ndarray) and out.dtype == np.uint8 and out.ndim == 1):
+            raise ContractError(f"out must be a 1-D uint8 array, got "
+                                f"{getattr(out, 'dtype', type(out))} of shape {np.shape(out)}")
+        if not 1 <= lo <= hi - out.size:
+            raise ContractError(f"fill needs 1 <= lo and lo + out.size <= {hi}, "
+                                f"got [{lo}, {lo + out.size})")
+        for a, b in _segments(lo, lo + out.size, mode):
+            _fill_segment(a, b, base, out[a - lo : b - lo], mode, layout, tiles)
+    return fill
+
+
+def factor_counts(lo: int, hi: int, mode: CountMode = BigOmega,
+                  config: SieveConfig | None = None) -> FactorCountBlock:
+    """Exact per-n prime-factor counts on [lo, hi) under the given mode, in
+    one block that one range_filler(hi, mode) fills.  config is taken for
+    its worker_count, which sets only the pieces of factor_count_pieces.
+    """
+    lo, hi = _check_range(lo, hi)
+    out = np.empty(hi - lo, dtype=np.uint8)
+    range_filler(hi, mode)(lo, out)
     return FactorCountBlock(lo=lo, hi=hi, mode=mode, counts=out)
 
 
 def factor_count_pieces(lo: int, hi: int, mode: CountMode, config: SieveConfig):
     """The counts of [lo, hi) as consecutive blocks of config.worker_count
-    segments, one factor_counts call a block, all in one reused buffer: a
-    block is overwritten by the next, so read it before drawing that.
-
-    The base primes up to isqrt(hi - 1) are enumerated once, not once a
-    block: a 2 * 10^7-wide range at 10^14 re-enumerated them in 0.43 s of
-    2.1 s.  The range is checked when this is called, not when the first
-    block is drawn.
+    segments, which one range_filler(hi, mode) fills into one reused
+    buffer: read a block before drawing the next.  The range is checked and
+    set up when this is called, not when the first block is drawn.
     """
     lo, hi = _check_range(lo, hi)
-    return _pieces(lo, hi, mode, config)
-
-
-def _pieces(lo, hi, mode, config):
-    """The blocks of factor_count_pieces for a checked range."""
-    step = config.worker_count * SEGMENT
+    fill, step = range_filler(hi, mode), config.worker_count * SEGMENT
     buffer = np.empty(min(step, hi - lo), dtype=np.uint8)
-    base = _base_primes(hi)
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        yield factor_counts(a, b, mode, None, buffer[: b - a], base)
+
+    def piece(a):
+        counts = buffer[: min(step, hi - a)]
+        fill(a, counts)
+        return FactorCountBlock(lo=a, hi=a + counts.size, mode=mode, counts=counts)
+    return map(piece, range(lo, hi, step))
 
 
 def liouville(block: FactorCountBlock) -> np.ndarray:

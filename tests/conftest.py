@@ -1,4 +1,5 @@
 import pathlib
+import types
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,6 +27,26 @@ def big_block():
     block = sieve.factor_counts(1, 10 ** 8 + 2)
     profiles.adopt_block(block)
     return block
+
+
+@pytest.fixture
+def range_fills(monkeypatch):
+    """Record every sieve.range_filler call as (hi, mode kind) in .setups and
+    every fill of the fillers it makes as (lo, size) in .fills; the fills
+    still write their counts."""
+    record = types.SimpleNamespace(setups=[], fills=[])
+    range_filler = sieve.range_filler
+
+    def recorded(hi, mode):
+        record.setups.append((hi, mode.kind))
+        fill = range_filler(hi, mode)
+
+        def recorded_fill(lo, out):
+            record.fills.append((lo, out.size))
+            fill(lo, out)
+        return recorded_fill
+    monkeypatch.setattr(sieve, "range_filler", recorded)
+    return record
 
 
 @pytest.fixture(scope="session")

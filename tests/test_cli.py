@@ -255,14 +255,12 @@ def test_theorem_c_multiple_n(capsys):
     assert set(vals) == {"1000", "2000"} or len(vals) == 2
 
 
-def test_theorem_c_sieves_once_and_keeps_the_order_given(capsys, monkeypatch):
+def test_theorem_c_sets_up_one_range_per_n_and_keeps_the_order_given(capsys, range_fills):
+    # each N streams its own pass: one range set-up per N, no block adopted
     profiles.invalidate_cache()
-    sieved = []
-    factor_counts = sieve.factor_counts
-    monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, *args:
-                        sieved.append((lo, hi)) or factor_counts(lo, hi, *args))
     vals = _report(capsys, "theorem-c", "--n", "5e4,1e5", "--a", "parity")["results"]["values"]
-    assert sieved == [(1, 10**5 + 2)]
+    assert range_fills.setups == [(5 * 10**4 + 2, "big"), (10**5 + 2, "big")]
+    assert profiles._cached_block is None
     # the report sorts its keys; the handler keeps the order given
     _, results = cli._run_theorem_c({"n": [50000, 100000], "a": "parity"})
     assert list(results["values"]) == ["50000", "100000"]
@@ -273,22 +271,25 @@ def test_theorem_c_sieves_once_and_keeps_the_order_given(capsys, monkeypatch):
 
 
 def test_theorem_c_with_one_n_streams_its_pass(capsys, monkeypatch):
-    # one N makes one pass, so its counts stream and no block is adopted
+    # each N makes one pass, so its counts stream and no block is adopted,
+    # for one N as for several
     def no_adopt(block):
         raise AssertionError(f"a block up to {block.hi} adopted for one pass")
     monkeypatch.setattr(profiles, "adopt_block", no_adopt)
-    profiles.invalidate_cache()
-    vals = _report(capsys, "theorem-c", "--n", "5e4", "--a", "parity")["results"]["values"]
-    assert list(vals) == ["50000"] and profiles._cached_block is None
+    for ns in (["5e4"], ["5e4", "1e5"]):
+        profiles.invalidate_cache()
+        vals = _report(capsys, "theorem-c", "--n", ",".join(ns), "--a", "parity")
+        assert set(vals["results"]["values"]) == {str(int(float(n))) for n in ns}
+        assert profiles._cached_block is None
 
 
-# command: (flags at N ~ 2e4, passes over n <= N, sieve calls), cache cold
+# command: (flags at N ~ 2e4, passes over n <= N, sieve range set-ups), cache cold
 _PASSES = {
     "sieve": (("--n", "2e4"), 0, 1),
     "densities": (("--n", "2e4"), 1, 1),
     "erdos-kac": (("--n", "2e4"), 1, 1),
     "correlate": (("--n", "2e4"), 1, 1),
-    "theorem-c": (("--n", "1e4,2e4"), 2, 1),   # one pass per N, one block
+    "theorem-c": (("--n", "1e4,2e4"), 2, 2),   # one pass and one range per N
     "distance": (("--n", "2e4"), 0, 0),
     "halasz": (("--n", "2e4", "--points", "21"), 1, 1),
     "reduce": (("--n", "2e4"), 1, 1),
@@ -302,17 +303,17 @@ def test_passes_and_sieves_per_command(capsys, monkeypatch, command):
     assert set(_PASSES) == set(cli.COMMANDS)
     flags, passes, sieves = _PASSES[command]
     seen = {"passes": 0, "sieves": 0}
-    chunks, factor_counts = profiles.chunks, sieve.factor_counts
+    chunks, range_filler = profiles.chunks, sieve.range_filler
 
     def counted_chunks(*args, **kwargs):
         seen["passes"] += 1
         return chunks(*args, **kwargs)
 
-    def counted_sieve(*args, **kwargs):
+    def counted_filler(*args):
         seen["sieves"] += 1
-        return factor_counts(*args, **kwargs)
+        return range_filler(*args)
     monkeypatch.setattr(profiles, "chunks", counted_chunks)
-    monkeypatch.setattr(sieve, "factor_counts", counted_sieve)
+    monkeypatch.setattr(sieve, "range_filler", counted_filler)
     profiles.invalidate_cache()
     _report(capsys, command, *flags)
     profiles.invalidate_cache()
@@ -352,23 +353,19 @@ def _file_sha256(path, skip_lines=0):
     return digest.hexdigest()
 
 
-def _stream_and_compare(capsys, monkeypatch, tmp_path, lo, hi, mode, fmt, workers):
+def _stream_and_compare(capsys, monkeypatch, tmp_path, lo, hi, mode, fmt, workers, fills):
     """Run sieve --out on [lo, hi) and check it against one whole-block write:
-    the file's bytes, the digest, the histogram, and one factor_counts call
-    a piece of `workers` segments."""
+    the file's bytes, the digest, the histogram, one range set-up, and one
+    fill a piece of `workers` segments (fills: the range_fills fixture)."""
     flags, count_mode = _SIEVE_MODES[mode]
-    pieces, factor_counts = [], sieve.factor_counts
-
-    def recorded(a, b, *args, **kwargs):
-        pieces.append((a, b))
-        return factor_counts(a, b, *args, **kwargs)
-    monkeypatch.setattr(sieve, "factor_counts", recorded)
     out, whole = tmp_path / f"streamed.{fmt}", tmp_path / f"whole.{fmt}"
     rep = _report(capsys, "sieve", "--lo", str(lo), "--hi", str(hi), "--mode", mode, *flags,
                   "--format", fmt, "--workers", str(workers), "--out", str(out))
     monkeypatch.undo()
     step = workers * sieve.SEGMENT
-    assert pieces == [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    assert fills.setups == [(hi, mode)]
+    assert [(a, a + size) for a, size in fills.fills] == [
+        (a, min(a + step, hi)) for a in range(lo, hi, step)]
     block = sieve.factor_counts(lo, hi, count_mode)
     if fmt == "bin":
         sieve.write_block(block, whole)
@@ -382,26 +379,26 @@ def _stream_and_compare(capsys, monkeypatch, tmp_path, lo, hi, mode, fmt, worker
     assert rep["results"]["histogram"] == stats.count_histogram(block.counts).tolist()
     out.unlink()   # the CSV files are about 40 MB each
     whole.unlink()
-    return len(pieces)
+    return len(fills.fills)
 
 
 @pytest.mark.parametrize("workers", [1, 8])
 @pytest.mark.parametrize("mode", list(_SIEVE_MODES))
 @pytest.mark.parametrize("fmt", ["bin", "csv"])
-def test_sieve_streams_the_file_of_the_whole_block(capsys, monkeypatch, tmp_path,
+def test_sieve_streams_the_file_of_the_whole_block(capsys, monkeypatch, tmp_path, range_fills,
                                                   fmt, mode, workers):
     # three segments and a tail, across 10^9 where n gains a digit: four
     # pieces at one worker, one piece of four segments at eight
     lo = 10**9 - (1 << 20)
     pieces = _stream_and_compare(capsys, monkeypatch, tmp_path, lo, lo + 3 * (1 << 20) + 4321,
-                                 mode, fmt, workers)
+                                 mode, fmt, workers, range_fills)
     assert pieces == {1: 4, 8: 1}[workers]
 
 
 def test_sieve_streams_pieces_of_eight_segments_at_eight_workers(capsys, monkeypatch,
-                                                                 tmp_path):
+                                                                 tmp_path, range_fills):
     pieces = _stream_and_compare(capsys, monkeypatch, tmp_path, 1, 9 * (1 << 20) + 4321,
-                                 "big", "bin", 8)
+                                 "big", "bin", 8, range_fills)
     assert pieces == 2
 
 
@@ -513,7 +510,7 @@ def test_window_work_past_the_limit_exits_5_before_sieving(capsys, monkeypatch, 
     def unreachable(*args):
         raise AssertionError(f"sieved {args}")
     monkeypatch.setattr(sieve, "prime_segments", unreachable)
-    monkeypatch.setattr(sieve, "factor_counts", unreachable)
+    monkeypatch.setattr(sieve, "range_filler", unreachable)
     code, out, err = _run(capsys, *argv)
     assert code == cli.EXIT_CAPACITY
     assert out == ""
@@ -653,7 +650,7 @@ def test_sieve_n_and_hi_that_disagree_exit_2_before_sieving(capsys, tmp_path, mo
     mpath = tmp_path / "echo.json"
     mpath.write_text(json.dumps(echo))
     calls = []
-    monkeypatch.setattr(sieve, "factor_counts", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(sieve, "range_filler", lambda *args, **kwargs: calls.append(args))
     for argv in (("--manifest", str(mpath), "--n", "300"), ("--n", "200", "--hi", "300")):
         code, stdout, err = _run(capsys, "sieve", *argv)
         assert code == cli.EXIT_CONTRACT
@@ -710,7 +707,7 @@ def test_csv_body_is_written_into_the_one_temp_file(capsys, tmp_path, monkeypatc
 def test_memory_the_machine_cannot_allocate_exits_5(capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 909. TiB for an array")
-    monkeypatch.setattr(sieve, "factor_counts", no_memory)
+    monkeypatch.setattr(sieve, "range_filler", no_memory)
     code, stdout, err = _run(capsys, "correlate", "--n", "1000", "--shift", "1e15")
     assert code == cli.EXIT_CAPACITY == 5
     assert stdout == ""

@@ -172,19 +172,20 @@ def test_multi_shift_pass_matches_single_shift_passes(monkeypatch):
 
 
 def _count_passes(monkeypatch) -> dict:
-    # passes through profiles.chunks and sieves through sieve.factor_counts
+    # passes through profiles.chunks and sieves through sieve.range_filler,
+    # one range set-up a sieve
     seen = {"passes": 0, "sieves": 0}
-    chunks, factor_counts = profiles.chunks, sieve.factor_counts
+    chunks, range_filler = profiles.chunks, sieve.range_filler
 
     def counted_chunks(*args, **kwargs):
         seen["passes"] += 1
         return chunks(*args, **kwargs)
 
-    def counted_sieve(*args, **kwargs):
+    def counted_filler(*args):
         seen["sieves"] += 1
-        return factor_counts(*args, **kwargs)
+        return range_filler(*args)
     monkeypatch.setattr(profiles, "chunks", counted_chunks)
-    monkeypatch.setattr(sieve, "factor_counts", counted_sieve)
+    monkeypatch.setattr(sieve, "range_filler", counted_filler)
     return seen
 
 
@@ -317,12 +318,17 @@ def _names(tree) -> set:
 
 def test_only_profiles_reads_the_shared_block():
     # every other module reads counts through sweep, level_histograms or a
-    # profile
+    # profile, and only sieve and profiles sieve counts: no command holds N
+    # bytes of them (the package's re-export of factor_counts is no call)
+    sieving = {"factor_counts", "range_filler"}
     for path in sorted(pathlib.Path(profiles.__file__).parent.glob("*.py")):
-        if path.stem == "profiles":
-            continue
-        names = _names(ast.parse(path.read_text()))
-        assert not {"shared_counts", "_cached_block", "chunks"} & names, path.name
+        tree = ast.parse(path.read_text())
+        if path.stem not in ("sieve", "profiles"):
+            called = set().union(*(_names(node.func) for node in ast.walk(tree)
+                                   if isinstance(node, ast.Call)))
+            assert not sieving & called, path.name
+        if path.stem != "profiles":
+            assert not {"shared_counts", "_cached_block", "chunks"} & _names(tree), path.name
 
 
 def test_profile_pass_memory_is_bounded():
@@ -373,28 +379,26 @@ def _sweep_statistics(n_limit, window, spec):
                                         pretentious.frequency_family(n_limit).members))
 
 
-def test_streamed_and_held_sweeps_give_the_same_bits(monkeypatch):
+def test_streamed_and_held_sweeps_give_the_same_bits(monkeypatch, range_fills):
     # segments of 70 001 counts: five a pass, off the CHUNK grid, so chunks
     # and their reach run across segment edges
     monkeypatch.setattr(sieve, "SEGMENT", 70_001)
     n_limit = 300_000
     window = reduction.prime_window(n_limit)
     spec = pretentious.MultFunSpec(-1.0, {2: 1j, 101: 0.5, 65537: -1j})
-    sieved = []
-    factor_counts = sieve.factor_counts
-    monkeypatch.setattr(sieve, "factor_counts", lambda lo, hi, mode, *args: sieved.append(
-        (hi - lo, mode.kind)) or factor_counts(lo, hi, mode, *args))
     profiles.invalidate_cache()
     streamed = _sweep_statistics(n_limit, window, spec)
     assert profiles._cached_block is None
-    segments = [length for length, kind in sieved if kind == "big"]
+    segments = [size for _, size in range_fills.fills]
     assert len(segments) > 5 and max(segments) <= 70_001
     profiles.invalidate_cache()
-    sieved.clear()
+    range_fills.setups.clear()
+    range_fills.fills.clear()
     shared_counts(n_limit + window.max_prime + 1)
     held = _sweep_statistics(n_limit, window, spec)
     profiles.invalidate_cache()
-    assert [kind for _, kind in sieved].count("big") == 1
+    # one sieve: one set-up and one fill, of the held block
+    assert len(range_fills.setups) == len(range_fills.fills) == 1
     for a, b in zip(streamed[:3], held[:3]):
         np.testing.assert_array_equal(a, b)
     (k3_streamed, mass_streamed), (k3_held, mass_held) = streamed[3], held[3]
@@ -402,6 +406,20 @@ def test_streamed_and_held_sweeps_give_the_same_bits(monkeypatch):
         np.testing.assert_array_equal(a, b)
     assert mass_streamed == mass_held
     assert streamed[4:] == held[4:]
+
+
+def test_streamed_pass_enumerates_its_base_primes_once(monkeypatch):
+    # a pass over several segments sets its range up once: the base primes
+    # are enumerated for the pass, not for each segment
+    monkeypatch.setattr(sieve, "SEGMENT", 70_001)
+    enumerated, base_primes = [], sieve._base_primes
+    monkeypatch.setattr(sieve, "_base_primes",
+                        lambda hi: enumerated.append(hi) or base_primes(hi))
+    profiles.invalidate_cache()
+    table = density_table(350_000)
+    assert enumerated == [350_002] and profiles._cached_block is None
+    counts = factor_counts(1, 350_001).counts
+    np.testing.assert_array_equal(table.counts, np.bincount(counts, minlength=profiles.NBINS))
 
 
 def test_density_table_streams_below_the_block():

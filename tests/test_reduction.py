@@ -444,16 +444,14 @@ def test_reduced_terms_peak_memory_at_1e6():
     assert peak < 100 * 2**20
 
 
-def test_reduced_terms_sieve_the_block_once(monkeypatch):
-    # the covariance reaches past N: its block is sieved before the profile's
+def test_reduced_terms_sieve_the_block_once(range_fills):
+    # the covariance reaches past N: its range is set up and filled once,
+    # before the profile's
     profiles.invalidate_cache()
-    sieved = []
-    factor_counts = reduction.sieve.factor_counts
-    monkeypatch.setattr(reduction.sieve, "factor_counts",
-                        lambda lo, hi, *args: sieved.append(hi) or factor_counts(lo, hi, *args))
     w = prime_window(10**5)
     reduced_sum_terms(10**5, w, [1])
-    assert sieved == [10**5 + w.max_prime + 1]
+    assert range_fills.setups == [(10**5 + w.max_prime + 1, "big")]
+    assert range_fills.fills == [(1, 10**5 + w.max_prime)]
 
 
 def test_reduced_terms_stream_one_pass_below_the_block(monkeypatch):

@@ -482,16 +482,24 @@ def test_segment_length_invariance(monkeypatch):
 
 
 def test_counts_written_into_a_given_buffer():
-    # a slice of a caller's buffer is filled in place and is the block's counts
+    # a filler writes into a slice of a caller's buffer in place, and
+    # nowhere else
     buf = np.full(6000, 255, np.uint8)
     for mode in (BigOmega, SmallOmega, TruncatedOmega(100)):
-        block = factor_counts(50, 5000, mode, None, buf[7 : 7 + 4950])
-        assert np.shares_memory(block.counts, buf)
+        fill = sieve.range_filler(5000, mode)
+        fill(50, buf[7 : 7 + 4950])
         assert np.array_equal(buf[7 : 7 + 4950], factor_counts(50, 5000, mode).counts)
         assert (buf[:7] == 255).all() and (buf[7 + 4950 :] == 255).all()
-    for bad in (buf[:4949], buf[:4950].view(np.int8), np.zeros((2, 4950), np.uint8)):
+    fill = sieve.range_filler(5000, BigOmega)
+    # one entry past hi, a signed buffer, a 2-D buffer
+    for bad in (buf[:4951], buf[:4950].view(np.int8), np.zeros((2, 4950), np.uint8)):
         with pytest.raises(ContractError):
-            factor_counts(50, 5000, out=bad)
+            fill(50, bad)
+    # n = 0, and a range that ends past hi
+    for lo, size in ((0, 10), (4991, 10)):
+        with pytest.raises(ContractError):
+            fill(lo, buf[:size])
+    assert (buf[:7] == 255).all()
 
 
 def test_range_validation():

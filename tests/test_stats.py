@@ -89,7 +89,7 @@ def test_density_table_adopts_a_valid_block_and_refuses_others(monkeypatch):
 
     def no_second_sieve(*args, **kwargs):
         raise AssertionError("the adopted block was sieved again")
-    monkeypatch.setattr(sieve, "factor_counts", no_second_sieve)
+    monkeypatch.setattr(sieve, "range_filler", no_second_sieve)
     table = density_table(n, block)
     assert profiles._cached_block is block
     np.testing.assert_array_equal(table.counts,
